@@ -100,9 +100,13 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                           *, pass_bound=None) -> EstimateReport:
     """Velocity-gradient energy on Qr against mass and source on QR."""
     _require_nested(Qr, QR)
-    grad = velocity_gradient(f.values, f.dv)
     _, mask_r = _masked_values(f, Qr)
-    lhs = float((grad[mask_r] ** 2).sum() * f.cell_measure)
+    # the gradient runs along v only, so on the t/x window holding Qr's
+    # cells (full v axis) it lists the same entries in the same order
+    it, ix = np.nonzero(mask_r.any(axis=2))
+    window = np.s_[it.min():it.max() + 1, ix.min():ix.max() + 1]
+    grad = velocity_gradient(f.values[window], f.dv)
+    lhs = float((grad[mask_r[window]] ** 2).sum() * f.cell_measure)
 
     vals_R, mask_R = _masked_values(f, QR)
     const = energy_constant(Qr.eff_radius, QR.eff_radius,

@@ -67,12 +67,20 @@ class CoefficientField:
         if self.s_amp < 0.0:
             raise ValueError("s_amp must be nonnegative")
 
+    def time_cell(self, t):
+        """Index of the lattice time cell holding t.
+
+        The field depends on t only through this index, so values
+        sampled at one t hold for every t in the same cell.
+        """
+        return np.floor(t * (1.0 / self.cell_size))
+
     def _uniform(self, channel, t, x, v):
         t, x, v = np.broadcast_arrays(np.asarray(t, float),
                                       np.asarray(x, float),
                                       np.asarray(v, float))
         inv = 1.0 / self.cell_size
-        it = np.floor(t * inv)
+        it = self.time_cell(t)
         ix = np.floor(x * inv)
         iv = np.floor(v * inv)
         return _hash_cells(self.seed, channel, it, ix, iv)

@@ -12,9 +12,13 @@ One step is a Strang split T(dt/2) D(dt) T(dt/2):
   implicit matrix is an M-matrix and the step is monotone; the source
   enters this stage as + dt S.
 
-Coefficients are sampled at the step midpoint time.  Constants are
-invariant up to roundoff, and without drift and diffusion of structure
-the scheme reduces to exact advection of whole-cell shifts.
+Coefficients are sampled at the step midpoint time.  A field that
+names its time cell (CoefficientField.time_cell) is sampled, and the
+v-matrix forward-eliminated, once per time cell; those factors are
+reused while the midpoint stays in that cell, so each step runs only
+the Thomas sweeps.  Constants are invariant up to roundoff, and without
+drift and diffusion of structure the scheme reduces to exact advection
+of whole-cell shifts.
 """
 
 from __future__ import annotations
@@ -74,37 +78,21 @@ def transport_weights(vs, shift_time, dx, nx):
     return idx, weights
 
 
-def _apply_transport(f, idx, weights, cols):
-    out = weights[0][None, :] * f[idx[0], cols]
+def _apply_transport(f, gather, weights):
+    """Cubic gather along x; gather holds flat indices into f."""
+    out = weights[0][None, :] * f.take(gather[0])
     for m in range(1, 4):
-        out += weights[m][None, :] * f[idx[m], cols]
+        out += weights[m][None, :] * f.take(gather[m])
     return out
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve tridiagonal systems along the last axis, vectorized over x.
+def _v_factors(coef, t_mid, xs, vs, dv, dt):
+    """Backward-Euler v-matrix at t_mid, forward-eliminated once.
 
-    All arguments have shape (nx, nv); lower[:, 0] and upper[:, -1] are
-    ignored.
+    Returns (lower, denom, cp, ds): the sub-diagonal, the Thomas pivots
+    and upper multipliers, and dt * S, all of shape (nx, nv).
     """
-    nv = diag.shape[1]
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    cp[:, 0] = upper[:, 0] / diag[:, 0]
-    dp[:, 0] = rhs[:, 0] / diag[:, 0]
-    for j in range(1, nv):
-        denom = diag[:, j] - lower[:, j] * cp[:, j - 1]
-        cp[:, j] = upper[:, j] / denom
-        dp[:, j] = (rhs[:, j] - lower[:, j] * dp[:, j - 1]) / denom
-    out = np.empty_like(rhs)
-    out[:, -1] = dp[:, -1]
-    for j in range(nv - 2, -1, -1):
-        out[:, j] = dp[:, j] - cp[:, j] * out[:, j + 1]
-    return out
-
-
-def _diffusion_step(f, coef: CoefficientField, t_mid, xs, vs, dv, dt):
-    nx, nv = f.shape
+    nx, nv = xs.size, vs.size
     X = xs[:, None]
     # harmonic mean of the cell diffusivities on interior v-faces
     a_cell = np.asarray(coef.diffusion(t_mid, X, vs[None, :]), float)
@@ -126,7 +114,27 @@ def _diffusion_step(f, coef: CoefficientField, t_mid, xs, vs, dv, dt):
     lower = -(r * a_face[:, :-1] + q * neg_b)
     upper = -(r * a_face[:, 1:] + q * pos_b)
     diag = 1.0 + r * (a_face[:, :-1] + a_face[:, 1:]) + q * (pos_b + neg_b)
-    return _thomas(lower, diag, upper, f + dt * s)
+
+    denom = np.empty_like(diag)
+    cp = np.empty_like(diag)
+    denom[:, 0] = diag[:, 0]
+    cp[:, 0] = upper[:, 0] / diag[:, 0]
+    for j in range(1, nv):
+        denom[:, j] = diag[:, j] - lower[:, j] * cp[:, j - 1]
+        cp[:, j] = upper[:, j] / denom[:, j]
+    return lower, denom, cp, dt * s
+
+
+def _v_solve(f, lower, denom, cp, ds):
+    """Backward-Euler v-step: Thomas sweeps on pre-eliminated factors."""
+    nv = f.shape[1]
+    u = f + ds
+    u[:, 0] = u[:, 0] / denom[:, 0]
+    for j in range(1, nv):
+        u[:, j] = (u[:, j] - lower[:, j] * u[:, j - 1]) / denom[:, j]
+    for j in range(nv - 2, -1, -1):
+        u[:, j] = u[:, j] - cp[:, j] * u[:, j + 1]
+    return u
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
@@ -169,20 +177,29 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         keep = slice(None)
 
     idx, weights = transport_weights(vs, 0.5 * dt, dx, nx)
-    cols = np.arange(nv)[None, :]
+    gather = [i * nv + np.arange(nv) for i in idx]
+    # rough fields are constant on time cells; duck-typed fields that
+    # cannot name their cell are re-sampled every step
+    time_cell = getattr(coef, "time_cell", None)
+    cell = factors = None
 
-    stored = [f[keep, :].copy()]
+    values = np.empty((nt // store_every + 1, xs[keep].size, nv))
+    values[0] = f[keep, :]
     times = [box.t0]
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
-        f = _apply_transport(f, idx, weights, cols)
-        f = _diffusion_step(f, coef, t_mid, xs, vs, dv, dt)
-        f = _apply_transport(f, idx, weights, cols)
+        key = None if time_cell is None else time_cell(t_mid)
+        if key is None or key != cell:
+            factors = _v_factors(coef, t_mid, xs, vs, dv, dt)
+            cell = key
+        f = _apply_transport(f, gather, weights)
+        f = _v_solve(f, *factors)
+        f = _apply_transport(f, gather, weights)
         if (n + 1) % check_every == 0 or n + 1 == nt:
             if not np.all(np.isfinite(f)):
                 raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
         if (n + 1) % store_every == 0:
-            stored.append(f[keep, :].copy())
+            values[len(times)] = f[keep, :]
             times.append(box.t0 + (n + 1) * dt)
 
     meta = {
@@ -193,9 +210,8 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         "cfl": dt * v_max / dx,
         "store_every": store_every,
     }
-    return GridFunction(np.asarray(times), xs[keep], vs,
-                        np.stack(stored, axis=0), pad_x=pad_x, pad_v=pad_v,
-                        solve_box=box, meta=meta)
+    return GridFunction(np.asarray(times), xs[keep], vs, values,
+                        pad_x=pad_x, pad_v=pad_v, solve_box=box, meta=meta)
 
 
 def fit_order(hs, errors):

@@ -27,8 +27,12 @@ from kfplab.estimates import (
     check_weak_harnack,
     check_weak_poincare,
     explicit_constants,
+    velocity_gradient,
 )
+from kfplab.experiments import (STANDARD_BOX, standard_coefficients,
+                                standard_cylinders, standard_datum)
 from kfplab.geometry import make_cylinder
+from kfplab.solver import solve
 from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
@@ -97,6 +101,17 @@ def test_energy_gradient_oracle():
     exact = r**2 * 2.0 * r**3 * (2.0 * r**3 / 3.0)
     # the short time window quantizes to ~15 slices: coarse agreement
     assert rep.lhs == pytest.approx(exact, rel=0.10)
+
+
+def test_energy_lhs_equals_full_grid_gradient_bitwise():
+    coef = standard_coefficients(3)
+    f = solve(standard_datum, coef, STANDARD_BOX, nx=64, nv=48, nt=32,
+              pad_x=1.0, pad_v=2.0)
+    qr, qR = standard_cylinders()
+    mask = f.mask(qr)
+    full = velocity_gradient(f.values, f.dv)[mask]
+    rep = check_energy_estimate(f, coef, qr, qR)
+    assert rep.lhs == float((full ** 2).sum() * f.cell_measure)
 
 
 def test_gain_integrability_validates_p():

@@ -226,3 +226,130 @@ def test_single_slice_has_no_cell_measure():
                          centered_axis(-1, 1, 8), centered_axis(-1, 1, 8))
     with pytest.raises(SafeRegionError):
         _ = gf.cell_measure
+
+
+# ------------------------------------------- per-step reference stepper
+
+
+def _reference_thomas(lower, diag, upper, rhs):
+    nv = diag.shape[1]
+    cp = np.empty_like(diag)
+    dp = np.empty_like(rhs)
+    cp[:, 0] = upper[:, 0] / diag[:, 0]
+    dp[:, 0] = rhs[:, 0] / diag[:, 0]
+    for j in range(1, nv):
+        denom = diag[:, j] - lower[:, j] * cp[:, j - 1]
+        cp[:, j] = upper[:, j] / denom
+        dp[:, j] = (rhs[:, j] - lower[:, j] * dp[:, j - 1]) / denom
+    out = np.empty_like(rhs)
+    out[:, -1] = dp[:, -1]
+    for j in range(nv - 2, -1, -1):
+        out[:, j] = dp[:, j] - cp[:, j] * out[:, j + 1]
+    return out
+
+
+def _reference_diffusion_step(f, coef, t_mid, xs, vs, dv, dt):
+    nx, nv = f.shape
+    X = xs[:, None]
+    a_cell = np.asarray(coef.diffusion(t_mid, X, vs[None, :]), float)
+    a_face = np.zeros((nx, nv + 1))
+    al = a_cell[:, :-1]
+    ar = a_cell[:, 1:]
+    a_face[:, 1:-1] = 2.0 * al * ar / (al + ar)
+    b = np.asarray(coef.drift(t_mid, X, vs[None, :]), float)
+    s = np.asarray(coef.source(t_mid, X, vs[None, :]), float)
+    pos_b = np.maximum(b, 0.0)
+    neg_b = np.maximum(-b, 0.0)
+    pos_b[:, -1] = 0.0
+    neg_b[:, 0] = 0.0
+    r = dt / dv**2
+    q = dt / dv
+    lower = -(r * a_face[:, :-1] + q * neg_b)
+    upper = -(r * a_face[:, 1:] + q * pos_b)
+    diag = 1.0 + r * (a_face[:, :-1] + a_face[:, 1:]) + q * (pos_b + neg_b)
+    return _reference_thomas(lower, diag, upper, f + dt * s)
+
+
+def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
+                     store_x=None):
+    """Samples and eliminates every step, gathers by 2-D fancy index."""
+    xs = centered_axis(box.x0, box.x1, nx)
+    vs = centered_axis(box.v0, box.v1, nv)
+    dx = float(xs[1] - xs[0])
+    dv = float(vs[1] - vs[0])
+    dt = (box.t1 - box.t0) / nt
+    f = np.broadcast_to(f0(xs[:, None], vs[None, :]), (nx, nv)).copy()
+    keep = (slice(None) if store_x is None
+            else (xs >= store_x[0]) & (xs <= store_x[1]))
+    idx, weights = transport_weights(vs, 0.5 * dt, dx, nx)
+    cols = np.arange(nv)[None, :]
+
+    def transport(f):
+        out = weights[0][None, :] * f[idx[0], cols]
+        for m in range(1, 4):
+            out += weights[m][None, :] * f[idx[m], cols]
+        return out
+
+    stored = [f[keep, :].copy()]
+    times = [box.t0]
+    for n in range(nt):
+        t_mid = box.t0 + (n + 0.5) * dt
+        f = transport(f)
+        f = _reference_diffusion_step(f, coef, t_mid, xs, vs, dv, dt)
+        f = transport(f)
+        if (n + 1) % store_every == 0:
+            stored.append(f[keep, :].copy())
+            times.append(box.t0 + (n + 1) * dt)
+    return np.asarray(times), np.stack(stored, axis=0)
+
+
+# dt = 1/32 from t0 = -1/64 puts every fourth step midpoint exactly on a
+# multiple of the 1/8 time cell
+EDGE_BOX = Box(-1 / 64, 31 / 64, -2.0, 2.0, -2.0, 2.0)
+ROUGH_EIGHTH = make_rough_coefficients(seed=21, lam=0.2, Lam=1.0,
+                                       cell_size=0.125, s_amp=0.2)
+
+
+@pytest.mark.parametrize("coef, box, kw", [
+    pytest.param(ROUGH_EIGHTH, EDGE_BOX, {}, id="midpoints-on-cell-edges"),
+    pytest.param(make_rough_coefficients(seed=22, lam=0.2, Lam=1.0,
+                                         cell_size=0.02, s_amp=0.2),
+                 BOX, {}, id="dt-exceeds-cell"),
+    pytest.param(constant_coefficients(0.7, 0.3, 0.1), BOX, {},
+                 id="constant"),
+    pytest.param(ROUGH_EIGHTH, BOX, {"store_every": 2,
+                                     "store_x": (-1.0, 1.0)},
+                 id="thinned-and-cropped"),
+    pytest.param(_NoDrift(make_rough_coefficients(seed=6, lam=0.2, Lam=1.0,
+                                                  cell_size=0.2)),
+                 BOX, {}, id="duck-typed"),
+])
+def test_solve_bitwise_equals_per_step_reference(coef, box, kw):
+    f0 = lambda x, v: np.exp(-2 * (x * x + v * v)) + 0.1 * np.sin(3 * x)
+    gf = solve(f0, coef, box, nx=48, nv=32, nt=16, **kw)
+    times, values = _reference_solve(f0, coef, box, 48, 32, 16, **kw)
+    assert np.array_equal(gf.times, times)
+    assert np.array_equal(gf.values, values)
+
+
+class _CountingField:
+    """Delegates to a field and counts its diffusion samples."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def diffusion(self, t, x, v):
+        self.calls += 1
+        return self.base.diffusion(t, x, v)
+
+
+def test_coefficients_sampled_once_per_time_cell():
+    coef = _CountingField(ROUGH_EIGHTH)
+    solve(lambda x, v: np.exp(-x * x - v * v), coef, BOX, nx=32, nv=16,
+          nt=16)
+    # midpoints (2n + 1) / 64 fall in the four 1/8 cells of [0, 1/2)
+    assert coef.calls == 4
