@@ -8,7 +8,7 @@ config), a CSV summary, per-check plot data, and a separate
 metadata.json holding the timestamps.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed (or a seed
-failed under --strict), 2 the config did not validate.
+failed under --strict, or no check ran), 2 the config did not validate.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -28,7 +29,8 @@ import numpy as np
 from . import experiments
 from .calibration import grid_tolerance
 from .estimates.checks import (
-    ORIGIN,
+    STATEMENTS,
+    Interval,
     check_energy_estimate,
     check_gain_integrability,
     check_harnack,
@@ -37,28 +39,18 @@ from .estimates.checks import (
     check_sobolev_gain,
     check_weak_harnack,
     check_weak_poincare,
+    pair_cylinders,
 )
 from .estimates.constants import explicit_constants
-from .geometry import make_cylinder
 from .solver.coefficients import make_rough_coefficients
 from .solver.grid import Box
-from .solver.march import solve
+from .solver.march import CFL_LIMIT, solve
 from .solver.weak import weak_residual
 
 __all__ = ["ExperimentConfig", "validate", "run", "main", "parse_seeds"]
 
-KINDS = ("kernel-check", "solve", "verify", "ensemble", "constants",
-         "counterexample", "convergence")
-
 # kinds that build a grid and therefore need grid/box/coefficients
 _COMPUTE_KINDS = ("solve", "verify", "ensemble")
-
-_CFL_LIMIT = 4.0
-
-_TOP_LEVEL_KEYS = {
-    "kind", "out", "grid", "box", "coefficients", "checks", "pads",
-    "datum", "tolerances", "options", "strict", "threads",
-}
 
 
 @dataclasses.dataclass
@@ -81,7 +73,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)} - {"unknown_keys"}
         kwargs = {k: v for k, v in data.items() if k in known}
-        unknown = tuple(sorted(set(data) - _TOP_LEVEL_KEYS))
+        unknown = tuple(sorted(set(data) - known))
         return cls(unknown_keys=unknown, **kwargs)
 
 
@@ -98,237 +90,160 @@ def parse_seeds(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# check registry
+# checks: name -> checker call on (f, coef, params), with params and
+# cylinders as declared in kfplab.estimates.checks.STATEMENTS.  The
+# check_* names resolve in this module at call time, so a wrapper set on
+# them here sees every check a run makes.
 
-def _pair_cylinders(params):
-    r = float(params.get("r", 0.5))
-    R = float(params.get("R", 1.0))
-    return (make_cylinder("centered", ORIGIN, r),
-            make_cylinder("centered", ORIGIN, R))
-
-
-def _poincare_cylinders(params):
-    return (make_cylinder("centered", ORIGIN, 1.0),
-            make_cylinder("past", ORIGIN, 1.0),
-            make_cylinder("centered", ORIGIN, 5.0))
-
-
-def _harnack_cylinders(params):
-    r0 = 1.0 / 20.0
-    return (make_cylinder("tilde_past", ORIGIN, r0, {"divisor": 4}),
-            make_cylinder("centered", ORIGIN, 0.25 * r0))
-
-
-def _weak_harnack_cylinders(params):
-    r0 = 1.0 / 20.0
-    return (make_cylinder("tilde_past", ORIGIN, r0, {"divisor": 2}),
-            make_cylinder("centered", ORIGIN, 0.5 * r0),
-            make_cylinder("past", ORIGIN, r0))
-
-
-def _oscillation_cylinders(params):
-    centers = params.get("centers", [[0.0, 0.0, 0.0]])
-    return tuple(make_cylinder("centered", tuple(c), 1.0) for c in centers)
-
-
-def _check_energy(f, coef, params):
-    qr, qR = _pair_cylinders(params)
-    return check_energy_estimate(f, coef, qr, qR)
-
-
-def _check_gain(f, coef, params):
-    qr, qR = _pair_cylinders(params)
-    return check_gain_integrability(f, coef, qr, qR, float(params["p"]))
-
-
-def _check_sobolev(f, coef, params):
-    qr, qR = _pair_cylinders(params)
-    return check_sobolev_gain(f, coef, qr, qR, float(params["sigma"]))
-
-
-def _check_linfty(f, coef, params):
-    qr, qR = _pair_cylinders(params)
-    return check_linfty_bound(f, coef, qr, qR, float(params["zeta"]))
-
-
-def _check_poincare(f, coef, params):
-    return check_weak_poincare(f, coef, float(params["eps"]),
-                               float(params.get("sigma", 0.25)))
-
-
-def _check_harnack(f, coef, params):
-    return check_harnack(f, coef)
-
-
-def _check_weak_harnack(f, coef, params):
-    return check_weak_harnack(f, coef, float(params.get("zeta", 0.5)))
-
-
-def _check_oscillation(f, coef, params):
-    centers = [tuple(c) for c in params.get("centers", [(0.0, 0.0, 0.0)])]
-    return check_oscillation_decay(f, coef, int(params.get("levels", 1)),
-                                   centers=centers)
-
-
-def _positive(name):
-    def rule(params):
-        if name not in params:
-            return f"parameter {name!r} is required"
-        if not float(params[name]) > 0:
-            return f"parameter {name!r} must be positive"
-        return None
-    return rule
-
-
-def _open_unit(name, hi=1.0):
-    def rule(params):
-        if name not in params:
-            return f"parameter {name!r} is required"
-        if not 0.0 < float(params[name]) < hi:
-            return f"parameter {name!r} must lie in (0, {hi:g})"
-        return None
-    return rule
-
-
-# name -> (builder, cylinder lister, parameter rules)
-CHECK_SPECS = {
-    "energy_estimate": (_check_energy, _pair_cylinders, ()),
-    "gain_integrability": (_check_gain, _pair_cylinders,
-                           (_positive("p"),)),
-    "sobolev_gain": (_check_sobolev, _pair_cylinders,
-                     (_open_unit("sigma", 1.0 / 3.0),)),
-    "linfty_bound": (_check_linfty, _pair_cylinders,
-                     (_positive("zeta"),)),
-    "weak_poincare": (_check_poincare, _poincare_cylinders,
-                      (_open_unit("eps"),)),
-    "harnack": (_check_harnack, _harnack_cylinders, ()),
-    "weak_harnack": (_check_weak_harnack, _weak_harnack_cylinders, ()),
-    "oscillation_decay": (_check_oscillation, _oscillation_cylinders, ()),
+_CHECKS = {
+    "energy_estimate": lambda f, coef, p: check_energy_estimate(
+        f, coef, *pair_cylinders(p)),
+    "gain_integrability": lambda f, coef, p: check_gain_integrability(
+        f, coef, *pair_cylinders(p), p["p"]),
+    "sobolev_gain": lambda f, coef, p: check_sobolev_gain(
+        f, coef, *pair_cylinders(p), p["sigma"]),
+    "linfty_bound": lambda f, coef, p: check_linfty_bound(
+        f, coef, *pair_cylinders(p), p["zeta"]),
+    "weak_poincare": lambda f, coef, p: check_weak_poincare(
+        f, coef, p["eps"], p["sigma"]),
+    "harnack": lambda f, coef, p: check_harnack(f, coef),
+    "weak_harnack": lambda f, coef, p: check_weak_harnack(f, coef, p["zeta"]),
+    "oscillation_decay": lambda f, coef, p: check_oscillation_decay(
+        f, coef, p["levels"], centers=p["centers"]),
 }
 
 
 # ---------------------------------------------------------------------------
 # validation
 
+_BOX_KEYS = ("t0", "t1", "x0", "x1", "v0", "v1")
+_GRID_SIZE = Interval(2, lo_closed=True, integer=True)
+_FINITE = Interval(-math.inf)
+
+# numeric fields of the compute kinds -> domain; default None: required
+_FIELDS = {
+    **{f"grid.{k}": _GRID_SIZE for k in ("nt", "nx", "nv")},
+    **{f"box.{k}": _FINITE for k in _BOX_KEYS},
+    "pads.x": Interval(0.0, lo_closed=True, default=1.0),
+    "pads.v": Interval(0.0, lo_closed=True, default=2.0),
+    "coefficients.lam": Interval(0.0),
+    "coefficients.Lam": Interval(0.0),
+    "coefficients.s_amp": Interval(0.0, lo_closed=True, default=0.0),
+    "coefficients.cell_size": Interval(0.0, default=0.1),
+    "datum.floor": Interval(-math.inf, default=0.15),
+    "datum.amp": Interval(-math.inf, default=1.0),
+    "datum.width": Interval(0.0, default=0.25),
+}
+_THREADS = Interval(1, lo_closed=True, integer=True, default=1)
+
+
 def _violation(field, reason):
     return {"field": field, "reason": reason}
 
 
-def _box_from_config(box: dict) -> Box:
-    return Box(float(box["t0"]), float(box["t1"]),
-               float(box["x0"]), float(box["x1"]),
-               float(box["v0"]), float(box["v1"]))
+def _reject(violations) -> int:
+    print(json.dumps({"error": "validation", "violations": violations},
+                     indent=2, sort_keys=True))
+    return 2
 
 
-def _safe_box(config: ExperimentConfig) -> Box:
-    b = _box_from_config(config.box)
-    pad_x = float(config.pads.get("x", 1.0))
-    pad_v = float(config.pads.get("v", 2.0))
-    return Box(b.t0, b.t1, b.x0 + pad_x, b.x1 - pad_x,
-               b.v0 + pad_v, b.v1 - pad_v)
+def _field(config: ExperimentConfig, name: str):
+    """Config field 'section.key' coerced into its domain, or its default;
+    ValueError when it is required, of the wrong type or outside."""
+    section, key = name.split(".")
+    data = getattr(config, section)
+    value = data.get(key) if isinstance(data, dict) else None
+    domain = _FIELDS[name]
+    return domain.coerce(name, domain.default if value is None else value)
 
 
-def _cylinder_fits(cyl, safe: Box, tol=1e-9) -> bool:
-    (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = cyl.bbox()
-    return (t_lo >= safe.t0 - tol and t_hi <= safe.t1 + tol
-            and x_lo >= safe.x0 - tol and x_hi <= safe.x1 + tol
-            and v_lo >= safe.v0 - tol and v_hi <= safe.v1 + tol)
-
-
-def _validate_compute(config: ExperimentConfig, out: list):
-    grid = config.grid
-    for key in ("nt", "nx", "nv"):
-        if key not in grid:
-            out.append(_violation(f"grid.{key}", "required"))
-        elif int(grid[key]) != grid[key] or int(grid[key]) < 2:
-            out.append(_violation(f"grid.{key}",
-                                  "must be an integer of at least 2"))
-
-    box = config.box
-    box_ok = True
-    for key in ("t0", "t1", "x0", "x1", "v0", "v1"):
-        if key not in box:
-            out.append(_violation(f"box.{key}", "required"))
-            box_ok = False
-    if box_ok:
-        for lo, hi in (("t0", "t1"), ("x0", "x1"), ("v0", "v1")):
-            if not float(box[lo]) < float(box[hi]):
-                out.append(_violation(f"box.{lo}",
-                                      f"must be below box.{hi}"))
-                box_ok = False
-
-    coef = config.coefficients
-    if "lam" not in coef:
-        out.append(_violation("coefficients.lam", "required"))
-    elif not float(coef["lam"]) > 0:
-        out.append(_violation("coefficients.lam", "must be positive"))
-    if "Lam" not in coef:
-        out.append(_violation("coefficients.Lam", "required"))
-    elif "lam" in coef and not float(coef["Lam"]) >= float(coef["lam"]):
-        out.append(_violation("coefficients.Lam",
-                              "must be at least coefficients.lam"))
-    if float(coef.get("s_amp", 0.0)) < 0:
-        out.append(_violation("coefficients.s_amp", "must be nonnegative"))
-    if not float(coef.get("cell_size", 0.1)) > 0:
-        out.append(_violation("coefficients.cell_size", "must be positive"))
-
-    seeds = coef.get("seeds", [])
-    if config.kind == "ensemble" and not seeds:
-        out.append(_violation("coefficients.seeds",
-                              "nonempty seed list required for ensemble"))
-    if seeds and not all(int(s) == s for s in seeds):
-        out.append(_violation("coefficients.seeds", "seeds must be integers"))
-
-    for key in ("x", "v"):
-        if float(config.pads.get(key, 0.0)) < 0:
-            out.append(_violation(f"pads.{key}", "must be nonnegative"))
-
+def _validate_checks(config: ExperimentConfig, safe, out: list):
+    """Each check entry against its statement's declaration; its
+    cylinders must fit in the safe box when there is one."""
+    if not isinstance(config.checks, list):
+        out.append(_violation("checks", "must be a list of check objects"))
+        return
     if config.kind == "ensemble" and not config.checks:
         out.append(_violation("checks",
                               "at least one check required for ensemble"))
-    grid_ok = not any(v["field"].startswith("grid.") for v in out)
-    pads_ok = not any(v["field"].startswith("pads.") for v in out)
+    for i, entry in enumerate(config.checks):
+        field = f"checks[{i}]"
+        if not isinstance(entry, dict):
+            out.append(_violation(field, "must be an object with a name"))
+            continue
+        name = entry.get("name")
+        statement = STATEMENTS.get(name) if isinstance(name, str) else None
+        if statement is None:
+            out.append(_violation(f"{field}.name", f"unknown check {name!r}"))
+            continue
+        try:
+            cylinders = statement.cylinders(statement.parameters(entry))
+        except ValueError as exc:
+            out.append(_violation(field, str(exc)))
+            continue
+        for cyl in cylinders if safe is not None else ():
+            if not safe.contains(cyl.bbox()):
+                desc = cyl.describe()
+                out.append(_violation(
+                    field,
+                    f"cylinder {desc['kind']} radius "
+                    f"{desc['radius']:g} with bbox {cyl.bbox()} "
+                    f"exceeds box minus padding"))
 
-    if box_ok and pads_ok:
-        safe = _safe_box(config)
-        if not (safe.x0 < safe.x1 and safe.v0 < safe.v1):
-            out.append(_violation("pads",
-                                  "padding swallows the whole box"))
+
+def _validate_compute(config: ExperimentConfig, out: list):
+    values = {}
+    for name in _FIELDS:
+        try:
+            values[name] = _field(config, name)
+        except ValueError as exc:
+            out.append(_violation(name, str(exc)))
+    get = values.get
+
+    box = None
+    bounds = [get(f"box.{k}") for k in _BOX_KEYS]
+    if None not in bounds:
+        ordered = True
+        for lo, hi in (("t0", "t1"), ("x0", "x1"), ("v0", "v1")):
+            if not get(f"box.{lo}") < get(f"box.{hi}"):
+                out.append(_violation(f"box.{lo}", f"must be below box.{hi}"))
+                ordered = False
+        box = Box(*bounds) if ordered else None
+
+    lam, Lam = get("coefficients.lam"), get("coefficients.Lam")
+    if None not in (lam, Lam) and not Lam >= lam:
+        out.append(_violation("coefficients.Lam",
+                              "must be at least coefficients.lam"))
+
+    seeds = (config.coefficients.get("seeds", [])
+             if isinstance(config.coefficients, dict) else [])
+    if not (isinstance(seeds, list) and all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool)
+            for s in seeds)):
+        out.append(_violation("coefficients.seeds",
+                              "must be a list of integers"))
+    elif config.kind == "ensemble" and not seeds:
+        out.append(_violation("coefficients.seeds",
+                              "nonempty seed list required for ensemble"))
+
+    pad_x, pad_v = get("pads.x"), get("pads.v")
+    safe = None
+    if box is not None and None not in (pad_x, pad_v):
+        if box.x0 + pad_x < box.x1 - pad_x and box.v0 + pad_v < box.v1 - pad_v:
+            safe = box.shrink(pad_x, pad_v)
         else:
-            for i, entry in enumerate(config.checks):
-                name = entry.get("name")
-                if name not in CHECK_SPECS:
-                    out.append(_violation(f"checks[{i}].name",
-                                          f"unknown check {name!r}"))
-                    continue
-                _, lister, rules = CHECK_SPECS[name]
-                bad_params = False
-                for rule in rules:
-                    reason = rule(entry)
-                    if reason is not None:
-                        out.append(_violation(f"checks[{i}]", reason))
-                        bad_params = True
-                if bad_params:
-                    continue
-                for cyl in lister(entry):
-                    if not _cylinder_fits(cyl, safe):
-                        desc = cyl.describe()
-                        out.append(_violation(
-                            f"checks[{i}]",
-                            f"cylinder {desc['kind']} radius "
-                            f"{desc['radius']:g} with bbox {cyl.bbox()} "
-                            f"exceeds box minus padding"))
+            out.append(_violation("pads", "padding swallows the whole box"))
+    _validate_checks(config, safe, out)
 
-    if box_ok and grid_ok:
-        b = _box_from_config(box)
-        dt = (b.t1 - b.t0) / int(grid["nt"])
-        dx = (b.x1 - b.x0) / int(grid["nx"])
-        v_max = max(abs(b.v0), abs(b.v1))
-        cfl = dt * v_max / dx
-        if cfl > _CFL_LIMIT:
+    nt, nx = get("grid.nt"), get("grid.nx")
+    if box is not None and None not in (nt, nx):
+        dt = (box.t1 - box.t0) / nt
+        dx = (box.x1 - box.x0) / nx
+        cfl = dt * max(abs(box.v0), abs(box.v1)) / dx
+        if cfl > CFL_LIMIT:
             out.append(_violation(
                 "grid.nt",
-                f"advective CFL {cfl:.2f} exceeds limit {_CFL_LIMIT:g}; "
+                f"advective CFL {cfl:.2f} exceeds limit {CFL_LIMIT:g}; "
                 f"increase nt or decrease nx"))
 
 
@@ -346,8 +261,10 @@ def validate(config: ExperimentConfig) -> list:
                               f"expected one of {', '.join(KINDS)}"))
     for key in config.unknown_keys:
         out.append(_violation(key, "unknown configuration key"))
-    if int(config.threads) < 1:
-        out.append(_violation("threads", "must be at least 1"))
+    try:
+        _THREADS.coerce("threads", config.threads)
+    except ValueError as exc:
+        out.append(_violation("threads", str(exc)))
     if config.kind in _COMPUTE_KINDS:
         _validate_compute(config, out)
     return out
@@ -367,19 +284,14 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_dict(report) -> dict:
-    return report.to_json_dict()
-
-
 def _passes(report) -> bool:
     # no calibrated bound means nothing to fail against
     return report.passed is not False
 
 
 def _datum_fn(config: ExperimentConfig):
-    floor = float(config.datum.get("floor", 0.15))
-    amp = float(config.datum.get("amp", 1.0))
-    width = float(config.datum.get("width", 0.25))
+    floor, amp, width = (_field(config, f"datum.{k}")
+                         for k in ("floor", "amp", "width"))
 
     def datum(x, v):
         return floor + amp * np.exp(-(x * x + v * v) / (2.0 * width ** 2))
@@ -390,16 +302,15 @@ def _datum_fn(config: ExperimentConfig):
 def _solve_member(config: ExperimentConfig, seed: int):
     coef = make_rough_coefficients(
         int(seed),
-        lam=float(config.coefficients["lam"]),
-        Lam=float(config.coefficients["Lam"]),
-        cell_size=float(config.coefficients.get("cell_size", 0.1)),
-        s_amp=float(config.coefficients.get("s_amp", 0.0)))
-    box = _box_from_config(config.box)
+        lam=_field(config, "coefficients.lam"),
+        Lam=_field(config, "coefficients.Lam"),
+        cell_size=_field(config, "coefficients.cell_size"),
+        s_amp=_field(config, "coefficients.s_amp"))
+    box = Box(*(_field(config, f"box.{k}") for k in _BOX_KEYS))
     f = solve(_datum_fn(config), coef, box,
-              nx=int(config.grid["nx"]), nv=int(config.grid["nv"]),
-              nt=int(config.grid["nt"]),
-              pad_x=float(config.pads.get("x", 1.0)),
-              pad_v=float(config.pads.get("v", 2.0)))
+              nx=_field(config, "grid.nx"), nv=_field(config, "grid.nv"),
+              nt=_field(config, "grid.nt"),
+              pad_x=_field(config, "pads.x"), pad_v=_field(config, "pads.v"))
     return f, coef
 
 
@@ -407,15 +318,15 @@ def _member_reports(config: ExperimentConfig, seed: int) -> list:
     f, coef = _solve_member(config, seed)
     reports = []
     for entry in config.checks:
-        builder, _, _ = CHECK_SPECS[entry["name"]]
-        report = builder(f, coef, entry)
+        name = entry["name"]
+        report = _CHECKS[name](f, coef, STATEMENTS[name].parameters(entry))
         report.provenance["seed"] = int(seed)
         reports.append(report)
     return reports
 
 
 def _seed_list(config: ExperimentConfig) -> list:
-    return [int(s) for s in config.coefficients.get("seeds", [1])]
+    return [int(s) for s in config.coefficients.get("seeds") or [1]]
 
 
 def _summary_rows(reports) -> list:
@@ -446,10 +357,11 @@ def _osc_plot_rows(reports) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners; each returns (exit_code, reports_payload, csv_rows,
-# plot_files) where plot_files maps filename -> (header, rows)
+# per-kind runners on (config, output directory); each returns
+# (exit_code, reports_payload, csv_rows, plot_files) where plot_files
+# maps filename -> (header, rows)
 
-def _run_kernel_check(config: ExperimentConfig):
+def _run_kernel_check(config: ExperimentConfig, out: Path):
     tol = config.tolerances
     mass_tol = float(tol.get("kernel_mass", 1e-6))
     ratio_lo = float(tol.get("residual_ratio_low", 3.2))
@@ -475,7 +387,7 @@ def _run_kernel_check(config: ExperimentConfig):
         "control_factor": suite["control_factor"],
         "semigroup_defect": suite["semigroup_defect"],
         "split_l1": suite["split_l1"],
-        "representation": _report_dict(rep_report),
+        "representation": rep_report.to_json_dict(),
         "checks": checks,
     }
     rows = [[name, "", "", "", "", ok, ""] for name, ok in checks.items()]
@@ -483,10 +395,10 @@ def _run_kernel_check(config: ExperimentConfig):
     return code, payload, rows, {}
 
 
-def _run_solve(config: ExperimentConfig, out_dir: Path):
+def _run_solve(config: ExperimentConfig, out: Path):
     seed = _seed_list(config)[0]
     f, _ = _solve_member(config, seed)
-    container = out_dir / f"solution_seed{seed}.kfp"
+    container = out / f"solution_seed{seed}.kfp"
     f.to_binary(container)
     finite = bool(np.isfinite(f.values).all())
     payload = {
@@ -497,15 +409,14 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
         "min": float(f.values.min()),
         "max": float(f.values.max()),
         "final_mass": float(f.values[-1].sum() * f.dx * f.dv),
-        "grid": {"nt": int(config.grid["nt"]), "nx": int(config.grid["nx"]),
-                 "nv": int(config.grid["nv"])},
+        "grid": {k: _field(config, f"grid.{k}") for k in ("nt", "nx", "nv")},
         "cfl": f.meta.get("cfl"),
     }
     rows = [["solve", seed, "", "", "", finite, ""]]
     return (0 if finite else 1), payload, rows, {}
 
 
-def _run_verify(config: ExperimentConfig):
+def _run_verify(config: ExperimentConfig, out: Path):
     seed = _seed_list(config)[0]
     f, coef = _solve_member(config, seed)
     residuals = {d: weak_residual(f, coef, direction=d)
@@ -522,7 +433,7 @@ def _run_verify(config: ExperimentConfig):
     return (0 if ok else 1), payload, rows, {}
 
 
-def _run_ensemble(config: ExperimentConfig):
+def _run_ensemble(config: ExperimentConfig, out: Path):
     seeds = _seed_list(config)
     results = {}
 
@@ -556,7 +467,7 @@ def _run_ensemble(config: ExperimentConfig):
         members.append({
             "seed": seed,
             "status": "ok",
-            "reports": [_report_dict(r) for r in reports],
+            "reports": [r.to_json_dict() for r in reports],
         })
         rows.extend(_summary_rows(reports))
         for r in reports:
@@ -573,13 +484,12 @@ def _run_ensemble(config: ExperimentConfig):
     if osc_rows:
         plots["osc_vs_radius.csv"] = (
             ("seed", "center_t", "radius", "oscillation"), osc_rows)
-    code = 0 if all_pass else 1
-    if config.strict and any_error:
-        code = 1
-    return code, payload, rows, plots
+    # a run that evaluated no check fails whatever the policy
+    failed = not all_pass or not all_reports or (config.strict and any_error)
+    return (1 if failed else 0), payload, rows, plots
 
 
-def _run_constants(config: ExperimentConfig):
+def _run_constants(config: ExperimentConfig, out: Path):
     opts = config.options
     consts = explicit_constants(
         d=1,
@@ -602,7 +512,7 @@ def _run_constants(config: ExperimentConfig):
     return 0, payload, rows, {}
 
 
-def _run_counterexample(config: ExperimentConfig):
+def _run_counterexample(config: ExperimentConfig, out: Path):
     result = experiments.run_counterexample(
         verify=bool(config.options.get("verify", True)))
     gap_removed = result["gap_removed"]
@@ -612,8 +522,8 @@ def _run_counterexample(config: ExperimentConfig):
         "kind": "counterexample",
         "intermediate_fraction": fraction,
         "nu": result["nu"],
-        "gap_removed": _report_dict(gap_removed),
-        "with_gap": _report_dict(result["with_gap"]),
+        "gap_removed": gap_removed.to_json_dict(),
+        "with_gap": result["with_gap"].to_json_dict(),
     }
     if "residual_sub" in result:
         payload["residual_sub"] = result["residual_sub"].to_json_dict()
@@ -623,7 +533,7 @@ def _run_counterexample(config: ExperimentConfig):
     return (0 if ok else 1), payload, rows, {}
 
 
-def _run_convergence(config: ExperimentConfig):
+def _run_convergence(config: ExperimentConfig, out: Path):
     opts = config.options
     levels = tuple(int(k) for k in opts.get("levels", (1, 2, 4)))
     min_order = float(opts.get("min_order", 1.8))
@@ -643,34 +553,30 @@ def _run_convergence(config: ExperimentConfig):
     return (0 if ok else 1), payload, rows, plots
 
 
+_RUNNERS = {
+    "kernel-check": _run_kernel_check,
+    "solve": _run_solve,
+    "verify": _run_verify,
+    "ensemble": _run_ensemble,
+    "constants": _run_constants,
+    "counterexample": _run_counterexample,
+    "convergence": _run_convergence,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run(config: ExperimentConfig, out_dir=None) -> int:
     """Validate and execute one experiment; write reports to out_dir."""
     violations = validate(config)
     if violations:
-        print(json.dumps({"error": "validation", "violations": violations},
-                         indent=2, sort_keys=True))
-        return 2
+        return _reject(violations)
 
     out = Path(out_dir if out_dir is not None
                else (config.out or "kfplab-out"))
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
-    if config.kind == "kernel-check":
-        code, payload, rows, plots = _run_kernel_check(config)
-    elif config.kind == "solve":
-        code, payload, rows, plots = _run_solve(config, out)
-    elif config.kind == "verify":
-        code, payload, rows, plots = _run_verify(config)
-    elif config.kind == "ensemble":
-        code, payload, rows, plots = _run_ensemble(config)
-    elif config.kind == "constants":
-        code, payload, rows, plots = _run_constants(config)
-    elif config.kind == "counterexample":
-        code, payload, rows, plots = _run_counterexample(config)
-    else:
-        code, payload, rows, plots = _run_convergence(config)
-
+    code, payload, rows, plots = _RUNNERS[config.kind](config, out)
     _write_json(out / "reports.json", payload)
     _write_csv(out / "summary.csv", _SUMMARY_HEADER, rows)
     for name, (header, plot_rows) in plots.items():
@@ -716,29 +622,27 @@ def main(argv=None) -> int:
             return 2
 
     if data.get("kind", args.kind) != args.kind:
-        print(json.dumps({
-            "error": "validation",
-            "violations": [_violation(
-                "kind", f"config kind {data['kind']!r} does not match "
-                f"subcommand {args.kind!r}")]}, indent=2, sort_keys=True))
-        return 2
+        return _reject([_violation(
+            "kind", f"config kind {data['kind']!r} does not match "
+            f"subcommand {args.kind!r}")])
     data["kind"] = args.kind
 
     if args.seeds:
         try:
             seeds = parse_seeds(args.seeds)
         except ValueError as exc:
-            print(json.dumps({"error": "validation",
-                              "violations": [_violation("seeds", str(exc))]},
-                             indent=2, sort_keys=True))
-            return 2
+            return _reject([_violation("seeds", str(exc))])
         data.setdefault("coefficients", {})["seeds"] = seeds
     if args.strict:
         data["strict"] = True
 
     threads = args.threads
     if threads is None and os.environ.get("KFPLAB_THREADS"):
-        threads = int(os.environ["KFPLAB_THREADS"])
+        try:
+            threads = int(os.environ["KFPLAB_THREADS"])
+        except ValueError:
+            return _reject([_violation("KFPLAB_THREADS",
+                                       "must be an integer")])
     if threads is not None:
         data["threads"] = threads
 

@@ -11,11 +11,19 @@ Checkers validate the cheap structural hypotheses themselves (cylinder
 nesting, sign conditions, sup bounds).  That the input is a weak
 sub/super-solution is the caller's contract, verified separately
 through kfplab.solver.weak_residual.
+
+Each statement the CLI can run is declared once in STATEMENTS: the
+domains and defaults of its parameters and the cylinders it measures
+on.  The checkers reject parameters and build fixed cylinders through
+that declaration, and the CLI validates configs against it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +42,7 @@ from .constants import (
 from .norms import (
     InsufficientResolutionError,
     _masked_values,
+    _source_values,
     band_fraction,
     cylinder_average,
     gagliardo_x_seminorm,
@@ -61,9 +70,135 @@ __all__ = [
     "check_harnack",
     "check_oscillation_decay",
     "ORIGIN",
+    "HARNACK_R0",
+    "Interval",
+    "STATEMENTS",
+    "pair_cylinders",
 ]
 
 ORIGIN = as_point((0.0, 0.0, 0.0))
+HARNACK_R0 = 1.0 / 20.0
+OSCILLATION_R0 = 1.0 / 40.0
+Q1 = make_cylinder("centered", ORIGIN, 1.0)
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+@dataclasses.dataclass(frozen=True)
+class Interval:
+    """Domain of a numeric parameter: lo < value < hi (lo <= value when
+    lo_closed), integral when integer; default None means required."""
+
+    lo: float
+    hi: float = math.inf
+    lo_closed: bool = False
+    integer: bool = False
+    default: float = None
+
+    def __str__(self):
+        return f"{'[' if self.lo_closed else '('}{self.lo:g}, {self.hi:g})"
+
+    def coerce(self, name, value):
+        """value as a float (int if integer); ValueError naming name
+        when it is missing, not a finite number, or outside."""
+        if value is None:
+            raise ValueError(f"{name} is required")
+        kind = "an integer" if self.integer else "a finite number"
+        if not _finite(value) or (self.integer and value != int(value)):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        above = self.lo <= value if self.lo_closed else self.lo < value
+        if not (above and value < self.hi):
+            raise ValueError(f"{name} must lie in {self}, got {value!r}")
+        return int(value) if self.integer else float(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class Centers:
+    """Domain of a nonempty list of finite (t, x, v) points."""
+
+    default: tuple = ((0.0, 0.0, 0.0),)
+
+    def coerce(self, name, value):
+        if not (isinstance(value, (list, tuple)) and value and all(
+                isinstance(z, (list, tuple)) and len(z) == 3
+                and all(_finite(c) for c in z) for z in value)):
+            raise ValueError(f"{name} must be a nonempty list of "
+                             f"[t, x, v], got {value!r}")
+        return tuple(tuple(float(c) for c in z) for z in value)
+
+
+@dataclasses.dataclass(frozen=True)
+class Statement:
+    """Parameter domains of one statement and the cylinders it measures
+    on, built from the parameters with defaults filled in."""
+
+    params: dict
+    build: Callable
+
+    def parameters(self, entry: dict) -> dict:
+        """entry's parameters coerced into their domains, defaults filled
+        in; ValueError names the first one that does not fit."""
+        return {name: dom.coerce(name, entry.get(name, dom.default))
+                for name, dom in self.params.items()}
+
+    def require(self, **values):
+        """Raise ValueError unless each value lies in its domain."""
+        for name, value in values.items():
+            self.params[name].coerce(name, value)
+
+    def cylinders(self, params=None) -> tuple:
+        full = {name: dom.default for name, dom in self.params.items()}
+        full.update(params or {})
+        return self.build(full)
+
+
+def pair_cylinders(params) -> tuple:
+    """Q_r inside Q_R, centered at the origin."""
+    if not params["r"] < params["R"]:
+        raise ValueError(f"r must be below R, got r={params['r']!r}, "
+                         f"R={params['R']!r}")
+    return (make_cylinder("centered", ORIGIN, params["r"]),
+            make_cylinder("centered", ORIGIN, params["R"]))
+
+
+def _oscillation_level(center, n) -> Cylinder:
+    return make_cylinder("centered", center, OSCILLATION_R0 ** n)
+
+
+_PAIR = {"r": Interval(0.0, default=0.5), "R": Interval(0.0, default=1.0)}
+_GAIN_P = Interval(2.0, 3.0, lo_closed=True)  # [2, 2 + 1/d) at d = 1
+_SIGMA = Interval(0.0, 1.0 / 3.0)
+
+STATEMENTS = {
+    "energy_estimate": Statement(_PAIR, pair_cylinders),
+    "gain_integrability": Statement({**_PAIR, "p": _GAIN_P}, pair_cylinders),
+    "sobolev_gain": Statement({**_PAIR, "sigma": _SIGMA}, pair_cylinders),
+    "linfty_bound": Statement({**_PAIR, "zeta": Interval(0.0)},
+                              pair_cylinders),
+    # Q_1, the past cylinder Q_1(-2, 0, 0) and Q_5
+    "weak_poincare": Statement(
+        {"eps": Interval(0.0, 1.0),
+         "sigma": dataclasses.replace(_SIGMA, default=0.25)},
+        lambda p: (Q1, make_cylinder("past", ORIGIN, 1.0),
+                   make_cylinder("centered", ORIGIN, 5.0))),
+    # shifted past cylinder and the later Q_(r0/4)
+    "harnack": Statement({}, lambda p: (
+        make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 4}),
+        make_cylinder("centered", ORIGIN, 0.25 * HARNACK_R0))),
+    # shifted past cylinder, the later Q_(r0/2), the early past cylinder
+    "weak_harnack": Statement({"zeta": Interval(0.0, default=0.5)}, lambda p: (
+        make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 2}),
+        make_cylinder("centered", ORIGIN, 0.5 * HARNACK_R0),
+        make_cylinder("past", ORIGIN, HARNACK_R0))),
+    # the level-0 cylinder of each center
+    "oscillation_decay": Statement(
+        {"levels": Interval(1, lo_closed=True, integer=True, default=1),
+         "centers": Centers()},
+        lambda p: tuple(_oscillation_level(z, 0) for z in p["centers"])),
+}
 
 
 def _provenance(f: GridFunction, coef=None) -> dict:
@@ -91,11 +226,6 @@ def _bound(statement_id: str, override):
     return _calibrated(statement_id) if override is None else override
 
 
-def _masked_source(coef, f: GridFunction, mask) -> np.ndarray:
-    T, X, V = np.meshgrid(f.times, f.xs, f.vs, indexing="ij", copy=False)
-    return np.asarray(coef.source(T[mask], X[mask], V[mask]), float)
-
-
 def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                           *, pass_bound=None) -> EstimateReport:
     """Velocity-gradient energy on Qr against mass and source on QR."""
@@ -112,7 +242,7 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
     const = energy_constant(Qr.eff_radius, QR.eff_radius,
                             float(np.linalg.norm(QR.eff_center.v)))
     sq = float((vals_R ** 2).sum() * f.cell_measure)
-    svals = _masked_source(coef, f, mask_R)
+    svals = _source_values(coef, f, mask_R)
     cross = float((np.abs(vals_R) * np.abs(svals)).sum() * f.cell_measure)
     sid = "energy_estimate"
     return build_report(
@@ -129,8 +259,7 @@ def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
                              pass_bound=None) -> EstimateReport:
     """L^p norm on Qr against L^2 data on QR, p below the critical 2 + 1/d."""
     d = 1
-    if not 2.0 <= p < 2.0 + 1.0 / d:
-        raise ValueError(f"p must lie in [2, {2 + 1.0 / d}), got {p}")
+    STATEMENTS["gain_integrability"].require(p=p)
     _require_nested(Qr, QR)
     f.require_cylinder(QR)
     const = gain_int_constant(Qr.eff_radius, QR.eff_radius,
@@ -151,8 +280,7 @@ def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
 def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                        sigma: float, *, pass_bound=None) -> EstimateReport:
     """Fractional x-regularity on Qr against L^2 data on QR."""
-    if not 0.0 < sigma < 1.0 / 3.0:
-        raise ValueError("sigma must lie in (0, 1/3)")
+    STATEMENTS["sobolev_gain"].require(sigma=sigma)
     _require_nested(Qr, QR)
     f.require_cylinder(QR)
     d = 1
@@ -177,8 +305,7 @@ def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
 def check_linfty_bound(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                        zeta: float, *, pass_bound=None) -> EstimateReport:
     """Sup bound on Qr from a small-exponent quasi-norm on QR."""
-    if not zeta > 0:
-        raise ValueError("zeta must be positive")
+    STATEMENTS["linfty_bound"].require(zeta=zeta)
     _require_nested(Qr, QR)
     f.require_cylinder(QR)
     d = 1
@@ -207,8 +334,7 @@ def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
     the L^2 norms of the data.
     """
     d = 1
-    if not 2.0 <= p < 2.0 + 1.0 / d:
-        raise ValueError(f"p must lie in [2, {2 + 1.0 / d}), got {p}")
+    _GAIN_P.coerce("p", p)
     prefactor = 1.0 / (2.0 + 1.0 / d - p)
     lhs = grid_lp_norm(f, p)
     sid = f"kolmogorov_representation[p={p:g}]"
@@ -230,14 +356,10 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     on the past cylinder Q_1(-2,0,0), measured in L^1 on Q_1, against
     the velocity-gradient, L^2, and source terms on Q_5.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0.0 < sigma < 1.0 / 3.0:
-        raise ValueError("sigma must lie in (0, 1/3)")
+    statement = STATEMENTS["weak_poincare"]
+    statement.require(eps=eps, sigma=sigma)
     d = 1
-    q1 = make_cylinder("centered", ORIGIN, 1.0)
-    q1_past = make_cylinder("past", ORIGIN, 1.0)
-    q5 = make_cylinder("centered", ORIGIN, 5.0)
+    q1, q1_past, q5 = statement.cylinders()
     f.require_cylinder(q5)
     avg = cylinder_average(f, q1_past)
     vals1, _ = _masked_values(f, q1)
@@ -368,20 +490,16 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
     the ratio is informative; the statement-traceable zeta derived from
     delta0 is recorded alongside.
     """
-    if not zeta > 0:
-        raise ValueError("zeta must be positive")
-    r0 = 1.0 / 20.0
+    statement = STATEMENTS["weak_harnack"]
+    statement.require(zeta=zeta)
     tol = grid_tolerance(f.dt, f.dx, f.dv)
     if float(f.values.min()) < -tol:
         raise ValueError("negative values beyond the grid tolerance: "
                          "not a nonnegative super-solution")
-    tilde = make_cylinder("tilde_past", ORIGIN, r0, {"divisor": 2})
-    lower = make_cylinder("centered", ORIGIN, 0.5 * r0)
-    early = make_cylinder("past", ORIGIN, r0)
+    tilde, lower, early = statement.cylinders()
     tilde_vals, _ = _masked_values(f, tilde)
     vals = np.clip(tilde_vals, 0.0, None)
     lhs = float((vals ** zeta).sum() * f.cell_measure) ** (1.0 / zeta)
-    q1 = make_cylinder("centered", ORIGIN, 1.0)
     d = 1
     early_vals, _ = _masked_values(f, early)
     log_vals = np.log1p(np.clip(early_vals, 0.0, None))
@@ -390,35 +508,32 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
     return build_report(
         sid, lhs,
         {"infimum": max(inf_on(f, lower), 0.0),
-         "source_sup": source_sup(coef, q1)},
+         "source_sup": source_sup(coef, Q1)},
         _bound(sid, pass_bound),
         cylinders=(tilde, lower),
         extras={"zeta_measure": zeta,
                 "zeta_statement": delta0 ** (10 * d + 17),
-                "delta0": delta0, "r0": r0,
+                "delta0": delta0, "r0": HARNACK_R0,
                 "log_integral_diagnostic": log_diag},
         provenance=_provenance(f, coef))
 
 
 def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
     """Sup on the shifted past cylinder against the later infimum."""
-    r0 = 1.0 / 20.0
     tol = grid_tolerance(f.dt, f.dx, f.dv)
     if float(f.values.min()) < -tol:
         raise ValueError("negative values beyond the grid tolerance: "
                          "not a nonnegative solution")
-    upper = make_cylinder("tilde_past", ORIGIN, r0, {"divisor": 4})
-    lower = make_cylinder("centered", ORIGIN, 0.25 * r0)
-    q1 = make_cylinder("centered", ORIGIN, 1.0)
+    upper, lower = STATEMENTS["harnack"].cylinders()
     lhs = max(sup_on(f, upper), 0.0)
     sid = "harnack"
     return build_report(
         sid, lhs,
         {"infimum": max(inf_on(f, lower), 0.0),
-         "source_sup": source_sup(coef, q1)},
+         "source_sup": source_sup(coef, Q1)},
         _bound(sid, pass_bound),
         cylinders=(upper, lower),
-        extras={"r0": r0},
+        extras={"r0": HARNACK_R0},
         provenance=_provenance(f, coef))
 
 
@@ -436,9 +551,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
     statement's alpha.  Levels whose cylinder resolves into too few
     cells are truncated and noted.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    r0 = 1.0 / 40.0
+    STATEMENTS["oscillation_decay"].require(levels=levels)
     source_free = coef.source_sup == 0.0
     consts = increase_constants(delta, source_free=source_free)
     tol = grid_tolerance(f.dt, f.dx, f.dv)
@@ -451,8 +564,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
         z0 = as_point(z0)
         radii, oscs = [], []
         for n in range(levels + 1):
-            rad = r0 ** n
-            cyl = make_cylinder("centered", z0, rad)
+            cyl = _oscillation_level(z0, n)
             f.require_cylinder(cyl)
             mask = f.mask(cyl)
             if mask.sum() < 2:
@@ -468,7 +580,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
             if n >= 2 and osc < tol:
                 truncated = True
                 break
-            radii.append(rad)
+            radii.append(cyl.radius)
             oscs.append(osc)
         ratios.append((oscs[1], oscs[0]))
         if all(o > 0 for o in oscs):
@@ -495,7 +607,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
             "contraction_factor": contraction,
             "source_sup": coef.source_sup,
             "source_branch": "exp(2*(1 + 2**26)) * source_sup",
-            "r0": r0, "levels": levels,
+            "r0": OSCILLATION_R0, "levels": levels,
             "truncated": truncated,
             "per_center": per_center,
             "note": "1 - mu/2 rounds to 1 in double precision and the "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Cylinder
-from ..solver.grid import GridFunction
+from ..solver.grid import GridFunction, velocity_gradient
 
 __all__ = [
     "InsufficientResolutionError",
@@ -105,21 +105,9 @@ def inf_on(f: GridFunction, cyl: Cylinder) -> float:
     return float(np.min(vals))
 
 
-def velocity_gradient(values: np.ndarray, dv: float) -> np.ndarray:
-    """d/dv along the last axis: centered inside, one-sided at walls."""
-    g = np.empty_like(values)
-    g[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dv)
-    g[..., 0] = (values[..., 1] - values[..., 0]) / dv
-    g[..., -1] = (values[..., -1] - values[..., -2]) / dv
-    return g
-
-
 def grad_v_l1(f: GridFunction, cyl: Cylinder) -> float:
     """L^1 norm of the velocity gradient over the cylinder."""
-    f.require_cylinder(cyl)
-    mask = f.mask(cyl)
-    if not mask.any():
-        raise InsufficientResolutionError("cylinder holds no cells")
+    _, mask = _masked_values(f, cyl)
     g = velocity_gradient(f.values, f.dv)
     return float(np.abs(g[mask]).sum() * f.cell_measure)
 
@@ -138,10 +126,7 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
     """
     if not 0.0 < sigma < 1.0 / 3.0:
         raise ValueError("sigma must lie in (0, 1/3)")
-    f.require_cylinder(cyl)
-    mask = f.mask(cyl)
-    if not mask.any():
-        raise InsufficientResolutionError("cylinder holds no cells")
+    _, mask = _masked_values(f, cyl)
     v_ok = mask.any(axis=(0, 1))
     total = 0.0
     for it in range(mask.shape[0]):
@@ -177,11 +162,8 @@ def holder_seminorm(f: GridFunction, cyl: Cylinder, alpha: float,
     if min_sep < coarse:
         raise ValueError(
             f"min_sep {min_sep:g} below twice the grid spacing {coarse:g}")
-    f.require_cylinder(cyl)
-    mask = f.mask(cyl)
+    _, mask = _masked_values(f, cyl)
     its, ixs, ivs = np.nonzero(mask)
-    if its.size == 0:
-        raise InsufficientResolutionError("cylinder holds no cells")
 
     strides = [1, 1, 1]
     axes = [np.unique(its), np.unique(ixs), np.unique(ivs)]
@@ -229,12 +211,14 @@ def source_sup(coef, cyl: Cylinder, n: int = 12) -> float:
     return float(np.max(np.abs(coef.source(t, x, v))))
 
 
+def _source_values(coef, f: GridFunction, mask) -> np.ndarray:
+    """The source sampled on f's cells where mask holds."""
+    T, X, V = np.meshgrid(f.times, f.xs, f.vs, indexing="ij", copy=False)
+    return np.asarray(coef.source(T[mask], X[mask], V[mask]), float)
+
+
 def source_l2(coef, f: GridFunction, cyl: Cylinder) -> float:
     """L^2 norm of the source sampled on f's cells inside the cylinder."""
-    f.require_cylinder(cyl)
-    mask = f.mask(cyl)
-    if not mask.any():
-        raise InsufficientResolutionError("cylinder holds no cells")
-    T, X, V = np.meshgrid(f.times, f.xs, f.vs, indexing="ij", copy=False)
-    svals = np.asarray(coef.source(T[mask], X[mask], V[mask]), float)
+    _, mask = _masked_values(f, cyl)
+    svals = _source_values(coef, f, mask)
     return float(np.sqrt((svals ** 2).sum() * f.cell_measure))

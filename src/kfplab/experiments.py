@@ -38,6 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from .estimates.checks import (
+    HARNACK_R0,
+    STATEMENTS,
     check_energy_estimate,
     check_gain_integrability,
     check_harnack,
@@ -53,7 +55,6 @@ from .estimates.checks import (
 from .estimates.constants import explicit_constants
 from .estimates.norms import inf_on, lp_norm, sup_on
 from .geometry import (
-    as_point,
     compose,
     cylinder_volume,
     make_cylinder,
@@ -77,8 +78,6 @@ from .solver.weak import (
     translated_kernel_solution,
     weak_residual,
 )
-
-ORIGIN = as_point((0.0, 0.0, 0.0))
 
 __all__ = [
     "GAIN_PS",
@@ -194,9 +193,7 @@ def standard_datum(x, v):
 
 
 def standard_cylinders():
-    qr = make_cylinder("centered", ORIGIN, 0.5)
-    qR = make_cylinder("centered", ORIGIN, 1.0)
-    return qr, qR
+    return STATEMENTS["energy_estimate"].cylinders()
 
 
 def solve_standard(seed, *, refine=1, box_scale=1.0) -> GridFunction:
@@ -445,7 +442,6 @@ def run_counterexample(verify=True) -> dict:
 # harnack suite
 
 
-HARNACK_R0 = 1.0 / 20.0
 # Eight slices per (r0/2)^2 window; every cylinder time boundary in the
 # suite is an integer multiple of this step.
 HARNACK_DT = (0.5 * HARNACK_R0) ** 2 / 8.0
@@ -519,8 +515,7 @@ def run_harnack_volume() -> dict:
     f = _constant_grid(*harnack_edge_axes())
     report = check_weak_harnack(f, constant_coefficients(1.0, 0.0, 0.0),
                                 zeta=1.0)
-    tilde = make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 2})
-    analytic = CONSTANT_LEVEL * cylinder_volume(tilde)
+    analytic = CONSTANT_LEVEL * cylinder_volume(_weak_cylinders()[0])
     return {
         "report": report,
         "lhs": report.lhs,
@@ -530,8 +525,7 @@ def run_harnack_volume() -> dict:
 
 
 def _strong_cylinders(g=None):
-    upper = make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 4})
-    lower = make_cylinder("centered", ORIGIN, 0.25 * HARNACK_R0)
+    upper, lower = STATEMENTS["harnack"].cylinders()
     if g is not None:
         upper = translate_cylinder(g, upper)
         lower = translate_cylinder(g, lower)
@@ -539,8 +533,7 @@ def _strong_cylinders(g=None):
 
 
 def _weak_cylinders(g=None):
-    tilde = make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 2})
-    lower = make_cylinder("centered", ORIGIN, 0.5 * HARNACK_R0)
+    tilde, lower, _ = STATEMENTS["weak_harnack"].cylinders()
     if g is not None:
         tilde = translate_cylinder(g, tilde)
         lower = translate_cylinder(g, lower)
@@ -580,7 +573,6 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
         unit cylinder volume, the scale-free form.
     """
     dtt, dx, dv = HARNACK_DT, _OBS_DX, _OBS_DV
-    coef_free = None  # ratios are read with norms, no checker involved
 
     times_a, xs_a, vs_a = harnack_observation_axes()
     f_a = translated_kernel_solution(pole, times_a, xs_a, vs_a)

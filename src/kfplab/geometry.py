@@ -75,9 +75,6 @@ class PhasePoint:
     def d(self) -> int:
         return self.x.size
 
-    def astuple(self):
-        return self.t, self.x.copy(), self.v.copy()
-
 
 def as_point(z) -> PhasePoint:
     """Coerce a PhasePoint or a (t, x, v) triple into a PhasePoint."""

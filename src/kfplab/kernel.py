@@ -27,7 +27,6 @@ from .geometry import PhasePoint, _components, inverse
 __all__ = [
     "QuadratureError",
     "kolmogorov_g",
-    "kolmogorov_G",
     "detuned_kernel",
     "kernel_gradients",
     "kernel_mass",
@@ -69,12 +68,12 @@ def _kernel_pieces(t, x, v, d):
     return t, u, uu, vv
 
 
-def kolmogorov_g(t, x, v, d=1):
-    """Evaluate G(t, x, v); zero for t <= 0 or once exp underflows."""
+def _kernel(t, x, v, d, v_divisor):
+    """Kernel body with velocity exponent |v|^2 / (v_divisor t)."""
     t, _, uu, vv = _kernel_pieces(t, x, v, d)
     pos = t > 0.0
     ts = np.where(pos, t, 1.0)
-    expo = -3.0 * uu / ts**3 - vv / (4.0 * ts)
+    expo = -3.0 * uu / ts**3 - vv / (v_divisor * ts)
     keep = pos & (expo >= EXP_FLOOR)
     pref = (3.0 / (4.0 * math.pi**2)) ** (0.5 * d) * ts ** (-2.0 * d)
     out = np.where(keep, pref * np.exp(np.where(keep, expo, 0.0)), 0.0)
@@ -83,7 +82,9 @@ def kolmogorov_g(t, x, v, d=1):
     return out
 
 
-kolmogorov_G = kolmogorov_g
+def kolmogorov_g(t, x, v, d=1):
+    """Evaluate G(t, x, v); zero for t <= 0 or once exp underflows."""
+    return _kernel(t, x, v, d, 4.0)
 
 
 def detuned_kernel(t, x, v, d=1):
@@ -92,16 +93,7 @@ def detuned_kernel(t, x, v, d=1):
     Not a solution of the kinetic equation; used to verify that the PDE
     residual diagnostic actually rejects a wrong kernel.
     """
-    t, _, uu, vv = _kernel_pieces(t, x, v, d)
-    pos = t > 0.0
-    ts = np.where(pos, t, 1.0)
-    expo = -3.0 * uu / ts**3 - vv / (2.0 * ts)
-    keep = pos & (expo >= EXP_FLOOR)
-    pref = (3.0 / (4.0 * math.pi**2)) ** (0.5 * d) * ts ** (-2.0 * d)
-    out = np.where(keep, pref * np.exp(np.where(keep, expo, 0.0)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _kernel(t, x, v, d, 2.0)
 
 
 def kernel_gradients(t, x, v, d=1):

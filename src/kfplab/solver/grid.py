@@ -19,7 +19,7 @@ import numpy as np
 from ..geometry import Cylinder
 
 __all__ = ["Box", "GridFunction", "SafeRegionError", "sample_function",
-           "load_grid_function"]
+           "load_grid_function", "velocity_gradient"]
 
 _MAGIC = b"KFPG"
 _VERSION = 1
@@ -48,6 +48,14 @@ class Box:
     def shrink(self, pad_x, pad_v) -> "Box":
         return Box(self.t0, self.t1, self.x0 + pad_x, self.x1 - pad_x,
                    self.v0 + pad_v, self.v1 - pad_v)
+
+    def contains(self, bounds, tol=1e-9) -> bool:
+        """Whether ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)) lies inside,
+        up to tol on every side."""
+        (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = bounds
+        return (t_lo >= self.t0 - tol and t_hi <= self.t1 + tol
+                and x_lo >= self.x0 - tol and x_hi <= self.x1 + tol
+                and v_lo >= self.v0 - tol and v_hi <= self.v1 + tol)
 
     def intersect(self, other: "Box") -> "Box":
         return Box(max(self.t0, other.t0), min(self.t1, other.t1),
@@ -122,12 +130,8 @@ class GridFunction:
 
     def require_cylinder(self, cyl: Cylinder, tol=1e-9):
         """Raise SafeRegionError unless the cylinder sits in the safe box."""
-        (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = cyl.bbox()
         safe = self.safe_box
-        ok = (t_lo >= safe.t0 - tol and t_hi <= safe.t1 + tol
-              and x_lo >= safe.x0 - tol and x_hi <= safe.x1 + tol
-              and v_lo >= safe.v0 - tol and v_hi <= safe.v1 + tol)
-        if not ok:
+        if not safe.contains(cyl.bbox(), tol):
             raise SafeRegionError(
                 f"cylinder {cyl.describe()['kind']} with bbox "
                 f"{cyl.bbox()} leaves safe box {safe}")
@@ -144,15 +148,6 @@ class GridFunction:
         for it in range(self.times.size):
             out[it] = cyl.contains(float(self.times[it]), X, V)
         return out
-
-    def crop_x(self, x_lo, x_hi) -> "GridFunction":
-        keep = (self.xs >= x_lo) & (self.xs <= x_hi)
-        if not np.any(keep):
-            raise ValueError("x crop removes every column")
-        return GridFunction(self.times, self.xs[keep], self.vs,
-                            self.values[:, keep, :], pad_x=self.pad_x,
-                            pad_v=self.pad_v, solve_box=self.solve_box,
-                            meta=dict(self.meta))
 
     def to_binary(self, path):
         meta = dict(self.meta)
@@ -211,6 +206,15 @@ def load_grid_function(path) -> GridFunction:
     solve_box = Box(**sb) if sb else None
     return GridFunction(times, xs, vs, values, pad_x=pad_x, pad_v=pad_v,
                         solve_box=solve_box, meta=meta)
+
+
+def velocity_gradient(values: np.ndarray, dv: float) -> np.ndarray:
+    """d/dv along the last axis: centered inside, one-sided at walls."""
+    g = np.empty_like(values)
+    g[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dv)
+    g[..., 0] = (values[..., 1] - values[..., 0]) / dv
+    g[..., -1] = (values[..., -1] - values[..., -2]) / dv
+    return g
 
 
 def centered_axis(lo, hi, n):

@@ -28,8 +28,11 @@ import numpy as np
 from .coefficients import CoefficientField
 from .grid import Box, GridFunction, centered_axis
 
-__all__ = ["CFLViolationError", "SolverDivergenceError", "solve",
-           "transport_weights", "fit_order"]
+__all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
+           "solve", "transport_weights", "fit_order"]
+
+# default advective CFL allowance of solve
+CFL_LIMIT = 4.0
 
 
 class CFLViolationError(ValueError):
@@ -138,7 +141,7 @@ def _v_solve(f, lower, denom, cp, ds):
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
-          pad_v=2.0, store_every=1, store_x=None, cfl_limit=4.0,
+          pad_v=2.0, store_every=1, store_x=None, cfl_limit=CFL_LIMIT,
           check_every=25) -> GridFunction:
     """March the kinetic equation on the box and return stored slices.
 

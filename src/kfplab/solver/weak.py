@@ -24,10 +24,10 @@ import dataclasses
 
 import numpy as np
 
-from ..geometry import PhasePoint, as_point
+from ..geometry import as_point
 from ..kernel import translated_kernel_values
 from .coefficients import CoefficientField
-from .grid import GridFunction, sample_function
+from .grid import GridFunction, sample_function, velocity_gradient
 
 __all__ = ["TestBump", "HingeProfile", "default_test_basis",
            "default_hinges", "weak_residual", "WeakResidualReport",
@@ -165,15 +165,6 @@ class WeakResidualReport:
         return dataclasses.asdict(self)
 
 
-def _grad_v(values, dv):
-    """Centered differences inside, one-sided at the v walls."""
-    g = np.empty_like(values)
-    g[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dv)
-    g[..., 0] = (values[..., 1] - values[..., 0]) / dv
-    g[..., -1] = (values[..., -1] - values[..., -2]) / dv
-    return g
-
-
 def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
                   phis=None, tolerance=None, direction="sub",
                   region=None) -> WeakResidualReport:
@@ -188,10 +179,11 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         raise ValueError("direction must be 'sub' or 'super'")
     sgn = 1.0 if direction == "sub" else -1.0
 
-    safe = f.safe_box
+    # the safe box over the stored slice times
+    safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
+                               t1=float(f.times[-1]))
     if region is None:
-        region = ((float(f.times[0]), float(f.times[-1])),
-                  (safe.x0, safe.x1), (safe.v0, safe.v1))
+        region = ((safe.t0, safe.t1), (safe.x0, safe.x1), (safe.v0, safe.v1))
     if phis is None:
         phis = default_test_basis(region)
     if betas is None:
@@ -202,11 +194,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     for phi in phis:
-        (ta, tb), (xa, xb), (va, vb) = phi.support()
-        ok = (ta >= f.times[0] - 1e-9 and tb <= f.times[-1] + 1e-9
-              and xa >= safe.x0 - 1e-9 and xb <= safe.x1 + 1e-9
-              and va >= safe.v0 - 1e-9 and vb <= safe.v1 + 1e-9)
-        if not ok:
+        if not safe.contains(phi.support()):
             raise ValueError(
                 f"test bump support {phi.support()} leaves the safe box")
 
@@ -237,7 +225,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     for beta in betas:
         bf = beta.value(fv)
         bprime = beta.deriv(fv)
-        gbf = _grad_v(bf, f.dv)
+        gbf = velocity_gradient(bf, f.dv)
         for k, (sl, tphi, pval, gphi, A, B, S) in enumerate(phi_data):
             bfs = bf[sl]
             r = measure * float(np.sum(-bfs * tphi + A * gbf[sl] * gphi

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kfplab import cli
 from kfplab.calibration import pass_bound as calibrated_bound
 from kfplab.estimates import (
     InsufficientResolutionError,
@@ -29,6 +30,7 @@ from kfplab.estimates import (
     explicit_constants,
     velocity_gradient,
 )
+from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
 from kfplab.experiments import (STANDARD_BOX, standard_coefficients,
                                 standard_cylinders, standard_datum)
 from kfplab.geometry import make_cylinder
@@ -335,7 +337,7 @@ def test_weak_harnack_constant_quadrature():
     c = math.e - 1.0
     f = _harnack_grid(lambda t, x, v: c + 0.0 * t)
     rep = check_weak_harnack(f, COEF0, zeta=1.0)
-    r0 = 1.0 / 20.0
+    r0 = HARNACK_R0
     vol_early = r0**6 * 4.0
     vol_tilde = (r0 / 2.0) ** 6 * 4.0
     assert rep.extras["log_integral_diagnostic"] == pytest.approx(
@@ -432,3 +434,35 @@ def test_provenance_carries_coefficients():
     rep = check_energy_estimate(f, coef, QH, Q1)
     assert rep.provenance["coefficients"]["seed"] == 9
     assert rep.provenance["grid"]["nx"] == 129
+
+
+# ----------------------------------------------- declared statements
+
+
+# (statement, parameters beyond the defaults, grid resolving its cylinders)
+_DECLARED_RUNS = [
+    ("energy_estimate", {}, _mid_grid),
+    ("gain_integrability", {"p": 2.25}, _mid_grid),
+    ("sobolev_gain", {"sigma": 0.25}, _mid_grid),
+    ("linfty_bound", {"zeta": 0.5}, _mid_grid),
+    ("weak_poincare", {"eps": 0.1}, _poincare_grid),
+    ("harnack", {}, _harnack_grid),
+    ("weak_harnack", {}, _harnack_grid),
+    ("oscillation_decay", {}, _mid_grid),
+]
+
+
+def test_every_declared_statement_has_a_cli_call():
+    assert set(cli._CHECKS) == set(STATEMENTS)
+    assert sorted(name for name, _, _ in _DECLARED_RUNS) == sorted(STATEMENTS)
+
+
+@pytest.mark.parametrize("name, params, grid", _DECLARED_RUNS,
+                         ids=[name for name, _, _ in _DECLARED_RUNS])
+def test_checker_measures_on_declared_cylinders(name, params, grid):
+    statement = STATEMENTS[name]
+    params = statement.parameters(params)
+    f = grid(lambda t, x, v: 2.0 + 0.0 * t)
+    report = cli._CHECKS[name](f, COEF0, params)
+    declared = [cyl.describe() for cyl in statement.cylinders(params)]
+    assert all(cyl in declared for cyl in report.cylinders)

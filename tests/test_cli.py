@@ -7,6 +7,7 @@ subprocesses on the shipped demo config.
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,12 +126,53 @@ def test_unknown_top_level_key_flagged():
     assert any(v["field"] == "grdi" for v in violations)
 
 
-def test_check_parameter_range_enforced():
+def test_check_parameter_range_enforced(tmp_path):
+    # (entry, word the reason must name); each sits behind a valid check
+    bad_entries = [
+        ({"name": "sobolev_gain", "sigma": 0.5}, "sigma"),
+        ({"name": "gain_integrability", "p": 1.5}, "p must"),
+        ({"name": "gain_integrability", "p": 3.0}, "p must"),
+        ({"name": "weak_poincare", "eps": 0.25, "sigma": 0.5}, "sigma"),
+        ({"name": "weak_harnack", "zeta": 0}, "zeta"),
+        ({"name": "oscillation_decay", "levels": 0}, "levels"),
+        ({"name": "gain_integrability", "p": "x"}, "p must"),
+        ("energy_estimate", "object"),
+    ]
+    for entry, word in bad_entries:
+        data = example_dict()
+        data["checks"] = [{"name": "energy_estimate"}, entry]
+        config = ExperimentConfig.from_dict(data)
+        violations = validate(config)
+        assert violations, entry
+        assert all(v["field"] == "checks[1]" for v in violations), violations
+        assert any(word in v["reason"] for v in violations), violations
+        assert cli.run(config, out_dir=tmp_path / "out") == 2
+
+
+_MISTYPED = {
+    "grid.nx": lambda data, env: data["grid"].update(nx="a"),
+    "box.x1": lambda data, env: data["box"].update(x1=math.inf),
+    "threads": lambda data, env: data.update(threads="a"),
+    "coefficients.seeds": lambda data, env: data["coefficients"].update(
+        seeds=["a"]),
+    "KFPLAB_THREADS": lambda data, env: env.setenv("KFPLAB_THREADS", "abc"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MISTYPED))
+def test_mistyped_field_exits_2_naming_it(field, tmp_path, monkeypatch,
+                                          capsys):
+    monkeypatch.delenv("KFPLAB_THREADS", raising=False)
     data = example_dict()
-    data["checks"] = [{"name": "sobolev_gain", "sigma": 0.5}]
-    violations = validate(ExperimentConfig.from_dict(data))
-    assert any(v["field"] == "checks[0]" and "sigma" in v["reason"]
-               for v in violations)
+    _MISTYPED[field](data, monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["ensemble", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation"
+    assert field in {v["field"] for v in error["violations"]}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +210,39 @@ def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
     reports = json.loads((tmp_path / "strict" / "reports.json").read_text())
     by_seed = {m["seed"]: m["status"] for m in reports["members"]}
     assert by_seed == {1: "ok", 2: "error"}
+
+
+def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
+    data = example_dict()
+    data["coefficients"]["seeds"] = [1, 2]
+    data["threads"] = 1
+    monkeypatch.setitem(cli.__dict__, "_member_reports_orig",
+                        cli._member_reports)
+    monkeypatch.setattr(cli, "_member_reports",
+                        lambda config, seed: _patched_member(config, seed,
+                                                             fail_seed=seed))
+
+    config = ExperimentConfig.from_dict(data)
+    assert cli.run(config, out_dir=tmp_path) == 1
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert {m["status"] for m in reports["members"]} == {"error"}
+
+
+def test_checks_resolve_through_cli_module_names(tmp_path, monkeypatch):
+    # perfbench/spans.py attributes checker time by wrapping these names
+    calls = []
+    original = cli.check_energy_estimate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_energy_estimate", spy)
+    data = example_dict()
+    data["coefficients"]["seeds"] = [1]
+    data["threads"] = 1
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
