@@ -7,8 +7,9 @@ a deterministic reports.json (byte-identical across reruns of the same
 config), a CSV summary, per-check plot data, and a separate
 metadata.json holding the timestamps.
 
-Exit codes: 0 all enabled checks passed, 1 a check failed (or a seed
-failed under --strict, or no check ran), 2 the config did not validate.
+Exit codes: 0 all enabled checks passed, 1 a check failed or raised (or
+a seed failed under --strict, or no check ran), 2 the config did not
+validate.
 """
 
 from __future__ import annotations
@@ -120,8 +121,41 @@ _BOX_KEYS = ("t0", "t1", "x0", "x1", "v0", "v1")
 _GRID_SIZE = Interval(2, lo_closed=True, integer=True)
 _FINITE = Interval(-math.inf)
 
+
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """Domain of a boolean field."""
+
+    default: bool
+
+    def coerce(self, name, value):
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        return value
+
+
+@dataclasses.dataclass(frozen=True)
+class _Levels:
+    """Domain of a refinement ladder: integers >= 1, at least two of
+    them distinct, so an order can be fitted."""
+
+    default: tuple
+
+    def coerce(self, name, value):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list of integers, "
+                             f"got {value!r}")
+        level = Interval(1, lo_closed=True, integer=True)
+        levels = tuple(level.coerce(f"{name}[{i}]", k)
+                       for i, k in enumerate(value))
+        if len(set(levels)) < 2:
+            raise ValueError(f"{name} needs two distinct levels, "
+                             f"got {value!r}")
+        return levels
+
+
 # numeric fields of the compute kinds -> domain; default None: required
-_FIELDS = {
+_COMPUTE_FIELDS = {
     **{f"grid.{k}": _GRID_SIZE for k in ("nt", "nx", "nv")},
     **{f"box.{k}": _FINITE for k in _BOX_KEYS},
     "pads.x": Interval(0.0, lo_closed=True, default=1.0),
@@ -134,6 +168,35 @@ _FIELDS = {
     "datum.amp": Interval(-math.inf, default=1.0),
     "datum.width": Interval(0.0, default=0.25),
 }
+# kernel-check tolerances -> default; each is a number >= 0
+_KERNEL_TOLERANCES = {"kernel_mass": 1e-6, "residual_ratio_low": 3.2,
+                      "residual_ratio_high": 4.8, "control_factor_min": 10.0,
+                      "semigroup_defect": 1e-8}
+# fields each kind reads -> domain
+_KIND_FIELDS = {
+    **dict.fromkeys(_COMPUTE_KINDS, _COMPUTE_FIELDS),
+    "kernel-check": {f"tolerances.{k}": Interval(0.0, lo_closed=True,
+                                                 default=d)
+                     for k, d in _KERNEL_TOLERANCES.items()},
+    "constants": {
+        "options.delta1": Interval(0.0, 1.0, default=0.5),
+        "options.delta2": Interval(0.0, 1.0, default=0.5),
+        "options.s_inf": Interval(0.0, lo_closed=True, default=0.0),
+        # as_tuple_str prints from a 60-digit working precision
+        "options.digits": Interval(1, 61, lo_closed=True, integer=True,
+                                   default=12),
+    },
+    "counterexample": {"options.verify": _Flag(True)},
+    "convergence": {
+        "options.levels": _Levels((1, 2, 4)),
+        "options.min_order": Interval(-math.inf, default=1.8),
+    },
+}
+_FIELDS = {name: domain for fields in _KIND_FIELDS.values()
+           for name, domain in fields.items()}
+# config sections holding the fields above
+_SECTIONS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                  if f.default_factory is dict)
 _THREADS = Interval(1, lo_closed=True, integer=True, default=1)
 
 
@@ -191,13 +254,7 @@ def _validate_checks(config: ExperimentConfig, safe, out: list):
                     f"exceeds box minus padding"))
 
 
-def _validate_compute(config: ExperimentConfig, out: list):
-    values = {}
-    for name in _FIELDS:
-        try:
-            values[name] = _field(config, name)
-        except ValueError as exc:
-            out.append(_violation(name, str(exc)))
+def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     get = values.get
 
     box = None
@@ -261,12 +318,25 @@ def validate(config: ExperimentConfig) -> list:
                               f"expected one of {', '.join(KINDS)}"))
     for key in config.unknown_keys:
         out.append(_violation(key, "unknown configuration key"))
-    try:
-        _THREADS.coerce("threads", config.threads)
-    except ValueError as exc:
-        out.append(_violation("threads", str(exc)))
+    for section in _SECTIONS:
+        if not isinstance(getattr(config, section), dict):
+            out.append(_violation(section, "must be an object"))
+    if config.out is not None and not isinstance(config.out, str):
+        out.append(_violation("out", f"must be a path string, "
+                                     f"got {config.out!r}"))
+    for name, domain in (("threads", _THREADS), ("strict", _Flag(False))):
+        try:
+            domain.coerce(name, getattr(config, name))
+        except ValueError as exc:
+            out.append(_violation(name, str(exc)))
+    values = {}
+    for name in _KIND_FIELDS.get(config.kind, ()):
+        try:
+            values[name] = _field(config, name)
+        except ValueError as exc:
+            out.append(_violation(name, str(exc)))
     if config.kind in _COMPUTE_KINDS:
-        _validate_compute(config, out)
+        _validate_compute(config, values, out)
     return out
 
 
@@ -314,12 +384,23 @@ def _solve_member(config: ExperimentConfig, seed: int):
     return f, coef
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _member_reports(config: ExperimentConfig, seed: int) -> list:
+    """The seed's reports in check order; a check that raised is
+    recorded in its place as {"check": name, "error": message}."""
     f, coef = _solve_member(config, seed)
     reports = []
     for entry in config.checks:
         name = entry["name"]
-        report = _CHECKS[name](f, coef, STATEMENTS[name].parameters(entry))
+        try:
+            report = _CHECKS[name](f, coef,
+                                   STATEMENTS[name].parameters(entry))
+        except Exception as exc:  # one check's failure keeps the others
+            reports.append({"check": name, "error": _error_text(exc)})
+            continue
         report.provenance["seed"] = int(seed)
         reports.append(report)
     return reports
@@ -329,14 +410,11 @@ def _seed_list(config: ExperimentConfig) -> list:
     return [int(s) for s in config.coefficients.get("seeds") or [1]]
 
 
-def _summary_rows(reports) -> list:
-    rows = []
-    for report in reports:
-        row = report.summary_row()
-        rows.append([row["statement_id"], row["seed"], row["lhs"],
-                     row["rhs"], row["empirical_constant"],
-                     row.get("passed", ""), row.get("hypotheses_met", "")])
-    return rows
+def _summary_row(report) -> list:
+    row = report.summary_row()
+    return [row["statement_id"], row["seed"], row["lhs"], row["rhs"],
+            row["empirical_constant"], row.get("passed", ""),
+            row.get("hypotheses_met", "")]
 
 
 _SUMMARY_HEADER = ("statement_id", "seed", "lhs", "rhs",
@@ -362,12 +440,8 @@ def _osc_plot_rows(reports) -> list:
 # maps filename -> (header, rows)
 
 def _run_kernel_check(config: ExperimentConfig, out: Path):
-    tol = config.tolerances
-    mass_tol = float(tol.get("kernel_mass", 1e-6))
-    ratio_lo = float(tol.get("residual_ratio_low", 3.2))
-    ratio_hi = float(tol.get("residual_ratio_high", 4.8))
-    control_min = float(tol.get("control_factor_min", 10.0))
-    semigroup_tol = float(tol.get("semigroup_defect", 1e-8))
+    mass_tol, ratio_lo, ratio_hi, control_min, semigroup_tol = (
+        _field(config, f"tolerances.{k}") for k in _KERNEL_TOLERANCES)
 
     suite = experiments.run_kernel_suite()
     rep_report = suite["representation"]["report"]
@@ -441,7 +515,7 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
         try:
             return ("ok", _member_reports(config, seed))
         except Exception as exc:  # per-seed failure: record, keep going
-            return ("error", f"{type(exc).__name__}: {exc}")
+            return ("error", _error_text(exc))
 
     with ThreadPoolExecutor(max_workers=int(config.threads)) as pool:
         futures = {seed: pool.submit(member, seed) for seed in seeds}
@@ -453,6 +527,7 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
     const_rows = []
     all_pass = True
     any_error = False
+    check_error = False
     all_reports = []
     for seed in sorted(results):  # aggregation ordered by seed
         status, body = results[seed]
@@ -462,20 +537,22 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
             for entry in config.checks:
                 rows.append([entry["name"], seed, "", "", "", "error", ""])
             continue
-        reports = body
-        all_reports.extend(reports)
-        members.append({
-            "seed": seed,
-            "status": "ok",
-            "reports": [r.to_json_dict() for r in reports],
-        })
-        rows.extend(_summary_rows(reports))
-        for r in reports:
+        member = {"seed": seed, "status": "ok", "reports": []}
+        for r in body:
+            if isinstance(r, dict):  # the check raised
+                check_error = True
+                member.setdefault("errors", []).append(r)
+                rows.append([r["check"], seed, "", "", "", "error", ""])
+                continue
+            all_reports.append(r)
+            member["reports"].append(r.to_json_dict())
+            rows.append(_summary_row(r))
             if not _passes(r):
                 all_pass = False
             const_rows.append([r.statement_id, seed,
                                "" if r.empirical_constant is None
                                else r.empirical_constant])
+        members.append(member)
 
     payload = {"kind": "ensemble", "seeds": seeds, "members": members}
     plots = {"constants_by_seed.csv":
@@ -484,27 +561,24 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
     if osc_rows:
         plots["osc_vs_radius.csv"] = (
             ("seed", "center_t", "radius", "oscillation"), osc_rows)
-    # a run that evaluated no check fails whatever the policy
-    failed = not all_pass or not all_reports or (config.strict and any_error)
+    # a run that evaluated no check, or a check that raised, fails
+    # whatever the policy
+    failed = (not all_pass or not all_reports or check_error
+              or (config.strict and any_error))
     return (1 if failed else 0), payload, rows, plots
 
 
 def _run_constants(config: ExperimentConfig, out: Path):
-    opts = config.options
-    consts = explicit_constants(
-        d=1,
-        delta1=float(opts.get("delta1", 0.5)),
-        delta2=float(opts.get("delta2", 0.5)),
-        s_inf=float(opts.get("s_inf", 0.0)))
-    digits = int(opts.get("digits", 12))
+    inputs = {k: _field(config, f"options.{k}")
+              for k in ("delta1", "delta2", "s_inf")}
+    consts = explicit_constants(d=1, **inputs)
+    digits = _field(config, "options.digits")
     tup = consts.as_tuple_str(digits)
     print("(r0, eps, theta, nu, mu, alpha) =", tup)
     payload = {
         "kind": "constants",
         "digits": digits,
-        "inputs": {"delta1": float(opts.get("delta1", 0.5)),
-                   "delta2": float(opts.get("delta2", 0.5)),
-                   "s_inf": float(opts.get("s_inf", 0.0))},
+        "inputs": inputs,
         "tuple_order": ["r0", "eps", "theta", "nu", "mu", "alpha"],
         "values": list(tup),
     }
@@ -514,7 +588,7 @@ def _run_constants(config: ExperimentConfig, out: Path):
 
 def _run_counterexample(config: ExperimentConfig, out: Path):
     result = experiments.run_counterexample(
-        verify=bool(config.options.get("verify", True)))
+        verify=_field(config, "options.verify"))
     gap_removed = result["gap_removed"]
     fraction = result["intermediate_fraction"]
     ok = fraction == 0.0 and gap_removed.hypotheses_met
@@ -534,9 +608,8 @@ def _run_counterexample(config: ExperimentConfig, out: Path):
 
 
 def _run_convergence(config: ExperimentConfig, out: Path):
-    opts = config.options
-    levels = tuple(int(k) for k in opts.get("levels", (1, 2, 4)))
-    min_order = float(opts.get("min_order", 1.8))
+    levels = _field(config, "options.levels")
+    min_order = _field(config, "options.min_order")
     ladder = experiments.run_transport_convergence(levels)
     ok = ladder["order"] >= min_order
     payload = {

@@ -41,6 +41,7 @@ from .constants import (
 )
 from .norms import (
     InsufficientResolutionError,
+    _grad_v_values,
     _masked_values,
     _source_values,
     band_fraction,
@@ -54,7 +55,6 @@ from .norms import (
     source_l2,
     source_sup,
     sup_on,
-    velocity_gradient,
 )
 
 __all__ = [
@@ -230,19 +230,14 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                           *, pass_bound=None) -> EstimateReport:
     """Velocity-gradient energy on Qr against mass and source on QR."""
     _require_nested(Qr, QR)
-    _, mask_r = _masked_values(f, Qr)
-    # the gradient runs along v only, so on the t/x window holding Qr's
-    # cells (full v axis) it lists the same entries in the same order
-    it, ix = np.nonzero(mask_r.any(axis=2))
-    window = np.s_[it.min():it.max() + 1, ix.min():ix.max() + 1]
-    grad = velocity_gradient(f.values[window], f.dv)
-    lhs = float((grad[mask_r[window]] ** 2).sum() * f.cell_measure)
+    grad = _grad_v_values(f, Qr)
+    lhs = float((grad ** 2).sum() * f.cell_measure)
 
-    vals_R, mask_R = _masked_values(f, QR)
+    vals_R, window_R, mask_R = _masked_values(f, QR)
     const = energy_constant(Qr.eff_radius, QR.eff_radius,
                             float(np.linalg.norm(QR.eff_center.v)))
     sq = float((vals_R ** 2).sum() * f.cell_measure)
-    svals = _source_values(coef, f, mask_R)
+    svals = _source_values(coef, f, window_R, mask_R)
     cross = float((np.abs(vals_R) * np.abs(svals)).sum() * f.cell_measure)
     sid = "energy_estimate"
     return build_report(
@@ -261,7 +256,6 @@ def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
     d = 1
     STATEMENTS["gain_integrability"].require(p=p)
     _require_nested(Qr, QR)
-    f.require_cylinder(QR)
     const = gain_int_constant(Qr.eff_radius, QR.eff_radius,
                               float(np.linalg.norm(QR.eff_center.v)))
     prefactor = const / (2.0 + 1.0 / d - p)
@@ -282,7 +276,6 @@ def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
     """Fractional x-regularity on Qr against L^2 data on QR."""
     STATEMENTS["sobolev_gain"].require(sigma=sigma)
     _require_nested(Qr, QR)
-    f.require_cylinder(QR)
     d = 1
     const = gain_reg_constant(Qr.eff_radius, QR.eff_radius,
                               float(np.linalg.norm(QR.eff_center.v)), d)
@@ -307,7 +300,6 @@ def check_linfty_bound(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
     """Sup bound on Qr from a small-exponent quasi-norm on QR."""
     STATEMENTS["linfty_bound"].require(zeta=zeta)
     _require_nested(Qr, QR)
-    f.require_cylinder(QR)
     d = 1
     r, R = Qr.eff_radius, QR.eff_radius
     v0 = float(np.linalg.norm(QR.eff_center.v))
@@ -360,9 +352,8 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     statement.require(eps=eps, sigma=sigma)
     d = 1
     q1, q1_past, q5 = statement.cylinders()
-    f.require_cylinder(q5)
     avg = cylinder_average(f, q1_past)
-    vals1, _ = _masked_values(f, q1)
+    vals1, _, _ = _masked_values(f, q1)
     lhs = float(np.clip(vals1 - avg, 0.0, None).sum() * f.cell_measure)
     sid = "weak_poincare"
     return build_report(
@@ -497,11 +488,11 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
         raise ValueError("negative values beyond the grid tolerance: "
                          "not a nonnegative super-solution")
     tilde, lower, early = statement.cylinders()
-    tilde_vals, _ = _masked_values(f, tilde)
+    tilde_vals, _, _ = _masked_values(f, tilde)
     vals = np.clip(tilde_vals, 0.0, None)
     lhs = float((vals ** zeta).sum() * f.cell_measure) ** (1.0 / zeta)
     d = 1
-    early_vals, _ = _masked_values(f, early)
+    early_vals, _, _ = _masked_values(f, early)
     log_vals = np.log1p(np.clip(early_vals, 0.0, None))
     log_diag = float((log_vals ** _LOG_DIAG_EXPONENT).sum() * f.cell_measure)
     sid = f"weak_harnack[zeta={zeta:g}]"
@@ -565,17 +556,15 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
         radii, oscs = [], []
         for n in range(levels + 1):
             cyl = _oscillation_level(z0, n)
-            f.require_cylinder(cyl)
-            mask = f.mask(cyl)
-            if mask.sum() < 2:
+            vals, _, _ = _masked_values(f, cyl, minimum=0)
+            if vals.size < 2:
                 # the first contraction must resolve; deeper levels may not
                 if n <= 1:
                     raise InsufficientResolutionError(
                         f"oscillation cylinder at level {n} holds "
-                        f"{int(mask.sum())} cells")
+                        f"{vals.size} cells")
                 truncated = True
                 break
-            vals = f.values[mask]
             osc = float(vals.max() - vals.min())
             if n >= 2 and osc < tol:
                 truncated = True

@@ -23,6 +23,7 @@ __all__ = [
     "sup_on",
     "inf_on",
     "velocity_gradient",
+    "cell_centers",
     "grad_v_l1",
     "gagliardo_x_seminorm",
     "holder_seminorm",
@@ -43,13 +44,21 @@ class InsufficientResolutionError(ValueError):
 
 
 def _masked_values(f: GridFunction, cyl: Cylinder, minimum=1):
+    """(f.values[window][mask], window, mask) of the cylinder's cells."""
     f.require_cylinder(cyl)
+    window = f.window(cyl)
     mask = f.mask(cyl)
     count = int(mask.sum())
     if count < minimum:
         raise InsufficientResolutionError(
             f"cylinder holds {count} cells, need at least {minimum}")
-    return f.values[mask], mask
+    return f.values[window][mask], window, mask
+
+
+def cell_centers(f: GridFunction, window, mask):
+    """(t, x, v) coordinates of the cells f.values[window][mask]."""
+    return tuple(axis[w][i] for axis, w, i
+                 in zip((f.times, f.xs, f.vs), window, np.nonzero(mask)))
 
 
 def lp_norm(f: GridFunction, cyl: Cylinder, p) -> float:
@@ -57,7 +66,7 @@ def lp_norm(f: GridFunction, cyl: Cylinder, p) -> float:
     p = float(p)
     if not p > 0:
         raise ValueError("p must be positive")
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     if np.isinf(p):
         return float(np.max(np.abs(vals)))
     return float((np.abs(vals) ** p).sum() * f.cell_measure) ** (1.0 / p)
@@ -78,38 +87,43 @@ def level_set_fraction(f: GridFunction, cyl: Cylinder, relation: str,
     """Fraction of cylinder cells whose value satisfies the relation."""
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {sorted(_RELATIONS)}")
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     return float(np.mean(_RELATIONS[relation](vals, threshold)))
 
 
 def band_fraction(f: GridFunction, cyl: Cylinder, lo: float,
                   hi: float) -> float:
     """Fraction of cylinder cells with lo < value < hi (both strict)."""
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     return float(np.mean((vals > lo) & (vals < hi)))
 
 
 def cylinder_average(f: GridFunction, cyl: Cylinder) -> float:
     """Normalized cell average over the cylinder."""
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     return float(np.mean(vals))
 
 
 def sup_on(f: GridFunction, cyl: Cylinder) -> float:
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     return float(np.max(vals))
 
 
 def inf_on(f: GridFunction, cyl: Cylinder) -> float:
-    vals, _ = _masked_values(f, cyl)
+    vals, _, _ = _masked_values(f, cyl)
     return float(np.min(vals))
+
+
+def _grad_v_values(f: GridFunction, cyl: Cylinder) -> np.ndarray:
+    """d/dv at the cylinder's cells, in grid order."""
+    _, (wt, wx, wv), mask = _masked_values(f, cyl)
+    # the window's t/x rows on the full v axis give the grid's d/dv
+    return velocity_gradient(f.values[wt, wx], f.dv)[..., wv][mask]
 
 
 def grad_v_l1(f: GridFunction, cyl: Cylinder) -> float:
     """L^1 norm of the velocity gradient over the cylinder."""
-    _, mask = _masked_values(f, cyl)
-    g = velocity_gradient(f.values, f.dv)
-    return float(np.abs(g[mask]).sum() * f.cell_measure)
+    return float(np.abs(_grad_v_values(f, cyl)).sum() * f.cell_measure)
 
 
 def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
@@ -126,7 +140,7 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
     """
     if not 0.0 < sigma < 1.0 / 3.0:
         raise ValueError("sigma must lie in (0, 1/3)")
-    _, mask = _masked_values(f, cyl)
+    _, window, mask = _masked_values(f, cyl)
     v_ok = mask.any(axis=(0, 1))
     total = 0.0
     for it in range(mask.shape[0]):
@@ -137,12 +151,12 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
         if m < 4:
             raise InsufficientResolutionError(
                 f"only {m} x-cells in a cylinder slice, need at least 4")
-        xs = f.xs[x_ok]
+        xs = f.xs[window[1]][x_ok]
         gaps = np.abs(xs[:, None] - xs[None, :])
         np.fill_diagonal(gaps, 1.0)
         weights = gaps ** (-(1.0 + sigma))
         np.fill_diagonal(weights, 0.0)
-        vals = f.values[it][np.ix_(x_ok, v_ok)]
+        vals = f.values[window][it][np.ix_(x_ok, v_ok)]
         diffs = np.abs(vals[:, None, :] - vals[None, :, :])
         total += float(np.einsum("ijk,ij->", diffs, weights))
     return total * f.dx * f.dx * f.dv * f.dt
@@ -162,26 +176,26 @@ def holder_seminorm(f: GridFunction, cyl: Cylinder, alpha: float,
     if min_sep < coarse:
         raise ValueError(
             f"min_sep {min_sep:g} below twice the grid spacing {coarse:g}")
-    _, mask = _masked_values(f, cyl)
-    its, ixs, ivs = np.nonzero(mask)
+    _, window, mask = _masked_values(f, cyl)
 
     strides = [1, 1, 1]
-    axes = [np.unique(its), np.unique(ixs), np.unique(ivs)]
+    axes = [np.flatnonzero(mask.any(axis=other))
+            for other in ((1, 2), (0, 2), (0, 1))]
 
     def selected():
-        sel = [ax[::st] for ax, st in zip(axes, strides)]
-        sub = mask[np.ix_(sel[0], sel[1], sel[2])]
-        jt, jx, jv = np.nonzero(sub)
-        return sel[0][jt], sel[1][jx], sel[2][jv]
+        sel = np.ix_(*(ax[::st] for ax, st in zip(axes, strides)))
+        keep = np.zeros_like(mask)
+        keep[sel] = mask[sel]
+        return keep
 
-    st_t, st_x, st_v = selected()
-    while st_t.size > max_points:
+    keep = selected()
+    while np.count_nonzero(keep) > max_points:
         sizes = [len(ax[::st]) for ax, st in zip(axes, strides)]
         strides[int(np.argmax(sizes))] *= 2
-        st_t, st_x, st_v = selected()
+        keep = selected()
 
-    pts = np.stack([f.times[st_t], f.xs[st_x], f.vs[st_v]], axis=1)
-    vals = f.values[st_t, st_x, st_v]
+    pts = np.stack(cell_centers(f, window, keep), axis=1)
+    vals = f.values[window][keep]
     n = pts.shape[0]
     best = 0.0
     admissible = 0
@@ -211,14 +225,13 @@ def source_sup(coef, cyl: Cylinder, n: int = 12) -> float:
     return float(np.max(np.abs(coef.source(t, x, v))))
 
 
-def _source_values(coef, f: GridFunction, mask) -> np.ndarray:
-    """The source sampled on f's cells where mask holds."""
-    T, X, V = np.meshgrid(f.times, f.xs, f.vs, indexing="ij", copy=False)
-    return np.asarray(coef.source(T[mask], X[mask], V[mask]), float)
+def _source_values(coef, f: GridFunction, window, mask) -> np.ndarray:
+    """The source sampled on the cells f.values[window][mask]."""
+    return np.asarray(coef.source(*cell_centers(f, window, mask)), float)
 
 
 def source_l2(coef, f: GridFunction, cyl: Cylinder) -> float:
     """L^2 norm of the source sampled on f's cells inside the cylinder."""
-    _, mask = _masked_values(f, cyl)
-    svals = _source_values(coef, f, mask)
+    _, window, mask = _masked_values(f, cyl)
+    svals = _source_values(coef, f, window, mask)
     return float(np.sqrt((svals ** 2).sum() * f.cell_measure))

@@ -53,7 +53,8 @@ from .estimates.checks import (
     check_weak_poincare,
 )
 from .estimates.constants import explicit_constants
-from .estimates.norms import inf_on, lp_norm, sup_on
+from .estimates.norms import (_masked_values, cell_centers, inf_on, lp_norm,
+                              sup_on)
 from .geometry import (
     compose,
     cylinder_volume,
@@ -724,23 +725,18 @@ def run_solver_oracle(refine=1) -> dict:
               pad_x=1.0, pad_v=1.0)
     cyl = make_cylinder("centered", ORACLE_CYLINDER_CENTER,
                         ORACLE_CYLINDER_RADIUS)
-    f.require_cylinder(cyl)
-    mask = f.mask(cyl)
-    T = np.broadcast_to(f.times[:, None, None], mask.shape)[mask]
-    X = np.broadcast_to(f.xs[None, :, None], mask.shape)[mask]
-    V = np.broadcast_to(f.vs[None, None, :], mask.shape)[mask]
+    numeric, window, mask = _masked_values(f, cyl)
     xs = centered_axis(ORACLE_BOX.x0, ORACLE_BOX.x1, nx)
     vs = centered_axis(ORACLE_BOX.v0, ORACLE_BOX.v1, nv)
     source = (np.array([0.0]), xs, vs,
               oracle_datum(xs[:, None], vs[None, :])[None, :, :])
-    oracle = convolve_representation(source, (T, X, V))
-    numeric = f.values[mask]
+    oracle = convolve_representation(source, cell_centers(f, window, mask))
     scale0 = float(np.max(np.abs(oracle)))
     err = float(np.max(np.abs(numeric - oracle))) / scale0
     return {
         "refine": int(refine),
         "sup_rel_error": err,
-        "n_points": int(mask.sum()),
+        "n_points": int(numeric.size),
         "oracle_sup": scale0,
     }
 

@@ -136,17 +136,26 @@ class GridFunction:
                 f"cylinder {cyl.describe()['kind']} with bbox "
                 f"{cyl.bbox()} leaves safe box {safe}")
 
-    def mask(self, cyl: Cylinder) -> np.ndarray:
-        """Boolean membership of every grid cell center in the cylinder.
+    def window(self, bounds) -> tuple:
+        """Index slices of the cells whose centers (slice times in t) lie in
+        closed ((t0, t1), (x0, x1), (v0, v1)) bounds, or in a Cylinder's
+        bbox widened by one cell per side, so rounding drops no member."""
+        if isinstance(bounds, Cylinder):
+            bounds = [(lo - h, hi + h) for (lo, hi), h
+                      in zip(bounds.bbox(), (self.dt, self.dx, self.dv))]
+        return tuple(
+            slice(int(np.searchsorted(axis, lo, side="left")),
+                  int(np.searchsorted(axis, hi, side="right")))
+            for axis, (lo, hi) in zip((self.times, self.xs, self.vs), bounds))
 
-        Evaluated one time slice at a time so the temporaries stay at
-        nx * nv no matter how many slices are stored.
-        """
-        out = np.empty((self.times.size, self.xs.size, self.vs.size),
-                       dtype=bool)
-        X, V = np.meshgrid(self.xs, self.vs, indexing="ij", copy=False)
-        for it in range(self.times.size):
-            out[it] = cyl.contains(float(self.times[it]), X, V)
+    def mask(self, cyl: Cylinder) -> np.ndarray:
+        """Membership of the cell centers of window(cyl), one slice at a
+        time; f.values[window][mask] lists the cells in grid order."""
+        wt, wx, wv = window = self.window(cyl)
+        out = np.empty(self.values[window].shape, dtype=bool)
+        X, V = np.meshgrid(self.xs[wx], self.vs[wv], indexing="ij", copy=False)
+        for it, t in enumerate(self.times[wt]):
+            out[it] = cyl.contains(float(t), X, V)
         return out
 
     def to_binary(self, path):

@@ -202,16 +202,9 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     fv = sgn * f.values
 
     # evaluate each bump only on the index sub-box covering its support
-    def axis_slice(axis, lo, hi):
-        i0 = int(np.searchsorted(axis, lo, side="left"))
-        i1 = int(np.searchsorted(axis, hi, side="right"))
-        return slice(max(i0, 0), min(i1, axis.size))
-
     phi_data = []
     for phi in phis:
-        (ta, tb), (xa, xb), (va, vb) = phi.support()
-        sl = (axis_slice(f.times, ta, tb), axis_slice(f.xs, xa, xb),
-              axis_slice(f.vs, va, vb))
+        sl = f.window(phi.support())
         T, X, V = np.meshgrid(f.times[sl[0]], f.xs[sl[1]], f.vs[sl[2]],
                               indexing="ij", copy=False)
         A = np.asarray(coef.diffusion(T, X, V), float)

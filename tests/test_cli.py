@@ -149,25 +149,58 @@ def test_check_parameter_range_enforced(tmp_path):
         assert cli.run(config, out_dir=tmp_path / "out") == 2
 
 
+def _options(**values):
+    return lambda data, env: data.update(options=values)
+
+
+# case -> (kind, field the violation must name, edit of the config);
+# the ensemble cases edit the demo config, the others start from {}
 _MISTYPED = {
-    "grid.nx": lambda data, env: data["grid"].update(nx="a"),
-    "box.x1": lambda data, env: data["box"].update(x1=math.inf),
-    "threads": lambda data, env: data.update(threads="a"),
-    "coefficients.seeds": lambda data, env: data["coefficients"].update(
-        seeds=["a"]),
-    "KFPLAB_THREADS": lambda data, env: env.setenv("KFPLAB_THREADS", "abc"),
+    "grid.nx": ("ensemble", "grid.nx",
+                lambda data, env: data["grid"].update(nx="a")),
+    "box.x1": ("ensemble", "box.x1",
+               lambda data, env: data["box"].update(x1=math.inf)),
+    "threads": ("ensemble", "threads",
+                lambda data, env: data.update(threads="a")),
+    "coefficients.seeds": ("ensemble", "coefficients.seeds",
+                           lambda data, env: data["coefficients"].update(
+                               seeds=["a"])),
+    "strict": ("ensemble", "strict",
+               lambda data, env: data.update(strict="no")),
+    "KFPLAB_THREADS": ("ensemble", "KFPLAB_THREADS",
+                       lambda data, env: env.setenv("KFPLAB_THREADS", "abc")),
+    "constants:delta1=a": ("constants", "options.delta1",
+                           _options(delta1="a")),
+    "constants:delta1=0": ("constants", "options.delta1",
+                           _options(delta1=0.0)),
+    "constants:digits=x": ("constants", "options.digits",
+                           _options(digits="x")),
+    "constants:options=[1]": ("constants", "options",
+                              lambda data, env: data.update(options=[1])),
+    "constants:out=5": ("constants", "out",
+                        lambda data, env: data.update(out=5)),
+    "convergence:levels=ab": ("convergence", "options.levels",
+                              _options(levels="ab")),
+    "convergence:levels=[0]": ("convergence", "options.levels",
+                               _options(levels=[0])),
+    "kernel-check:kernel_mass=a": (
+        "kernel-check", "tolerances.kernel_mass",
+        lambda data, env: data.update(tolerances={"kernel_mass": "a"})),
+    "counterexample:verify=no": ("counterexample", "options.verify",
+                                 _options(verify="no")),
 }
 
 
-@pytest.mark.parametrize("field", sorted(_MISTYPED))
-def test_mistyped_field_exits_2_naming_it(field, tmp_path, monkeypatch,
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_mistyped_field_exits_2_naming_it(case, tmp_path, monkeypatch,
                                           capsys):
     monkeypatch.delenv("KFPLAB_THREADS", raising=False)
-    data = example_dict()
-    _MISTYPED[field](data, monkeypatch)
+    kind, field, edit = _MISTYPED[case]
+    data = example_dict() if kind == "ensemble" else {}
+    edit(data, monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    code = cli.main(["ensemble", "--config", str(path),
+    code = cli.main([kind, "--config", str(path),
                      "--out", str(tmp_path / "out")])
     assert code == 2
     error = json.loads(capsys.readouterr().out)
@@ -226,6 +259,32 @@ def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
     assert cli.run(config, out_dir=tmp_path) == 1
     reports = json.loads((tmp_path / "reports.json").read_text())
     assert {m["status"] for m in reports["members"]} == {"error"}
+
+
+def test_raising_check_keeps_the_seeds_other_reports(tmp_path,
+                                                     monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic checker failure")
+
+    monkeypatch.setattr(cli, "check_sobolev_gain", boom)
+    data = example_dict()
+    data["coefficients"]["seeds"] = [1]
+    data["threads"] = 1
+    data["checks"] = [{"name": "energy_estimate"},
+                      {"name": "sobolev_gain", "sigma": 0.25}]
+    # the check was not evaluated, so the run fails even without --strict
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 1
+
+    member, = json.loads((tmp_path / "reports.json").read_text())["members"]
+    assert member["status"] == "ok"
+    assert [r["statement_id"] for r in member["reports"]] == [
+        "energy_estimate"]
+    assert member["errors"] == [{"check": "sobolev_gain",
+                                 "error": "RuntimeError: synthetic "
+                                          "checker failure"}]
+    rows = (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].startswith("energy_estimate,1,")
+    assert rows[1] == "sobolev_gain,1,,,,error,"
 
 
 def test_checks_resolve_through_cli_module_names(tmp_path, monkeypatch):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfplab import geometry as geo
 from kfplab.calibration import grid_tolerance
+from kfplab.experiments import (STANDARD_BOX, STANDARD_GRID,
+                                harnack_edge_axes, harnack_observation_axes)
 from kfplab.solver import (Box, CFLViolationError, GridFunction,
                            SafeRegionError, SolverDivergenceError,
                            centered_axis, constant_coefficients,
@@ -216,9 +219,53 @@ def test_mask_counts_cells():
     gf = sample_function(lambda T, X, V: 0 * T * X * V, times, xs, vs)
     cyl = geo.make_cylinder("centered",
                             geo.PhasePoint(0.0, np.zeros(1), np.zeros(1)), 0.5)
-    frac = gf.mask(cyl).mean()
+    frac = int(gf.mask(cyl).sum()) / gf.values.size
     expected = cyl.volume() / (1.0 * 2.0 * 2.0)
     assert frac == pytest.approx(expected, rel=0.05)
+
+
+def _full_mask(f, cyl):
+    """Membership of every cell center of f, by brute force."""
+    T, X, V = np.meshgrid(f.times, f.xs, f.vs, indexing="ij")
+    return cyl.contains(T, X, V)
+
+
+def _standard_axes():
+    nx, nv, nt = STANDARD_GRID
+    b = STANDARD_BOX
+    return (b.t0 + (b.t1 - b.t0) / nt * np.arange(nt + 1),
+            centered_axis(b.x0, b.x1, nx), centered_axis(b.v0, b.v1, nv))
+
+
+_MASK_AXES = (harnack_observation_axes(), harnack_edge_axes(),
+              _standard_axes())
+_KIND_PARAMS = [("centered", {}), ("past", {}), ("future", {}),
+                ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
+                ("covering", {}), ("covering", {"mate": True}),
+                ("nested", {"k": 1}), ("nested", {"k": 3})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mask_on_window_equals_brute_force_membership(data):
+    axes = data.draw(st.sampled_from(_MASK_AXES))
+    gf = GridFunction(*axes, np.zeros(tuple(a.size for a in axes)))
+    kind, params = data.draw(st.sampled_from(_KIND_PARAMS))
+    if data.draw(st.booleans()):  # center on a cell center
+        center = [float(a[data.draw(st.integers(0, a.size - 1))])
+                  for a in axes]
+    else:
+        center = [data.draw(st.floats(float(a[0]), float(a[-1])))
+                  for a in axes]
+    # radii from below one cell to a cylinder covering the whole box
+    spans = [float(a[-1] - a[0]) for a in axes]
+    lo = 0.5 * min(gf.dt, gf.dx, gf.dv)
+    hi = max(spans[0] ** 0.5, spans[1] ** (1 / 3), spans[2])
+    radius = lo * (hi / lo) ** data.draw(st.floats(0.0, 1.0))
+    cyl = geo.make_cylinder(kind, center, radius, params)
+    placed = np.zeros(gf.values.shape, dtype=bool)
+    placed[gf.window(cyl)] = gf.mask(cyl)
+    assert np.array_equal(placed, _full_mask(gf, cyl))
 
 
 def test_single_slice_has_no_cell_measure():
