@@ -56,7 +56,8 @@ def _profile_deriv(s):
 
 @dataclasses.dataclass(frozen=True)
 class TestBump:
-    """Tensor product C-infinity test function with box support."""
+    """Tensor product C-infinity test function with box support; its
+    methods broadcast over full and open (np.ix_) grids alike."""
 
     __test__ = False  # not a pytest collection target
 
@@ -171,13 +172,22 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     """Max weak residual of f over a (beta, phi) basis.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  Test supports must stay inside the safe box (or the
-    explicitly passed region); bumps violating that are rejected.
-    Positive residuals beyond the tolerance mean the inequality fails.
+    mirrored one.  Test supports must hold a cell center and stay inside
+    the safe box (or the explicitly passed region); other bumps, and an
+    empty basis, are rejected.  Positive residuals beyond the tolerance
+    mean the inequality fails.
+
+    The hinges, their velocity gradient and the coefficients are
+    evaluated once, on the bounding index window of the bump supports
+    widened by one v cell per side (clipped to the grid), where the
+    gradient is the full grid's at every cell a bump reads.  The
+    integrand's term order is fixed, so the residuals are bitwise
+    those of a per-bump evaluation on the full grid.
     """
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
     sgn = 1.0 if direction == "sub" else -1.0
+    fv = sgn * f.values
 
     # the safe box over the stored slice times
     safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
@@ -187,37 +197,47 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     if phis is None:
         phis = default_test_basis(region)
     if betas is None:
-        vals = sgn * f.values
-        betas = default_hinges(float(vals.min()), float(vals.max()))
+        betas = default_hinges(float(fv.min()), float(fv.max()))
+    for name, basis in (("phis", phis), ("betas", betas)):
+        if len(basis) == 0:
+            raise ValueError(f"{name} is empty: no (beta, phi) pair to test")
     if tolerance is None:
         from ..calibration import grid_tolerance
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
-    for phi in phis:
+    windows = [f.window(phi.support()) for phi in phis]
+    for phi, w in zip(phis, windows):
         if not safe.contains(phi.support()):
             raise ValueError(
                 f"test bump support {phi.support()} leaves the safe box")
+        if any(s.start == s.stop for s in w):
+            raise ValueError(f"test bump {phi.support()} holds no cell center")
 
     measure = f.cell_measure
-    fv = sgn * f.values
+    # bumps' bounding window plus one v cell per side (slicing clips hi)
+    lo = [min(s.start for s in axis) for axis in zip(*windows)]
+    hi = [max(s.stop for s in axis) for axis in zip(*windows)]
+    lo[2], hi[2] = max(lo[2] - 1, 0), hi[2] + 1
+    union = tuple(map(slice, lo, hi))
+    T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
+    A = np.asarray(coef.diffusion(T, X, V), float)
+    B = np.asarray(coef.drift(T, X, V), float)
+    S = sgn * np.asarray(coef.source(T, X, V), float)
 
-    # evaluate each bump only on the index sub-box covering its support
+    # each bump on open grids of its own window, at its offset in union
     phi_data = []
-    for phi in phis:
-        sl = f.window(phi.support())
-        T, X, V = np.meshgrid(f.times[sl[0]], f.xs[sl[1]], f.vs[sl[2]],
-                              indexing="ij", copy=False)
-        A = np.asarray(coef.diffusion(T, X, V), float)
-        B = np.asarray(coef.drift(T, X, V), float)
-        S = sgn * np.asarray(coef.source(T, X, V), float)
+    for phi, w in zip(phis, windows):
+        sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
+        T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
         phi_data.append((sl, phi.transport(T, X, V), phi.value(T, X, V),
-                         phi.grad_v(T, X, V), A, B, S))
+                         phi.grad_v(T, X, V), A[sl], B[sl], S[sl]))
 
     rows = []
     worst = None
+    fu = fv[union]
     for beta in betas:
-        bf = beta.value(fv)
-        bprime = beta.deriv(fv)
+        bf = beta.value(fu)
+        bprime = beta.deriv(fu)
         gbf = velocity_gradient(bf, f.dv)
         for k, (sl, tphi, pval, gphi, A, B, S) in enumerate(phi_data):
             bfs = bf[sl]
@@ -228,13 +248,13 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
                          "residual": r})
             if worst is None or r > worst["residual"]:
                 worst = rows[-1]
-    max_res = worst["residual"] if rows else 0.0
+    max_res = worst["residual"]
     return WeakResidualReport(
         max_residual=float(max_res),
         tolerance=float(tolerance),
         passed=bool(max_res <= tolerance),
         direction=direction,
-        worst_pair=dict(worst) if worst else {},
+        worst_pair=dict(worst),
         n_pairs=len(rows),
         residuals=rows,
     )

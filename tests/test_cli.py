@@ -304,6 +304,22 @@ def test_checks_resolve_through_cli_module_names(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_resolves_weak_residual_through_cli(tmp_path, monkeypatch):
+    # perfbench/spans.py attributes weak.* time by wrapping this name
+    directions = []
+    original = cli.weak_residual
+
+    def spy(*args, **kwargs):
+        directions.append(kwargs["direction"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "weak_residual", spy)
+    data = example_dict()
+    data["kind"] = "verify"
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    assert directions == ["sub", "super"]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end subprocess runs
 

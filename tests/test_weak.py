@@ -19,7 +19,8 @@ from kfplab.solver import (
     translated_kernel_solution,
     weak_residual,
 )
-from kfplab.solver.grid import centered_axis
+from kfplab.calibration import grid_tolerance
+from kfplab.solver.grid import centered_axis, velocity_gradient
 
 
 def _axes(t0, t1, nt, x0, x1, nx, v0, v1, nv):
@@ -181,12 +182,32 @@ def test_weak_residual_rejects_bump_outside_safe_box():
         weak_residual(f, coef, phis=[bad])
 
 
+def test_weak_residual_rejects_bump_holding_no_cell():
+    # a bump between the wall and the first v center samples nothing
+    times, xs, vs = _axes(-0.4, 0.0, 20, -1.0, 1.0, 48, -1.0, 1.0, 48)
+    f = translated_kernel_solution(PhasePoint(-1.0, 0.0, 0.0),
+                                   times, xs, vs)
+    dv = f.dv
+    thin = TestBump((-0.2, 0.0, vs[0] - dv / 4), (0.1, 0.3, dv / 8))
+    with pytest.raises(ValueError, match="holds no cell"):
+        weak_residual(f, constant_coefficients(1.0, 0.0, 0.0), phis=[thin])
+
+
 def test_weak_residual_direction_validated():
     times, xs, vs = _axes(-0.2, 0.0, 10, -1.0, 1.0, 24, -1.0, 1.0, 24)
     f = indicator_subsolution(1.2, 0.0, times, xs, vs)
     with pytest.raises(ValueError, match="direction"):
         weak_residual(f, constant_coefficients(1.0, 0.0, 0.0),
                       direction="sideways")
+
+
+@pytest.mark.parametrize("name", ["phis", "betas"])
+def test_weak_residual_rejects_empty_basis(name):
+    # no (beta, phi) pair evaluated is not a pass
+    times, xs, vs = _axes(-0.2, 0.0, 10, -1.0, 1.0, 24, -1.0, 1.0, 24)
+    f = indicator_subsolution(1.2, 0.0, times, xs, vs)
+    with pytest.raises(ValueError, match=f"{name} is empty"):
+        weak_residual(f, constant_coefficients(1.0, 0.0, 0.0), **{name: []})
 
 
 def test_custom_basis_and_report_roundtrip():
@@ -203,3 +224,81 @@ def test_custom_basis_and_report_roundtrip():
     assert back["direction"] == "sub"
     assert back["worst_pair"]["beta"]["threshold"] == 0.5
     assert len(back["residuals"]) == 1
+
+
+# ------------------------------------------------- per-bump reference
+
+
+def _reference_weak_residual(f, coef, direction, betas=None, phis=None,
+                             region=None):
+    """Hinges and their gradient on every stored cell, coefficients and
+    bumps on each bump's own meshgrid, one bump at a time."""
+    sgn = 1.0 if direction == "sub" else -1.0
+    fv = sgn * f.values
+    if region is None:
+        safe = f.safe_box
+        region = ((float(f.times[0]), float(f.times[-1])),
+                  (safe.x0, safe.x1), (safe.v0, safe.v1))
+    phis = default_test_basis(region) if phis is None else phis
+    if betas is None:
+        betas = default_hinges(float(fv.min()), float(fv.max()))
+    tolerance = grid_tolerance(f.dt, f.dx, f.dv)
+    rows = []
+    for beta in betas:
+        bf = beta.value(fv)
+        bprime = beta.deriv(fv)
+        gbf = velocity_gradient(bf, f.dv)
+        for k, phi in enumerate(phis):
+            sl = f.window(phi.support())
+            T, X, V = np.meshgrid(f.times[sl[0]], f.xs[sl[1]], f.vs[sl[2]],
+                                  indexing="ij")
+            A = np.asarray(coef.diffusion(T, X, V), float)
+            B = np.asarray(coef.drift(T, X, V), float)
+            S = sgn * np.asarray(coef.source(T, X, V), float)
+            tphi = phi.transport(T, X, V)
+            pval = phi.value(T, X, V)
+            gphi = phi.grad_v(T, X, V)
+            r = f.cell_measure * float(np.sum(
+                -bf[sl] * tphi + A * gbf[sl] * gphi
+                - (B * gbf[sl] + S * bprime[sl]) * pval))
+            rows.append({"beta": beta.describe(), "phi_index": k,
+                         "residual": r})
+    worst = max(rows, key=lambda row: row["residual"])
+    return {"max_residual": worst["residual"], "tolerance": tolerance,
+            "passed": worst["residual"] <= tolerance, "direction": direction,
+            "worst_pair": dict(worst), "n_pairs": len(rows),
+            "residuals": rows}
+
+
+def _rough_solve(coef, pad_v=0.5):
+    box = Box(0.0, 0.3, -1.0, 1.0, -1.5, 1.5)
+    f0 = lambda x, v: np.exp(-4.0 * x**2 - 2.0 * v**2) + 0.1 * np.sin(3 * x)
+    return solve(f0, coef, box, nx=64, nv=40, nt=24, pad_x=0.4, pad_v=pad_v)
+
+
+ROUGH = make_rough_coefficients(3, lam=0.25, Lam=1.0, cell_size=0.08,
+                                s_amp=0.2)
+
+
+@pytest.mark.parametrize("coef, pad_v, kw", [
+    pytest.param(ROUGH, 0.5, {}, id="default-basis-with-pads"),
+    pytest.param(ROUGH, 0.0, {}, id="window-clipped-at-both-v-walls"),
+    pytest.param(ROUGH, 0.5,
+                 {"region": ((0.05, 0.25), (-0.5, 0.3), (-0.8, 0.9))},
+                 id="explicit-region"),
+    pytest.param(ROUGH, 0.5,
+                 {"phis": [TestBump((0.1, -0.4, -0.6), (0.05, 0.15, 0.3)),
+                           TestBump((0.2, 0.4, 0.6), (0.08, 0.1, 0.2))]},
+                 id="far-apart-bumps-of-different-widths"),
+    pytest.param(constant_coefficients(0.7, 0.3, 0.1), 0.5, {},
+                 id="constant"),
+    pytest.param(make_rough_coefficients(5, lam=0.2, Lam=1.0, cell_size=0.1),
+                 0.5, {}, id="zero-source"),
+])
+def test_weak_residual_bitwise_equals_per_bump_reference(coef, pad_v, kw):
+    f = _rough_solve(coef, pad_v)
+    for direction in ("sub", "super"):
+        rep = weak_residual(f, coef, direction=direction, **kw)
+        ref = _reference_weak_residual(f, coef, direction, **kw)
+        assert (json.dumps(rep.to_json_dict(), indent=1)
+                == json.dumps(ref, indent=1))
