@@ -44,7 +44,7 @@ from .estimates.checks import (
 )
 from .estimates.constants import explicit_constants
 from .solver.coefficients import make_rough_coefficients
-from .solver.grid import Box
+from .solver.grid import Box, GridFunction, centered_axis
 from .solver.march import CFL_LIMIT, solve
 from .solver.weak import weak_residual
 
@@ -220,9 +220,10 @@ def _field(config: ExperimentConfig, name: str):
     return domain.coerce(name, domain.default if value is None else value)
 
 
-def _validate_checks(config: ExperimentConfig, safe, out: list):
+def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
     """Each check entry against its statement's declaration; its
-    cylinders must fit in the safe box when there is one."""
+    cylinders must fit in the safe box when there is one, and hold the
+    cells the statement needs on the grid when there is one."""
     if not isinstance(config.checks, list):
         out.append(_violation("checks", "must be a list of check objects"))
         return
@@ -245,13 +246,28 @@ def _validate_checks(config: ExperimentConfig, safe, out: list):
             out.append(_violation(field, str(exc)))
             continue
         for cyl in cylinders if safe is not None else ():
+            desc = cyl.describe()
+            label = f"cylinder {desc['kind']} radius {desc['radius']:g}"
             if not safe.contains(cyl.bbox()):
-                desc = cyl.describe()
                 out.append(_violation(
-                    field,
-                    f"cylinder {desc['kind']} radius "
-                    f"{desc['radius']:g} with bbox {cyl.bbox()} "
-                    f"exceeds box minus padding"))
+                    field, f"{label} with bbox {cyl.bbox()} "
+                           f"exceeds box minus padding"))
+            elif grid is not None:
+                count = grid.cells(cyl, minimum=0).count
+                if count < statement.min_cells:
+                    out.append(_violation(
+                        field, f"{label} holds {count} cells of the grid, "
+                               f"needs at least {statement.min_cells}"))
+
+
+def _solve_grid(box: Box, nt, nx, nv, pad_x, pad_v) -> GridFunction:
+    """solve's axes, pads and box for these fields, over broadcast zeros."""
+    dt = (box.t1 - box.t0) / nt
+    times = box.t0 + np.arange(nt + 1) * dt
+    return GridFunction(times, centered_axis(box.x0, box.x1, nx),
+                        centered_axis(box.v0, box.v1, nv),
+                        np.broadcast_to(0.0, (nt + 1, nx, nv)),
+                        pad_x=pad_x, pad_v=pad_v, solve_box=box)
 
 
 def _validate_compute(config: ExperimentConfig, values: dict, out: list):
@@ -284,15 +300,18 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
                               "nonempty seed list required for ensemble"))
 
     pad_x, pad_v = get("pads.x"), get("pads.v")
-    safe = None
+    nt, nx, nv = get("grid.nt"), get("grid.nx"), get("grid.nv")
+    safe = grid = None
     if box is not None and None not in (pad_x, pad_v):
         if box.x0 + pad_x < box.x1 - pad_x and box.v0 + pad_v < box.v1 - pad_v:
             safe = box.shrink(pad_x, pad_v)
         else:
             out.append(_violation("pads", "padding swallows the whole box"))
-    _validate_checks(config, safe, out)
+    if safe is not None and None not in (nt, nx, nv):
+        grid = _solve_grid(box, nt, nx, nv, pad_x, pad_v)
+        safe = grid.safe_box
+    _validate_checks(config, safe, grid, out)
 
-    nt, nx = get("grid.nt"), get("grid.nx")
     if box is not None and None not in (nt, nx):
         dt = (box.t1 - box.t0) / nt
         dx = (box.x1 - box.x0) / nx

@@ -41,9 +41,6 @@ from .constants import (
 )
 from .norms import (
     InsufficientResolutionError,
-    _grad_v_values,
-    _masked_values,
-    _source_values,
     band_fraction,
     cylinder_average,
     gagliardo_x_seminorm,
@@ -132,11 +129,12 @@ class Centers:
 
 @dataclasses.dataclass(frozen=True)
 class Statement:
-    """Parameter domains of one statement and the cylinders it measures
-    on, built from the parameters with defaults filled in."""
+    """Parameter domains of one statement, the cylinders it measures on
+    (defaults filled in) and the fewest cells each of them must hold."""
 
     params: dict
     build: Callable
+    min_cells: int = 1
 
     def parameters(self, entry: dict) -> dict:
         """entry's parameters coerced into their domains, defaults filled
@@ -193,11 +191,13 @@ STATEMENTS = {
         make_cylinder("tilde_past", ORIGIN, HARNACK_R0, {"divisor": 2}),
         make_cylinder("centered", ORIGIN, 0.5 * HARNACK_R0),
         make_cylinder("past", ORIGIN, HARNACK_R0))),
-    # the level-0 cylinder of each center
+    # levels 0 and 1 at each center; an oscillation needs two cells
     "oscillation_decay": Statement(
         {"levels": Interval(1, lo_closed=True, integer=True, default=1),
          "centers": Centers()},
-        lambda p: tuple(_oscillation_level(z, 0) for z in p["centers"])),
+        lambda p: tuple(_oscillation_level(z, n) for z in p["centers"]
+                        for n in (0, 1)),
+        min_cells=2),
 }
 
 
@@ -222,6 +222,12 @@ def _require_nested(Qr: Cylinder, QR: Cylinder):
         raise ValueError("cylinders must be nested around a common center")
 
 
+def _require_nonnegative(f: GridFunction, what: str):
+    if float(f.values.min()) < -grid_tolerance(f.dt, f.dx, f.dv):
+        raise ValueError("negative values beyond the grid tolerance: "
+                         f"not a nonnegative {what}")
+
+
 def _bound(statement_id: str, override):
     return _calibrated(statement_id) if override is None else override
 
@@ -230,14 +236,14 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
                           *, pass_bound=None) -> EstimateReport:
     """Velocity-gradient energy on Qr against mass and source on QR."""
     _require_nested(Qr, QR)
-    grad = _grad_v_values(f, Qr)
+    grad = f.cells(Qr).grad_v()
     lhs = float((grad ** 2).sum() * f.cell_measure)
 
-    vals_R, window_R, mask_R = _masked_values(f, QR)
+    vals_R = f.cells(QR).values
     const = energy_constant(Qr.eff_radius, QR.eff_radius,
                             float(np.linalg.norm(QR.eff_center.v)))
     sq = float((vals_R ** 2).sum() * f.cell_measure)
-    svals = _source_values(coef, f, window_R, mask_R)
+    svals = f.cells(QR).source(coef)
     cross = float((np.abs(vals_R) * np.abs(svals)).sum() * f.cell_measure)
     sid = "energy_estimate"
     return build_report(
@@ -353,7 +359,7 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     d = 1
     q1, q1_past, q5 = statement.cylinders()
     avg = cylinder_average(f, q1_past)
-    vals1, _, _ = _masked_values(f, q1)
+    vals1 = f.cells(q1).values
     lhs = float(np.clip(vals1 - avg, 0.0, None).sum() * f.cell_measure)
     sid = "weak_poincare"
     return build_report(
@@ -483,17 +489,12 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
     """
     statement = STATEMENTS["weak_harnack"]
     statement.require(zeta=zeta)
-    tol = grid_tolerance(f.dt, f.dx, f.dv)
-    if float(f.values.min()) < -tol:
-        raise ValueError("negative values beyond the grid tolerance: "
-                         "not a nonnegative super-solution")
+    _require_nonnegative(f, "super-solution")
     tilde, lower, early = statement.cylinders()
-    tilde_vals, _, _ = _masked_values(f, tilde)
-    vals = np.clip(tilde_vals, 0.0, None)
+    vals = np.clip(f.cells(tilde).values, 0.0, None)
     lhs = float((vals ** zeta).sum() * f.cell_measure) ** (1.0 / zeta)
     d = 1
-    early_vals, _, _ = _masked_values(f, early)
-    log_vals = np.log1p(np.clip(early_vals, 0.0, None))
+    log_vals = np.log1p(np.clip(f.cells(early).values, 0.0, None))
     log_diag = float((log_vals ** _LOG_DIAG_EXPONENT).sum() * f.cell_measure)
     sid = f"weak_harnack[zeta={zeta:g}]"
     return build_report(
@@ -511,10 +512,7 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
 
 def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
     """Sup on the shifted past cylinder against the later infimum."""
-    tol = grid_tolerance(f.dt, f.dx, f.dv)
-    if float(f.values.min()) < -tol:
-        raise ValueError("negative values beyond the grid tolerance: "
-                         "not a nonnegative solution")
+    _require_nonnegative(f, "solution")
     upper, lower = STATEMENTS["harnack"].cylinders()
     lhs = max(sup_on(f, upper), 0.0)
     sid = "harnack"
@@ -556,15 +554,16 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
         radii, oscs = [], []
         for n in range(levels + 1):
             cyl = _oscillation_level(z0, n)
-            vals, _, _ = _masked_values(f, cyl, minimum=0)
-            if vals.size < 2:
+            cells = f.cells(cyl, minimum=0)
+            if cells.count < STATEMENTS["oscillation_decay"].min_cells:
                 # the first contraction must resolve; deeper levels may not
                 if n <= 1:
                     raise InsufficientResolutionError(
                         f"oscillation cylinder at level {n} holds "
-                        f"{vals.size} cells")
+                        f"{cells.count} cells")
                 truncated = True
                 break
+            vals = cells.values
             osc = float(vals.max() - vals.min())
             if n >= 2 and osc < tol:
                 truncated = True

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Cylinder
-from ..solver.grid import GridFunction, velocity_gradient
+from ..solver.grid import (GridFunction, InsufficientResolutionError,
+                           velocity_gradient)
 
 __all__ = [
     "InsufficientResolutionError",
@@ -23,7 +24,6 @@ __all__ = [
     "sup_on",
     "inf_on",
     "velocity_gradient",
-    "cell_centers",
     "grad_v_l1",
     "gagliardo_x_seminorm",
     "holder_seminorm",
@@ -39,47 +39,23 @@ _RELATIONS = {
 }
 
 
-class InsufficientResolutionError(ValueError):
-    """The cylinder captures too few grid cells for the quantity."""
-
-
-def _masked_values(f: GridFunction, cyl: Cylinder, minimum=1):
-    """(f.values[window][mask], window, mask) of the cylinder's cells."""
-    f.require_cylinder(cyl)
-    window = f.window(cyl)
-    mask = f.mask(cyl)
-    count = int(mask.sum())
-    if count < minimum:
-        raise InsufficientResolutionError(
-            f"cylinder holds {count} cells, need at least {minimum}")
-    return f.values[window][mask], window, mask
-
-
-def cell_centers(f: GridFunction, window, mask):
-    """(t, x, v) coordinates of the cells f.values[window][mask]."""
-    return tuple(axis[w][i] for axis, w, i
-                 in zip((f.times, f.xs, f.vs), window, np.nonzero(mask)))
-
-
-def lp_norm(f: GridFunction, cyl: Cylinder, p) -> float:
-    """L^p norm over the cylinder; quasi-norm for p < 1, sup for p = inf."""
+def _lp(f: GridFunction, vals, p) -> float:
     p = float(p)
     if not p > 0:
         raise ValueError("p must be positive")
-    vals, _, _ = _masked_values(f, cyl)
     if np.isinf(p):
         return float(np.max(np.abs(vals)))
     return float((np.abs(vals) ** p).sum() * f.cell_measure) ** (1.0 / p)
 
 
+def lp_norm(f: GridFunction, cyl: Cylinder, p) -> float:
+    """L^p norm over the cylinder; quasi-norm for p < 1, sup for p = inf."""
+    return _lp(f, f.cells(cyl).values, p)
+
+
 def grid_lp_norm(f: GridFunction, p) -> float:
     """L^p norm over the whole stored box (no cylinder restriction)."""
-    p = float(p)
-    if not p > 0:
-        raise ValueError("p must be positive")
-    if np.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    return float((np.abs(f.values) ** p).sum() * f.cell_measure) ** (1.0 / p)
+    return _lp(f, f.values, p)
 
 
 def level_set_fraction(f: GridFunction, cyl: Cylinder, relation: str,
@@ -87,43 +63,33 @@ def level_set_fraction(f: GridFunction, cyl: Cylinder, relation: str,
     """Fraction of cylinder cells whose value satisfies the relation."""
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {sorted(_RELATIONS)}")
-    vals, _, _ = _masked_values(f, cyl)
+    vals = f.cells(cyl).values
     return float(np.mean(_RELATIONS[relation](vals, threshold)))
 
 
 def band_fraction(f: GridFunction, cyl: Cylinder, lo: float,
                   hi: float) -> float:
     """Fraction of cylinder cells with lo < value < hi (both strict)."""
-    vals, _, _ = _masked_values(f, cyl)
+    vals = f.cells(cyl).values
     return float(np.mean((vals > lo) & (vals < hi)))
 
 
 def cylinder_average(f: GridFunction, cyl: Cylinder) -> float:
     """Normalized cell average over the cylinder."""
-    vals, _, _ = _masked_values(f, cyl)
-    return float(np.mean(vals))
+    return float(np.mean(f.cells(cyl).values))
 
 
 def sup_on(f: GridFunction, cyl: Cylinder) -> float:
-    vals, _, _ = _masked_values(f, cyl)
-    return float(np.max(vals))
+    return float(np.max(f.cells(cyl).values))
 
 
 def inf_on(f: GridFunction, cyl: Cylinder) -> float:
-    vals, _, _ = _masked_values(f, cyl)
-    return float(np.min(vals))
-
-
-def _grad_v_values(f: GridFunction, cyl: Cylinder) -> np.ndarray:
-    """d/dv at the cylinder's cells, in grid order."""
-    _, (wt, wx, wv), mask = _masked_values(f, cyl)
-    # the window's t/x rows on the full v axis give the grid's d/dv
-    return velocity_gradient(f.values[wt, wx], f.dv)[..., wv][mask]
+    return float(np.min(f.cells(cyl).values))
 
 
 def grad_v_l1(f: GridFunction, cyl: Cylinder) -> float:
     """L^1 norm of the velocity gradient over the cylinder."""
-    return float(np.abs(_grad_v_values(f, cyl)).sum() * f.cell_measure)
+    return float(np.abs(f.cells(cyl).grad_v()).sum() * f.cell_measure)
 
 
 def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
@@ -140,7 +106,8 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
     """
     if not 0.0 < sigma < 1.0 / 3.0:
         raise ValueError("sigma must lie in (0, 1/3)")
-    _, window, mask = _masked_values(f, cyl)
+    cells = f.cells(cyl)
+    window, mask = cells.window, cells.mask
     v_ok = mask.any(axis=(0, 1))
     total = 0.0
     for it in range(mask.shape[0]):
@@ -176,7 +143,8 @@ def holder_seminorm(f: GridFunction, cyl: Cylinder, alpha: float,
     if min_sep < coarse:
         raise ValueError(
             f"min_sep {min_sep:g} below twice the grid spacing {coarse:g}")
-    _, window, mask = _masked_values(f, cyl)
+    cells = f.cells(cyl)
+    mask = cells.mask
 
     strides = [1, 1, 1]
     axes = [np.flatnonzero(mask.any(axis=other))
@@ -194,8 +162,9 @@ def holder_seminorm(f: GridFunction, cyl: Cylinder, alpha: float,
         strides[int(np.argmax(sizes))] *= 2
         keep = selected()
 
-    pts = np.stack(cell_centers(f, window, keep), axis=1)
-    vals = f.values[window][keep]
+    sub = keep[mask]  # the kept cells among the cylinder's, in grid order
+    pts = np.stack(cells.centers(), axis=1)[sub]
+    vals = cells.values[sub]
     n = pts.shape[0]
     best = 0.0
     admissible = 0
@@ -225,13 +194,7 @@ def source_sup(coef, cyl: Cylinder, n: int = 12) -> float:
     return float(np.max(np.abs(coef.source(t, x, v))))
 
 
-def _source_values(coef, f: GridFunction, window, mask) -> np.ndarray:
-    """The source sampled on the cells f.values[window][mask]."""
-    return np.asarray(coef.source(*cell_centers(f, window, mask)), float)
-
-
 def source_l2(coef, f: GridFunction, cyl: Cylinder) -> float:
     """L^2 norm of the source sampled on f's cells inside the cylinder."""
-    _, window, mask = _masked_values(f, cyl)
-    svals = _source_values(coef, f, window, mask)
+    svals = f.cells(cyl).source(coef)
     return float(np.sqrt((svals ** 2).sum() * f.cell_measure))

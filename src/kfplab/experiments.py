@@ -53,8 +53,7 @@ from .estimates.checks import (
     check_weak_poincare,
 )
 from .estimates.constants import explicit_constants
-from .estimates.norms import (_masked_values, cell_centers, inf_on, lp_norm,
-                              sup_on)
+from .estimates.norms import inf_on, lp_norm, sup_on
 from .geometry import (
     compose,
     cylinder_volume,
@@ -161,10 +160,6 @@ def lifted_copy(f: GridFunction, amount: float) -> GridFunction:
                         solve_box=f.solve_box, meta=meta)
 
 
-def _constants_by_statement(reports):
-    return {r.statement_id: r.empirical_constant for r in reports}
-
-
 # ------------------------------------------------------------------
 # standard ensemble
 
@@ -248,12 +243,14 @@ def run_standard_ensemble(seeds=ENSEMBLE_SEEDS, **kwargs) -> list:
     return [run_standard_member(seed, **kwargs) for seed in seeds]
 
 
+def _member_constants(seed, **kwargs) -> dict:
+    reports = run_standard_member(seed, **kwargs)["reports"]
+    return {r.statement_id: r.empirical_constant for r in reports}
+
+
 def run_refinement_pair(seed) -> dict:
     """Empirical constants at the base grid and one refinement."""
-    base = run_standard_member(seed)
-    fine = run_standard_member(seed, refine=2)
-    cb = _constants_by_statement(base["reports"])
-    cf = _constants_by_statement(fine["reports"])
+    cb, cf = _member_constants(seed), _member_constants(seed, refine=2)
     return {
         "seed": int(seed),
         "base": cb,
@@ -265,10 +262,8 @@ def run_refinement_pair(seed) -> dict:
 def run_boundary_pair(seed) -> dict:
     """Relative shift of every constant when the solve box x and v
     extents grow by half while the cylinders stay put."""
-    base = run_standard_member(seed)
-    wide = run_standard_member(seed, box_scale=BOUNDARY_SCALE)
-    cb = _constants_by_statement(base["reports"])
-    cw = _constants_by_statement(wide["reports"])
+    cb = _member_constants(seed)
+    cw = _member_constants(seed, box_scale=BOUNDARY_SCALE)
     return {
         "seed": int(seed),
         "base": cb,
@@ -285,6 +280,14 @@ POINCARE_POLE = (-3.0, -6.0, 2.0)
 POINCARE_BOX = Box(-25.2, 0.0, -126.0, 126.0, -7.0, 7.0)
 
 
+def _poincare_axes(nt, nx, nv):
+    """Cell-centered axes of the box, the last slice at t = 0."""
+    b = POINCARE_BOX
+    dt = (b.t1 - b.t0) / nt
+    return (dt * (np.arange(nt) + 1.0 - nt), centered_axis(b.x0, b.x1, nx),
+            centered_axis(b.v0, b.v1, nv))
+
+
 def poincare_instance() -> GridFunction:
     """Kernel translate whose peak sweeps into the unit ball only near
     t = 0, so the field genuinely exceeds its average over the earlier
@@ -292,12 +295,8 @@ def poincare_instance() -> GridFunction:
     inside the box but its concentration time falls between grid slices
     and its x-offset misses the nearest cell center by many widths, so
     no lattice value is anywhere near singular."""
-    nt, nx, nv = 128, 256, 128
-    dt = (POINCARE_BOX.t1 - POINCARE_BOX.t0) / nt
-    times = dt * (np.arange(nt) + 1.0 - nt)
-    xs = centered_axis(POINCARE_BOX.x0, POINCARE_BOX.x1, nx)
-    vs = centered_axis(POINCARE_BOX.v0, POINCARE_BOX.v1, nv)
-    return translated_kernel_solution(POINCARE_POLE, times, xs, vs,
+    return translated_kernel_solution(POINCARE_POLE,
+                                      *_poincare_axes(128, 256, 128),
                                       pad_x=1.0, pad_v=2.0)
 
 
@@ -312,12 +311,7 @@ def run_poincare_constant() -> dict:
     """Constant field: the positive-part left side must vanish exactly;
     the constant is dyadic so the cylinder average is exact.  The grid
     is only fine enough to resolve the unit balls inside the wide box."""
-    nt, nx, nv = 56, 512, 32
-    dt = (POINCARE_BOX.t1 - POINCARE_BOX.t0) / nt
-    times = dt * (np.arange(nt) + 1.0 - nt)
-    xs = centered_axis(POINCARE_BOX.x0, POINCARE_BOX.x1, nx)
-    vs = centered_axis(POINCARE_BOX.v0, POINCARE_BOX.v1, nv)
-    f = _constant_grid(times, xs, vs)
+    f = _constant_grid(*_poincare_axes(56, 512, 32))
     report = check_weak_poincare(f, constant_coefficients(1.0, 0.0, 0.0), 0.25)
     return {"report": report, "lhs": report.lhs}
 
@@ -489,12 +483,8 @@ def harnack_edge_axes():
     return times, xs, vs
 
 
-def harnack_pole_instance(pole) -> GridFunction:
-    return translated_kernel_solution(pole, *harnack_observation_axes())
-
-
 def run_harnack_member(pole) -> dict:
-    f = harnack_pole_instance(pole)
+    f = translated_kernel_solution(pole, *harnack_observation_axes())
     coef = constant_coefficients(1.0, 0.0, 0.0)
     return {
         "pole": tuple(float(c) for c in pole),
@@ -516,7 +506,8 @@ def run_harnack_volume() -> dict:
     f = _constant_grid(*harnack_edge_axes())
     report = check_weak_harnack(f, constant_coefficients(1.0, 0.0, 0.0),
                                 zeta=1.0)
-    analytic = CONSTANT_LEVEL * cylinder_volume(_weak_cylinders()[0])
+    tilde = _harnack_pair("weak_harnack")[0]
+    analytic = CONSTANT_LEVEL * cylinder_volume(tilde)
     return {
         "report": report,
         "lhs": report.lhs,
@@ -525,20 +516,10 @@ def run_harnack_volume() -> dict:
     }
 
 
-def _strong_cylinders(g=None):
-    upper, lower = STATEMENTS["harnack"].cylinders()
-    if g is not None:
-        upper = translate_cylinder(g, upper)
-        lower = translate_cylinder(g, lower)
-    return upper, lower
-
-
-def _weak_cylinders(g=None):
-    tilde, lower, _ = STATEMENTS["weak_harnack"].cylinders()
-    if g is not None:
-        tilde = translate_cylinder(g, tilde)
-        lower = translate_cylinder(g, lower)
-    return tilde, lower
+def _harnack_pair(name, g=None):
+    """The first two cylinders STATEMENTS[name] declares, moved by g."""
+    pair = STATEMENTS[name].cylinders()[:2]
+    return pair if g is None else tuple(translate_cylinder(g, c) for c in pair)
 
 
 def _strong_ratio(f, cyls):
@@ -577,9 +558,11 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
 
     times_a, xs_a, vs_a = harnack_observation_axes()
     f_a = translated_kernel_solution(pole, times_a, xs_a, vs_a)
-    strong_a = _strong_ratio(f_a, _strong_cylinders())
-    weak_a = _weak_ratio(f_a, _weak_cylinders())
-    weak_a_norm = _weak_ratio(f_a, _weak_cylinders(), normalized=True)
+    strong = _harnack_pair("harnack")
+    weak = _harnack_pair("weak_harnack")
+    strong_a = _strong_ratio(f_a, strong)
+    weak_a = _weak_ratio(f_a, weak)
+    weak_a_norm = _weak_ratio(f_a, weak, normalized=True)
 
     # lattice-commensurate translation: v1 dt = 4 dx exactly by choice
     g1 = (-166.0 * dtt, 51.0 * dx, 4.0 * dx / dtt)
@@ -587,8 +570,8 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
     xs_c = dx * np.arange(-356, 75)
     vs_c = g1[2] + dv * (np.arange(48) - 23.5)
     f_c = translated_kernel_solution(compose(g1, pole), times_c, xs_c, vs_c)
-    strong_c = _strong_ratio(f_c, _strong_cylinders(g1))
-    weak_c = _weak_ratio(f_c, _weak_cylinders(g1))
+    strong_c = _strong_ratio(f_c, _harnack_pair("harnack", g1))
+    weak_c = _weak_ratio(f_c, _harnack_pair("weak_harnack", g1))
 
     # generic translation: shear 2.08 cells per slice, anchored so the
     # small upper and lower balls still catch a column on their slices
@@ -598,18 +581,15 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
     xs_d = dx * np.arange(-63, 182)
     vs_d = g2[2] + dv * (np.arange(48) - 23.5)
     f_d = translated_kernel_solution(compose(g2, pole), times_d, xs_d, vs_d)
-    strong_d = _strong_ratio(f_d, _strong_cylinders(g2))
+    strong_d = _strong_ratio(f_d, _harnack_pair("harnack", g2))
 
     # dilation by 1/2: exact in floating point, values carry over
     r = 0.5
     f_e = GridFunction(r * r * times_a, r ** 3 * xs_a, r * vs_a,
                        f_a.values.copy())
-    upper_e = scale_cylinder(r, _strong_cylinders()[0])
-    lower_e = scale_cylinder(r, _strong_cylinders()[1])
-    tilde_e = scale_cylinder(r, _weak_cylinders()[0])
-    lower_we = scale_cylinder(r, _weak_cylinders()[1])
-    strong_e = _strong_ratio(f_e, (upper_e, lower_e))
-    weak_e_norm = _weak_ratio(f_e, (tilde_e, lower_we), normalized=True)
+    strong_e = _strong_ratio(f_e, [scale_cylinder(r, c) for c in strong])
+    weak_e_norm = _weak_ratio(f_e, [scale_cylinder(r, c) for c in weak],
+                              normalized=True)
 
     return {
         "pole": tuple(float(c) for c in pole),
@@ -725,12 +705,11 @@ def run_solver_oracle(refine=1) -> dict:
               pad_x=1.0, pad_v=1.0)
     cyl = make_cylinder("centered", ORACLE_CYLINDER_CENTER,
                         ORACLE_CYLINDER_RADIUS)
-    numeric, window, mask = _masked_values(f, cyl)
-    xs = centered_axis(ORACLE_BOX.x0, ORACLE_BOX.x1, nx)
-    vs = centered_axis(ORACLE_BOX.v0, ORACLE_BOX.v1, nv)
-    source = (np.array([0.0]), xs, vs,
-              oracle_datum(xs[:, None], vs[None, :])[None, :, :])
-    oracle = convolve_representation(source, cell_centers(f, window, mask))
+    cells = f.cells(cyl)
+    numeric = cells.values
+    source = (np.array([0.0]), f.xs, f.vs,
+              oracle_datum(f.xs[:, None], f.vs[None, :])[None, :, :])
+    oracle = convolve_representation(source, cells.centers())
     scale0 = float(np.max(np.abs(oracle)))
     err = float(np.max(np.abs(numeric - oracle))) / scale0
     return {

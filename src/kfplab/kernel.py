@@ -297,28 +297,6 @@ def translated_kernel_values(z0, t, x, v, d=1):
     return kolmogorov_g(tt, xx, vv, d=d)
 
 
-def _source_arrays(source):
-    if hasattr(source, "times"):
-        return (np.asarray(source.times, float), np.asarray(source.xs, float),
-                np.asarray(source.vs, float), np.asarray(source.values, float))
-    times, xs, vs, values = source
-    return (np.asarray(times, float), np.asarray(xs, float),
-            np.asarray(vs, float), np.asarray(values, float))
-
-
-def _eval_arrays(eval_points):
-    if isinstance(eval_points, (list, tuple)) and len(eval_points) == 3:
-        t, x, v = (np.atleast_1d(np.asarray(a, float)) for a in eval_points)
-        return np.broadcast_arrays(t, x, v)
-    ts, xs, vs = [], [], []
-    for z in eval_points:
-        if isinstance(z, PhasePoint):
-            ts.append(z.t); xs.append(z.x[0]); vs.append(z.v[0])
-        else:
-            ts.append(z[0]); xs.append(z[1]); vs.append(z[2])
-    return np.asarray(ts), np.asarray(xs), np.asarray(vs)
-
-
 def _slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
     """Integral of G(tau, x - x' - tau v', v - v') slab(x', v') dx' dv'."""
     X, V = np.meshgrid(xg, vg, indexing="ij")
@@ -330,10 +308,11 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
                             tail_correction=True):
     """Duhamel convolution of the kernel with a gridded source.
 
-    source: object with .times, .xs, .vs, .values (shape nt x nx x nv)
-    on uniform axes, or a (times, xs, vs, values) tuple.  A single time
-    slice is treated as an initial datum: the slice is propagated
-    without a time weight.  Several slices form a space-time source
+    source: a (times, xs, vs, values) tuple, values of shape
+    (nt, nx, nv) on uniform axes; eval_points: a (t, x, v) tuple of
+    broadcastable coordinate arrays.  A single time slice is treated
+    as an initial datum: the slice is propagated without a time
+    weight.  Several slices form a space-time source
     integrated in the elapsed time tau with midpoint panels; panels
     shorter than the source time spacing refine geometrically (factor
     2) toward the kernel concentration endpoint tau -> 0, and the
@@ -342,12 +321,13 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
 
     Evaluation points earlier than the whole source support return 0.
     """
-    times, xs, vs, values = _source_arrays(source)
+    times, xs, vs, values = (np.asarray(a, float) for a in source)
     if values.ndim != 3 or values.shape != (times.size, xs.size, vs.size):
         raise ValueError("source values must have shape (nt, nx, nv)")
     dx = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
     dv = float(vs[1] - vs[0]) if vs.size > 1 else 1.0
-    te, xe, ve = _eval_arrays(eval_points)
+    te, xe, ve = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, float)) for a in eval_points))
     out = np.zeros(te.shape, dtype=float)
 
     if times.size == 1:

@@ -42,6 +42,12 @@ def _hash_cells(seed, channel, it, ix, iv):
     return h.astype(np.float64) / 2.0**64
 
 
+def _full(value, t, x, v):
+    """value everywhere on the broadcast shape of (t, x, v)."""
+    shape = np.broadcast(np.asarray(t), np.asarray(x), np.asarray(v)).shape
+    return np.full(shape, value)
+
+
 @dataclasses.dataclass(frozen=True)
 class CoefficientField:
     """Coefficients (A, B, S) evaluable at arbitrary phase points.
@@ -87,29 +93,21 @@ class CoefficientField:
 
     def diffusion(self, t, x, v):
         if self.kind == "constant":
-            shape = np.broadcast(np.asarray(t), np.asarray(x),
-                                 np.asarray(v)).shape
-            return np.full(shape, self.const[0])
+            return _full(self.const[0], t, x, v)
         u = self._uniform("A", t, x, v)
         return self.lam + (self.Lam - self.lam) * u
 
     def drift(self, t, x, v):
         if self.kind == "constant":
-            shape = np.broadcast(np.asarray(t), np.asarray(x),
-                                 np.asarray(v)).shape
-            return np.full(shape, self.const[1])
+            return _full(self.const[1], t, x, v)
         u = self._uniform("B", t, x, v)
         return -self.Lam + 2.0 * self.Lam * u
 
     def source(self, t, x, v):
         if self.kind == "constant":
-            shape = np.broadcast(np.asarray(t), np.asarray(x),
-                                 np.asarray(v)).shape
-            return np.full(shape, self.const[2])
+            return _full(self.const[2], t, x, v)
         if self.s_amp == 0.0:
-            shape = np.broadcast(np.asarray(t), np.asarray(x),
-                                 np.asarray(v)).shape
-            return np.zeros(shape)
+            return _full(0.0, t, x, v)
         u = self._uniform("S", t, x, v)
         return -self.s_amp + 2.0 * self.s_amp * u
 

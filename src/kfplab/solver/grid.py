@@ -18,7 +18,8 @@ import numpy as np
 
 from ..geometry import Cylinder
 
-__all__ = ["Box", "GridFunction", "SafeRegionError", "sample_function",
+__all__ = ["Box", "CylinderCells", "GridFunction", "SafeRegionError",
+           "InsufficientResolutionError", "sample_function",
            "load_grid_function", "velocity_gradient"]
 
 _MAGIC = b"KFPG"
@@ -27,6 +28,10 @@ _VERSION = 1
 
 class SafeRegionError(ValueError):
     """A measurement region leaves the boundary-clean part of the grid."""
+
+
+class InsufficientResolutionError(ValueError):
+    """The cylinder captures too few grid cells for the quantity."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +89,8 @@ class GridFunction:
     pad_v: float = 0.0
     solve_box: Box = None
     meta: dict = dataclasses.field(default_factory=dict)
+    _cells: dict = dataclasses.field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -158,6 +165,25 @@ class GridFunction:
             out[it] = cyl.contains(float(t), X, V)
         return out
 
+    def cells(self, cyl: Cylinder, minimum=1) -> "CylinderCells":
+        """The cells whose centers lie in the cylinder, built once per
+        cylinder: the memo is keyed by the effective center and radius,
+        the only fields membership reads.  Every call raises
+        SafeRegionError unless the cylinder sits in the safe box, and
+        InsufficientResolutionError if it holds fewer than minimum cells.
+        """
+        self.require_cylinder(cyl)
+        z = cyl.eff_center
+        key = (z.t, *z.x, *z.v, cyl.eff_radius)
+        cells = self._cells.get(key)
+        if cells is None:
+            cells = CylinderCells(self, self.window(cyl), self.mask(cyl))
+            self._cells[key] = cells
+        if cells.count < minimum:
+            raise InsufficientResolutionError(
+                f"cylinder holds {cells.count} cells, need at least {minimum}")
+        return cells
+
     def to_binary(self, path):
         meta = dict(self.meta)
         meta["pad_x"] = self.pad_x
@@ -188,6 +214,41 @@ class GridFunction:
                                  f"{float(self.xs[ix])!r},"
                                  f"{float(self.vs[iv])!r},"
                                  f"{float(self.values[it, ix, iv])!r}\n")
+
+
+class CylinderCells:
+    """The cells of a grid function whose centers lie in one cylinder:
+    mask marks them in the grid block that window slices out, and
+    values, grad_v, centers and source list them in grid order.  Only
+    views of the grid's arrays are kept, so the memo forms no cycle."""
+
+    def __init__(self, f: GridFunction, window, mask):
+        wt, wx, wv = self.window = window
+        self.mask = mask
+        self.count = int(np.count_nonzero(mask))
+        self._rows = f.values[wt, wx]  # whole v rows, for d/dv at walls
+        self._dv = f.dv
+        self._axes = (f.times[wt], f.xs[wx], f.vs[wv])
+        self._sources = {}
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._rows[..., self.window[2]][self.mask]
+
+    def grad_v(self) -> np.ndarray:
+        """The grid's velocity_gradient at the cells."""
+        grad = velocity_gradient(self._rows, self._dv)
+        return grad[..., self.window[2]][self.mask]
+
+    def centers(self) -> tuple:
+        return tuple(a[i] for a, i in zip(self._axes, np.nonzero(self.mask)))
+
+    def source(self, coef) -> np.ndarray:
+        """coef.source at the cell centers, sampled once per field."""
+        if coef not in self._sources:
+            self._sources[coef] = np.asarray(coef.source(*self.centers()),
+                                             float)
+        return self._sources[coef]
 
 
 def load_grid_function(path) -> GridFunction:

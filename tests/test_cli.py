@@ -13,10 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kfplab import cli
 from kfplab.cli import ExperimentConfig, parse_seeds, validate
+from kfplab.estimates.checks import STATEMENTS
+from kfplab.solver.grid import Box
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE = REPO / "docs" / "example_config.json"
@@ -96,6 +99,46 @@ def test_cylinder_exceeding_box_names_the_cylinder():
     assert all(v["field"] == "checks[0]" for v in violations)
     assert any("cylinder" in v["reason"] and "exceeds" in v["reason"]
                for v in violations)
+
+
+@pytest.mark.parametrize("checks", [
+    [{"name": "oscillation_decay"}],
+    [{"name": "energy_estimate"}, {"name": "oscillation_decay", "levels": 2}],
+    [{"name": "energy_estimate"}, {"name": "harnack"}],
+], ids=["oscillation", "oscillation_levels2", "harnack"])
+def test_unresolved_cylinder_exits_2_without_solving(checks, tmp_path,
+                                                      monkeypatch, capsys):
+    # the demo grid's cells are far wider than these small cylinders
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should not validate")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    data = example_dict()
+    data["checks"] = checks
+    code = cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    bad = f"checks[{len(checks) - 1}]"
+    assert {v["field"] for v in error["violations"]} == {bad}
+    assert all("holds 0 cells of the grid" in v["reason"]
+               for v in error["violations"])
+
+
+def test_validation_counts_cells_on_the_axes_solve_stores():
+    data = example_dict()
+    config = ExperimentConfig.from_dict(data)
+    f, _ = cli._solve_member(config, 1)
+    g = data["grid"]
+    grid = cli._solve_grid(Box(**data["box"]), g["nt"], g["nx"], g["nv"],
+                           data["pads"]["x"], data["pads"]["v"])
+    for a, b in zip((grid.times, grid.xs, grid.vs), (f.times, f.xs, f.vs)):
+        assert np.array_equal(a, b)
+    assert grid.safe_box == f.safe_box
+    for name in ("energy_estimate", "oscillation_decay"):
+        for cyl in STATEMENTS[name].cylinders():
+            if grid.safe_box.contains(cyl.bbox()):
+                assert (grid.cells(cyl, minimum=0).count
+                        == f.cells(cyl, minimum=0).count)
 
 
 def test_unknown_check_name_flagged():
