@@ -44,7 +44,8 @@ from .estimates.checks import (
 )
 from .estimates.constants import explicit_constants
 from .solver.coefficients import make_rough_coefficients
-from .solver.grid import Box, GridFunction, centered_axis
+from .solver.grid import (Box, GridFunction, InsufficientResolutionError,
+                          centered_axis)
 from .solver.march import CFL_LIMIT, solve
 from .solver.weak import weak_residual
 
@@ -223,7 +224,8 @@ def _field(config: ExperimentConfig, name: str):
 def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
     """Each check entry against its statement's declaration; its
     cylinders must fit in the safe box when there is one, and hold the
-    cells the statement needs on the grid when there is one."""
+    cells and per-slice x-cells the statement needs on the grid when
+    there is one."""
     if not isinstance(config.checks, list):
         out.append(_violation("checks", "must be a list of check objects"))
         return
@@ -253,11 +255,16 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
                     field, f"{label} with bbox {cyl.bbox()} "
                            f"exceeds box minus padding"))
             elif grid is not None:
-                count = grid.cells(cyl, minimum=0).count
-                if count < statement.min_cells:
+                cells = grid.cells(cyl, minimum=0)
+                if cells.count < statement.min_cells:
                     out.append(_violation(
-                        field, f"{label} holds {count} cells of the grid, "
-                               f"needs at least {statement.min_cells}"))
+                        field, f"{label} holds {cells.count} cells of the "
+                               f"grid, needs at least {statement.min_cells}"))
+                elif statement.min_x_cells:
+                    try:
+                        cells.x_columns(statement.min_x_cells)
+                    except InsufficientResolutionError as exc:
+                        out.append(_violation(field, f"{label}: {exc}"))
 
 
 def _solve_grid(box: Box, nt, nx, nv, pad_x, pad_v) -> GridFunction:

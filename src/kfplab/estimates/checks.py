@@ -40,6 +40,7 @@ from .constants import (
     increase_constants,
 )
 from .norms import (
+    GAGLIARDO_MIN_X_CELLS,
     InsufficientResolutionError,
     band_fraction,
     cylinder_average,
@@ -130,11 +131,14 @@ class Centers:
 @dataclasses.dataclass(frozen=True)
 class Statement:
     """Parameter domains of one statement, the cylinders it measures on
-    (defaults filled in) and the fewest cells each of them must hold."""
+    (defaults filled in), the fewest cells each of them must hold and
+    the fewest x-cells each of their time slices holding a cell must
+    hold (CylinderCells.x_columns)."""
 
     params: dict
     build: Callable
     min_cells: int = 1
+    min_x_cells: int = 0
 
     def parameters(self, entry: dict) -> dict:
         """entry's parameters coerced into their domains, defaults filled
@@ -173,7 +177,10 @@ _SIGMA = Interval(0.0, 1.0 / 3.0)
 STATEMENTS = {
     "energy_estimate": Statement(_PAIR, pair_cylinders),
     "gain_integrability": Statement({**_PAIR, "p": _GAIN_P}, pair_cylinders),
-    "sobolev_gain": Statement({**_PAIR, "sigma": _SIGMA}, pair_cylinders),
+    # the Gagliardo pair sum runs on Q_r; Q_R holds at least Q_r's
+    # x-cells in every slice, so checking both rejects nothing more
+    "sobolev_gain": Statement({**_PAIR, "sigma": _SIGMA}, pair_cylinders,
+                              min_x_cells=GAGLIARDO_MIN_X_CELLS),
     "linfty_bound": Statement({**_PAIR, "zeta": Interval(0.0)},
                               pair_cylinders),
     # Q_1, the past cylinder Q_1(-2, 0, 0) and Q_5

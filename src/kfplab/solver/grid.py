@@ -243,6 +243,21 @@ class CylinderCells:
     def centers(self) -> tuple:
         return tuple(a[i] for a, i in zip(self._axes, np.nonzero(self.mask)))
 
+    def x_columns(self, minimum=0) -> list:
+        """(it, x_ok) for each time slice it of the window that holds a
+        cell, x_ok marking the window's x-cells in use at it; raises
+        InsufficientResolutionError when such a slice has fewer than
+        minimum x-cells."""
+        x_ok = self.mask.any(axis=2)
+        counts = x_ok.sum(axis=1)
+        held = np.flatnonzero(counts)
+        short = held[counts[held] < minimum]
+        if short.size:
+            raise InsufficientResolutionError(
+                f"only {counts[short[0]]} x-cells in a cylinder slice, "
+                f"need at least {minimum}")
+        return [(it, x_ok[it]) for it in held]
+
     def source(self, coef) -> np.ndarray:
         """coef.source at the cell centers, sampled once per field."""
         if coef not in self._sources:

@@ -19,6 +19,14 @@ reused while the midpoint stays in that cell, so each step runs only
 the Thomas sweeps.  Constants are invariant up to roundoff, and without
 drift and diffusion of structure the scheme reduces to exact advection
 of whole-cell shifts.
+
+Inside solve the state and the v-factors are velocity-major (nv, nx)
+C-order arrays, so each step of the forward elimination and of both
+Thomas sweeps works on one contiguous velocity row.  Transport groups
+the rows by their integer shift k (monotone in v, so each group is a
+contiguous row range) and reads each group's four stencil columns as
+slices of a periodically padded copy of the state.  The stored slices
+keep the (t, x, v) layout of GridFunction.
 """
 
 from __future__ import annotations
@@ -58,12 +66,14 @@ class SolverDivergenceError(RuntimeError):
         super().__init__(f"solver diverged at step {step} (t = {time:.6g})")
 
 
-def transport_weights(vs, shift_time, dx, nx):
-    """Gather indices and cubic weights for one transport substep.
+def transport_weights(vs, shift_time, dx):
+    """Integer shifts and cubic weights for one transport substep.
 
     Departure points x - v * shift_time are split into an exact integer
-    cell shift and a fractional part interpolated with the 4-point
-    Lagrange cubic.  The center weight is defined as one minus the other
+    cell shift k and a fractional part interpolated with the 4-point
+    Lagrange cubic.  The new value at cell i of velocity row j is
+    sum over m in (-2, -1, 0, 1) of weights[m + 2][j] * f[i - k[j] + m, j],
+    periodic in x.  The center weight is defined as one minus the other
     three, so the weights sum to 1 up to a single rounding and constants
     drift only at roundoff level per step.
     """
@@ -75,68 +85,91 @@ def transport_weights(vs, shift_time, dx, nx):
     w_m1 = (xi + 2.0) * xi * (xi - 1.0) / 2.0
     w_p1 = (xi + 2.0) * (xi + 1.0) * xi / 6.0
     w_0 = 1.0 - (w_m2 + w_m1 + w_p1)
-    cols = np.arange(nx)[:, None]
-    idx = [(cols - k[None, :] + m) % nx for m in (-2, -1, 0, 1)]
-    weights = [w_m2, w_m1, w_0, w_p1]
-    return idx, weights
+    return k, [w_m2, w_m1, w_0, w_p1]
 
 
-def _apply_transport(f, gather, weights):
-    """Cubic gather along x; gather holds flat indices into f."""
-    out = weights[0][None, :] * f.take(gather[0])
-    for m in range(1, 4):
-        out += weights[m][None, :] * f.take(gather[m])
-    return out
+def _transport(k, weights, nx):
+    """Transport of an (nv, nx) state by shifted slices of a padded copy.
+
+    The state is copied once per call into a buffer padded periodically
+    by 2 + max|k| columns on each side (one wrapping gather, so any nx
+    works); every run of rows sharing one shift k then reads its four
+    stencil columns as plain slices of its rows.  k is monotone in v,
+    so each run is a contiguous row range.
+    """
+    pad = 2 + int(np.abs(k).max())
+    padded = np.arange(-pad, nx + pad)
+    buf = np.empty((k.size, nx + 2 * pad))
+    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1), k.size]
+    # rows r0:r1, the padded column of their m = -2 stencil cell, weights
+    groups = [(r0, r1, pad - k[r0] - 2, [w[r0:r1, None] for w in weights])
+              for r0, r1 in zip(cuts, cuts[1:])]
+
+    def apply(f):
+        np.take(f, padded, axis=1, out=buf, mode="wrap")
+        out = np.empty_like(f)
+        for r0, r1, c, w in groups:
+            rows = buf[r0:r1]
+            acc = out[r0:r1]
+            np.multiply(w[0], rows[:, c:c + nx], out=acc)
+            for m in range(1, 4):
+                acc += w[m] * rows[:, c + m:c + m + nx]
+        return out
+
+    return apply
 
 
 def _v_factors(coef, t_mid, xs, vs, dv, dt):
     """Backward-Euler v-matrix at t_mid, forward-eliminated once.
 
     Returns (lower, denom, cp, ds): the sub-diagonal, the Thomas pivots
-    and upper multipliers, and dt * S, all of shape (nx, nv).
+    and upper multipliers, and dt * S, all of shape (nv, nx).
     """
-    nx, nv = xs.size, vs.size
-    X = xs[:, None]
+    nv, nx = vs.size, xs.size
+    X = xs[None, :]
+    V = vs[:, None]
     # harmonic mean of the cell diffusivities on interior v-faces
-    a_cell = np.asarray(coef.diffusion(t_mid, X, vs[None, :]), float)
-    a_face = np.zeros((nx, nv + 1))
-    al = a_cell[:, :-1]
-    ar = a_cell[:, 1:]
-    a_face[:, 1:-1] = 2.0 * al * ar / (al + ar)
-    b = np.asarray(coef.drift(t_mid, X, vs[None, :]), float)
-    s = np.asarray(coef.source(t_mid, X, vs[None, :]), float)
+    a_cell = np.asarray(coef.diffusion(t_mid, X, V), float)
+    a_face = np.zeros((nv + 1, nx))
+    al = a_cell[:-1]
+    ar = a_cell[1:]
+    a_face[1:-1] = 2.0 * al * ar / (al + ar)
+    b = np.asarray(coef.drift(t_mid, X, V), float)
+    s = np.asarray(coef.source(t_mid, X, V), float)
 
     pos_b = np.maximum(b, 0.0)
     neg_b = np.maximum(-b, 0.0)
     # the upwind side is outside the grid at the walls: drop that part
-    pos_b[:, -1] = 0.0
-    neg_b[:, 0] = 0.0
+    pos_b[-1] = 0.0
+    neg_b[0] = 0.0
 
     r = dt / dv**2
     q = dt / dv
-    lower = -(r * a_face[:, :-1] + q * neg_b)
-    upper = -(r * a_face[:, 1:] + q * pos_b)
-    diag = 1.0 + r * (a_face[:, :-1] + a_face[:, 1:]) + q * (pos_b + neg_b)
+    lower = -(r * a_face[:-1] + q * neg_b)
+    upper = -(r * a_face[1:] + q * pos_b)
+    diag = 1.0 + r * (a_face[:-1] + a_face[1:]) + q * (pos_b + neg_b)
 
-    denom = np.empty_like(diag)
-    cp = np.empty_like(diag)
-    denom[:, 0] = diag[:, 0]
-    cp[:, 0] = upper[:, 0] / diag[:, 0]
-    for j in range(1, nv):
-        denom[:, j] = diag[:, j] - lower[:, j] * cp[:, j - 1]
-        cp[:, j] = upper[:, j] / denom[:, j]
+    # forward elimination in place, one velocity row per step: diag
+    # becomes the pivots and upper the multipliers
+    denom, cp = diag, upper
+    cp[0] /= denom[0]
+    for d, c, c_prev, lo in zip(denom[1:], cp[1:], cp, lower[1:]):
+        d -= lo * c_prev
+        c /= d
     return lower, denom, cp, dt * s
 
 
 def _v_solve(f, lower, denom, cp, ds):
-    """Backward-Euler v-step: Thomas sweeps on pre-eliminated factors."""
-    nv = f.shape[1]
+    """Backward-Euler v-step: Thomas sweeps on pre-eliminated factors,
+    one contiguous velocity row per step."""
     u = f + ds
-    u[:, 0] = u[:, 0] / denom[:, 0]
-    for j in range(1, nv):
-        u[:, j] = (u[:, j] - lower[:, j] * u[:, j - 1]) / denom[:, j]
-    for j in range(nv - 2, -1, -1):
-        u[:, j] = u[:, j] - cp[:, j] * u[:, j + 1]
+    rows = list(u)
+    rows[0] /= denom[0]
+    for prev, row, lo, d in zip(rows, rows[1:], lower[1:], denom[1:]):
+        row -= lo * prev
+        row /= d
+    for nxt, row, c in zip(rows[::-1], rows[-2::-1], cp[-2::-1]):
+        row -= c * nxt
     return u
 
 
@@ -166,11 +199,13 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
 
     if callable(f0):
         f = np.asarray(f0(xs[:, None], vs[None, :]), dtype=float)
-        f = np.broadcast_to(f, (nx, nv)).copy()
+        f = np.broadcast_to(f, (nx, nv))
     else:
-        f = np.array(f0, dtype=float)
+        f = np.asarray(f0, dtype=float)
         if f.shape != (nx, nv):
             raise ValueError(f"f0 shape {f.shape} != ({nx}, {nv})")
+    # the march keeps the state velocity-major, (nv, nx)
+    f = np.ascontiguousarray(f.T)
 
     if store_x is not None:
         keep = (xs >= store_x[0]) & (xs <= store_x[1])
@@ -179,15 +214,14 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     else:
         keep = slice(None)
 
-    idx, weights = transport_weights(vs, 0.5 * dt, dx, nx)
-    gather = [i * nv + np.arange(nv) for i in idx]
+    transport = _transport(*transport_weights(vs, 0.5 * dt, dx), nx)
     # rough fields are constant on time cells; duck-typed fields that
     # cannot name their cell are re-sampled every step
     time_cell = getattr(coef, "time_cell", None)
     cell = factors = None
 
     values = np.empty((nt // store_every + 1, xs[keep].size, nv))
-    values[0] = f[keep, :]
+    values[0] = f.T[keep]
     times = [box.t0]
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
@@ -195,14 +229,14 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         if key is None or key != cell:
             factors = _v_factors(coef, t_mid, xs, vs, dv, dt)
             cell = key
-        f = _apply_transport(f, gather, weights)
+        f = transport(f)
         f = _v_solve(f, *factors)
-        f = _apply_transport(f, gather, weights)
+        f = transport(f)
         if (n + 1) % check_every == 0 or n + 1 == nt:
             if not np.all(np.isfinite(f)):
                 raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
         if (n + 1) % store_every == 0:
-            values[len(times)] = f[keep, :]
+            values[len(times)] = f.T[keep]
             times.append(box.t0 + (n + 1) * dt)
 
     meta = {

@@ -177,12 +177,14 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     empty basis, are rejected.  Positive residuals beyond the tolerance
     mean the inequality fails.
 
-    The hinges, their velocity gradient and the coefficients are
-    evaluated once, on the bounding index window of the bump supports
-    widened by one v cell per side (clipped to the grid), where the
-    gradient is the full grid's at every cell a bump reads.  The
-    integrand's term order is fixed, so the residuals are bitwise
-    those of a per-bump evaluation on the full grid.
+    The hinges, their velocity gradient, the coefficients and the
+    bump-independent products -beta(f), A grad_v beta(f) and
+    B grad_v beta(f) + S beta'(f) are evaluated once per hinge, on the
+    bounding index window of the bump supports widened by one v cell
+    per side (clipped to the grid), where the gradient is the full
+    grid's at every cell a bump reads.  The integrand's products and
+    term order are fixed, so the residuals are bitwise those of a
+    per-bump evaluation on the full grid.
     """
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
@@ -230,20 +232,23 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
         T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
         phi_data.append((sl, phi.transport(T, X, V), phi.value(T, X, V),
-                         phi.grad_v(T, X, V), A[sl], B[sl], S[sl]))
+                         phi.grad_v(T, X, V)))
 
     rows = []
     worst = None
     fu = fv[union]
     for beta in betas:
         bf = beta.value(fu)
-        bprime = beta.deriv(fu)
         gbf = velocity_gradient(bf, f.dv)
-        for k, (sl, tphi, pval, gphi, A, B, S) in enumerate(phi_data):
-            bfs = bf[sl]
-            r = measure * float(np.sum(-bfs * tphi + A * gbf[sl] * gphi
-                                       - (B * gbf[sl] + S * bprime[sl])
-                                       * pval))
+        # the bump-independent factors, once per hinge and in place:
+        # -beta(f), A grad_v beta(f) and B grad_v beta(f) + S beta'(f)
+        nbf = np.negative(bf, out=bf)
+        w = B * gbf
+        w += S * beta.deriv(fu)
+        agbf = np.multiply(gbf, A, out=gbf)
+        for k, (sl, tphi, pval, gphi) in enumerate(phi_data):
+            r = measure * float(np.sum(nbf[sl] * tphi + agbf[sl] * gphi
+                                       - w[sl] * pval))
             rows.append({"beta": beta.describe(), "phi_index": k,
                          "residual": r})
             if worst is None or r > worst["residual"]:

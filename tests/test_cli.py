@@ -124,6 +124,24 @@ def test_unresolved_cylinder_exits_2_without_solving(checks, tmp_path,
                for v in error["violations"])
 
 
+def test_gagliardo_resolution_exits_2_without_solving(tmp_path, monkeypatch,
+                                                      capsys):
+    # Q_0.3 holds cells, but only 2 x-cells per slice of the demo grid
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should not validate")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    data = example_dict()
+    data["checks"] = [{"name": "sobolev_gain", "sigma": 0.25, "r": 0.3,
+                       "R": 0.6}]
+    code = cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert {v["field"] for v in error["violations"]} == {"checks[0]"}
+    assert any("only 2 x-cells in a cylinder slice, need at least 4"
+               in v["reason"] for v in error["violations"])
+
+
 def test_validation_counts_cells_on_the_axes_solve_stores():
     data = example_dict()
     config = ExperimentConfig.from_dict(data)

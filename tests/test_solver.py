@@ -60,11 +60,12 @@ def test_mass_conserved_without_drift():
 
 def test_transport_weights_partition_of_unity():
     vs = np.linspace(-3, 3, 17)
-    idx, weights = transport_weights(vs, 0.013, 0.05, 32)
+    k, weights = transport_weights(vs, 0.013, 0.05)
     total = weights[0] + weights[1] + weights[2] + weights[3]
     assert np.max(np.abs(total - 1.0)) < 1e-15
     # integer shifts collapse to a pure permutation
-    idx0, w0 = transport_weights(np.array([2.0]), 0.1, 0.05, 16)
+    k0, w0 = transport_weights(np.array([2.0]), 0.1, 0.05)
+    assert k0[0] == 4
     assert w0[0][0] == 0.0 and w0[1][0] == 0.0 and w0[3][0] == 0.0
     assert w0[2][0] == 1.0
 
@@ -318,8 +319,9 @@ def _reference_diffusion_step(f, coef, t_mid, xs, vs, dv, dt):
 
 
 def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
-                     store_x=None):
-    """Samples and eliminates every step, gathers by 2-D fancy index."""
+                     store_x=None, cfl_limit=None):
+    """Samples and eliminates every step, gathers by 2-D fancy index;
+    it has no CFL guard, so cfl_limit is ignored."""
     xs = centered_axis(box.x0, box.x1, nx)
     vs = centered_axis(box.v0, box.v1, nv)
     dx = float(xs[1] - xs[0])
@@ -328,8 +330,10 @@ def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
     f = np.broadcast_to(f0(xs[:, None], vs[None, :]), (nx, nv)).copy()
     keep = (slice(None) if store_x is None
             else (xs >= store_x[0]) & (xs <= store_x[1]))
-    idx, weights = transport_weights(vs, 0.5 * dt, dx, nx)
+    k, weights = transport_weights(vs, 0.5 * dt, dx)
+    rows = np.arange(nx)[:, None]
     cols = np.arange(nv)[None, :]
+    idx = [(rows - k[None, :] + m) % nx for m in (-2, -1, 0, 1)]
 
     def transport(f):
         out = weights[0][None, :] * f[idx[0], cols]
@@ -357,24 +361,36 @@ ROUGH_EIGHTH = make_rough_coefficients(seed=21, lam=0.2, Lam=1.0,
                                        cell_size=0.125, s_amp=0.2)
 
 
-@pytest.mark.parametrize("coef, box, kw", [
-    pytest.param(ROUGH_EIGHTH, EDGE_BOX, {}, id="midpoints-on-cell-edges"),
+GRID = (48, 32, 16)  # nx, nv, nt
+
+
+@pytest.mark.parametrize("coef, box, grid, kw", [
+    pytest.param(ROUGH_EIGHTH, EDGE_BOX, GRID, {},
+                 id="midpoints-on-cell-edges"),
     pytest.param(make_rough_coefficients(seed=22, lam=0.2, Lam=1.0,
                                          cell_size=0.02, s_amp=0.2),
-                 BOX, {}, id="dt-exceeds-cell"),
-    pytest.param(constant_coefficients(0.7, 0.3, 0.1), BOX, {},
+                 BOX, GRID, {}, id="dt-exceeds-cell"),
+    pytest.param(constant_coefficients(0.7, 0.3, 0.1), BOX, GRID, {},
                  id="constant"),
-    pytest.param(ROUGH_EIGHTH, BOX, {"store_every": 2,
-                                     "store_x": (-1.0, 1.0)},
+    pytest.param(ROUGH_EIGHTH, BOX, GRID, {"store_every": 2,
+                                           "store_x": (-1.0, 1.0)},
                  id="thinned-and-cropped"),
     pytest.param(_NoDrift(make_rough_coefficients(seed=6, lam=0.2, Lam=1.0,
                                                   cell_size=0.2)),
-                 BOX, {}, id="duck-typed"),
+                 BOX, GRID, {}, id="duck-typed"),
+    # CFL 3.75: half-step shifts k run from -2 to 1, pad 4 = nx
+    pytest.param(ROUGH_EIGHTH, Box(0.0, 3.0, -2.0, 2.0, -5.0, 5.0),
+                 (4, 32, 4), {}, id="wide-shifts"),
+    pytest.param(ROUGH_EIGHTH, Box(0.0, 1.0, -2.0, 2.0, -4.0, 4.0),
+                 (2, 32, 2), {}, id="nx-below-pad"),
+    # CFL 12, past the default limit: k runs from -2 to 5
+    pytest.param(ROUGH_EIGHTH, Box(0.0, 3.0, -2.0, 2.0, -2.0, 8.0),
+                 (8, 32, 4), {"cfl_limit": np.inf}, id="beyond-cfl-limit"),
 ])
-def test_solve_bitwise_equals_per_step_reference(coef, box, kw):
+def test_solve_bitwise_equals_per_step_reference(coef, box, grid, kw):
     f0 = lambda x, v: np.exp(-2 * (x * x + v * v)) + 0.1 * np.sin(3 * x)
-    gf = solve(f0, coef, box, nx=48, nv=32, nt=16, **kw)
-    times, values = _reference_solve(f0, coef, box, 48, 32, 16, **kw)
+    gf = solve(f0, coef, box, *grid, **kw)
+    times, values = _reference_solve(f0, coef, box, *grid, **kw)
     assert np.array_equal(gf.times, times)
     assert np.array_equal(gf.values, values)
 
