@@ -18,41 +18,30 @@ import time
 from pathlib import Path
 
 from kfplab import experiments
-from kfplab.calibration import load_calibration
+from kfplab.calibration import load_calibration, worst_constants
 
 
 def collect_constants() -> dict:
     """Worst observed empirical constant per statement id."""
-    worst: dict[str, float] = {}
-
-    def absorb(report):
-        c = report.empirical_constant
-        if c is None:
-            return
-        sid = report.statement_id
-        worst[sid] = max(worst.get(sid, 0.0), float(c))
-
+    reports = []
     t0 = time.time()
     for member in experiments.run_standard_ensemble():
-        for report in member["reports"]:
-            absorb(report)
+        reports.extend(member["reports"])
     print(f"ensemble: {time.time() - t0:.1f} s")
 
     t0 = time.time()
-    for report in experiments.run_poincare()["reports"]:
-        absorb(report)
+    reports.extend(experiments.run_poincare()["reports"])
     print(f"poincare: {time.time() - t0:.1f} s")
 
     t0 = time.time()
-    for report in experiments.run_harnack_suite()["reports"]:
-        absorb(report)
+    reports.extend(experiments.run_harnack_suite()["reports"])
     print(f"harnack:  {time.time() - t0:.1f} s")
 
     t0 = time.time()
-    absorb(experiments.run_representation_instance()["report"])
+    reports.append(experiments.run_representation_instance()["report"])
     print(f"duhamel:  {time.time() - t0:.1f} s")
 
-    return worst
+    return worst_constants(reports)
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,9 @@
 The packaged data/calibration.json is produced by
 scripts/make_calibration.py from a fixed ensemble of rough-coefficient
 runs; checkers compare empirical constants against these bounds (which
-were set at twice the worst calibrated value).  Loading falls back to
-conservative defaults when a key is absent.
+were set at twice the worst calibrated value, worst_constants of the
+calibration workloads' reports).  Loading falls back to conservative
+defaults when a key is absent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import importlib.resources
 import json
 from functools import lru_cache
 
-__all__ = ["load_calibration", "grid_tolerance", "pass_bound"]
+__all__ = ["load_calibration", "grid_tolerance", "pass_bound",
+           "worst_constants"]
 
 _DEFAULTS = {
     "c_tol": 1.0,
@@ -34,17 +36,28 @@ def load_calibration() -> dict:
     return merged
 
 
-def grid_tolerance(dt, dx, dv, c_tol=None) -> float:
+def grid_tolerance(dt, dx, dv) -> float:
     """Discretization tolerance C_tol * (dt + dx^2 + dv^2).
 
     First order in time (backward Euler splitting), second order in the
     x and v cell sizes.
     """
-    if c_tol is None:
-        c_tol = load_calibration()["c_tol"]
+    c_tol = load_calibration()["c_tol"]
     return float(c_tol) * (float(dt) + float(dx) ** 2 + float(dv) ** 2)
 
 
-def pass_bound(statement_id, default=None):
-    """Calibrated empirical-constant bound for one estimate id."""
-    return load_calibration()["pass_bounds"].get(statement_id, default)
+def pass_bound(statement_id):
+    """Calibrated empirical-constant bound for one estimate id, or None."""
+    return load_calibration()["pass_bounds"].get(statement_id)
+
+
+def worst_constants(reports) -> dict:
+    """Largest empirical constant per statement id over the reports;
+    reports without a constant are skipped."""
+    worst = {}
+    for report in reports:
+        c = report.empirical_constant
+        if c is not None:
+            sid = report.statement_id
+            worst[sid] = max(worst.get(sid, 0.0), float(c))
+    return worst

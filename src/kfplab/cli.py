@@ -44,10 +44,9 @@ from .estimates.checks import (
 )
 from .estimates.constants import explicit_constants
 from .solver.coefficients import make_rough_coefficients
-from .solver.grid import (Box, GridFunction, InsufficientResolutionError,
-                          centered_axis)
-from .solver.march import CFL_LIMIT, solve
-from .solver.weak import weak_residual
+from .solver.grid import Box, GridFunction, InsufficientResolutionError
+from .solver.march import CFL_LIMIT, solve, solve_axes
+from .solver.weak import EmptyBumpError, basis_windows, weak_residual
 
 __all__ = ["ExperimentConfig", "validate", "run", "main", "parse_seeds"]
 
@@ -269,10 +268,8 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
 
 def _solve_grid(box: Box, nt, nx, nv, pad_x, pad_v) -> GridFunction:
     """solve's axes, pads and box for these fields, over broadcast zeros."""
-    dt = (box.t1 - box.t0) / nt
-    times = box.t0 + np.arange(nt + 1) * dt
-    return GridFunction(times, centered_axis(box.x0, box.x1, nx),
-                        centered_axis(box.v0, box.v1, nv),
+    axes = solve_axes(box, nx, nv, nt)
+    return GridFunction(axes.times, axes.xs, axes.vs,
                         np.broadcast_to(0.0, (nt + 1, nx, nv)),
                         pad_x=pad_x, pad_v=pad_v, solve_box=box)
 
@@ -318,15 +315,20 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
         grid = _solve_grid(box, nt, nx, nv, pad_x, pad_v)
         safe = grid.safe_box
     _validate_checks(config, safe, grid, out)
+    if config.kind == "verify" and grid is not None:
+        try:
+            basis_windows(grid)
+        except EmptyBumpError as exc:
+            out.append(_violation(f"grid.{('nt', 'nx', 'nv')[exc.axis]}",
+                                  f"{exc}; verify needs a cell in every "
+                                  f"default test bump"))
 
-    if box is not None and None not in (nt, nx):
-        dt = (box.t1 - box.t0) / nt
-        dx = (box.x1 - box.x0) / nx
-        cfl = dt * max(abs(box.v0), abs(box.v1)) / dx
+    if box is not None and None not in (nt, nx, nv):
+        cfl = solve_axes(box, nx, nv, nt).cfl
         if cfl > CFL_LIMIT:
             out.append(_violation(
                 "grid.nt",
-                f"advective CFL {cfl:.2f} exceeds limit {CFL_LIMIT:g}; "
+                f"advective CFL {cfl!r} exceeds limit {CFL_LIMIT:g}; "
                 f"increase nt or decrease nx"))
 
 

@@ -77,6 +77,10 @@ __all__ = [
 ORIGIN = as_point((0.0, 0.0, 0.0))
 HARNACK_R0 = 1.0 / 20.0
 OSCILLATION_R0 = 1.0 / 40.0
+# delta0 of the weak Harnack statement, which traces its zeta
+WEAK_HARNACK_DELTA0 = 0.01
+# lowering fraction of the measure-to-pointwise step in oscillation decay
+OSCILLATION_DELTA = 0.5
 Q1 = make_cylinder("centered", ORIGIN, 1.0)
 
 
@@ -483,7 +487,6 @@ _LOG_DIAG_EXPONENT = 1.0 / (10 * 1 + 18)
 
 
 def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
-                       delta0: float = 0.01,
                        pass_bound=None) -> EstimateReport:
     """Quasi-norm on the shifted past cylinder against the later infimum.
 
@@ -492,7 +495,7 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
     side is the infimum over the centered cylinder of radius r0/2 plus
     the source sup on Q_1.  zeta defaults to a fixed moderate value so
     the ratio is informative; the statement-traceable zeta derived from
-    delta0 is recorded alongside.
+    WEAK_HARNACK_DELTA0 is recorded alongside.
     """
     statement = STATEMENTS["weak_harnack"]
     statement.require(zeta=zeta)
@@ -511,8 +514,8 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
         _bound(sid, pass_bound),
         cylinders=(tilde, lower),
         extras={"zeta_measure": zeta,
-                "zeta_statement": delta0 ** (10 * d + 17),
-                "delta0": delta0, "r0": HARNACK_R0,
+                "zeta_statement": WEAK_HARNACK_DELTA0 ** (10 * d + 17),
+                "delta0": WEAK_HARNACK_DELTA0, "r0": HARNACK_R0,
                 "log_integral_diagnostic": log_diag},
         provenance=_provenance(f, coef))
 
@@ -534,7 +537,7 @@ def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
 
 
 def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
-                            centers=(ORIGIN,), delta: float = 0.5,
+                            centers=(ORIGIN,),
                             pass_bound=1.0) -> EstimateReport:
     """Oscillation contraction across the dyadic-in-scaling family.
 
@@ -549,7 +552,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
     """
     STATEMENTS["oscillation_decay"].require(levels=levels)
     source_free = coef.source_sup == 0.0
-    consts = increase_constants(delta, source_free=source_free)
+    consts = increase_constants(OSCILLATION_DELTA, source_free=source_free)
     tol = grid_tolerance(f.dt, f.dx, f.dv)
 
     per_center = []

@@ -56,7 +56,6 @@ from .estimates.constants import explicit_constants
 from .estimates.norms import inf_on, lp_norm, sup_on
 from .geometry import (
     compose,
-    cylinder_volume,
     make_cylinder,
     scale_cylinder,
     translate_cylinder,
@@ -221,22 +220,15 @@ def standard_checks(f: GridFunction, coef) -> list:
     return reports
 
 
-def run_standard_member(seed, *, refine=1, box_scale=1.0,
-                        verify=False) -> dict:
+def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
     coef = standard_coefficients(seed)
     f = solve_standard(seed, refine=refine, box_scale=box_scale)
-    out = {
+    return {
         "seed": int(seed),
         "refine": int(refine),
         "box_scale": float(box_scale),
         "reports": standard_checks(f, coef),
     }
-    if verify:
-        out["residuals"] = {
-            "sub": weak_residual(f, coef, direction="sub"),
-            "super": weak_residual(f, coef, direction="super"),
-        }
-    return out
 
 
 def run_standard_ensemble(seeds=ENSEMBLE_SEEDS, **kwargs) -> list:
@@ -351,19 +343,17 @@ def mixing_instance() -> GridFunction:
     return lifted_copy(f, PLATEAU_LIFT)
 
 
-def run_mixing_instance(verify=True) -> dict:
+def run_mixing_instance() -> dict:
     coef = mixing_coefficients()
     f = mixing_instance()
     d1, d2 = MIXING_DELTAS
     consts = explicit_constants(delta1=d1, delta2=d2, s_inf=0.0)
-    out = {
+    return {
         "ivl": check_ivl(f, coef, d1, d2, consts),
         "measure_to_pointwise": check_measure_to_pointwise(f, coef, 0.25),
         "nu": consts.nu,
+        "residual_sub": weak_residual(f, coef, direction="sub"),
     }
-    if verify:
-        out["residual_sub"] = weak_residual(f, coef, direction="sub")
-    return out
 
 
 # ------------------------------------------------------------------
@@ -507,7 +497,7 @@ def run_harnack_volume() -> dict:
     report = check_weak_harnack(f, constant_coefficients(1.0, 0.0, 0.0),
                                 zeta=1.0)
     tilde = _harnack_pair("weak_harnack")[0]
-    analytic = CONSTANT_LEVEL * cylinder_volume(tilde)
+    analytic = CONSTANT_LEVEL * tilde.volume()
     return {
         "report": report,
         "lhs": report.lhs,
@@ -531,7 +521,7 @@ def _weak_ratio(f, cyls, zeta=0.5, normalized=False):
     tilde, lower = cyls
     lhs = lp_norm(f, tilde, zeta)
     if normalized:
-        lhs = lhs / cylinder_volume(tilde) ** (1.0 / zeta)
+        lhs = lhs / tilde.volume() ** (1.0 / zeta)
     return lhs / inf_on(f, lower)
 
 
@@ -775,7 +765,7 @@ SEMIGROUP_SPLIT = (1.0, 0.4)
 SEMIGROUP_POINTS = ((0.0, 0.0), (0.5, -0.3), (-0.7, 0.9))
 
 
-def run_kernel_suite(with_representation=True) -> dict:
+def run_kernel_suite() -> dict:
     """Normalization, PDE residual with convergence ratio and a
     detuned negative control, semigroup defect, split-kernel mass, and
     a small representation-bound instance."""
@@ -785,7 +775,7 @@ def run_kernel_suite(with_representation=True) -> dict:
     res_h2 = kernel_pde_residual(h2)
     res_detuned = kernel_pde_residual(h2, kernel=detuned_kernel)
     t_big, s_split = SEMIGROUP_SPLIT
-    out = {
+    return {
         "mass_errors": mass_errors,
         "residual_coarse": res_h1,
         "residual_fine": res_h2,
@@ -795,10 +785,8 @@ def run_kernel_suite(with_representation=True) -> dict:
         "semigroup_defect": semigroup_defect(t_big, s_split,
                                              SEMIGROUP_POINTS),
         "split_l1": {"eps": 0.5, "value": split_kernel_l1(0.5)},
+        "representation": run_representation_instance(),
     }
-    if with_representation:
-        out["representation"] = run_representation_instance()
-    return out
 
 
 def run_representation_instance() -> dict:

@@ -37,21 +37,14 @@ __all__ = [
     "compose",
     "inverse",
     "scale",
-    "group_compose",
-    "group_inverse",
     "ball_volume",
     "Cylinder",
     "make_cylinder",
-    "cylinder_contains",
-    "cylinder_volume",
     "translate_cylinder",
     "scale_cylinder",
     "VitaliReport",
     "vitali_inclusion_check",
-    "CYLINDER_KINDS",
 ]
-
-CYLINDER_KINDS = ("centered", "past", "future", "tilde_past", "covering", "nested")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -104,20 +97,16 @@ def scale(r: float, a) -> PhasePoint:
     return PhasePoint(r * r * a.t, r ** 3 * a.x, r * a.v)
 
 
-# catalog style aliases for the free functions above
-group_compose = compose
-group_inverse = inverse
-
-
 def ball_volume(d: int) -> float:
     """Volume of the unit euclidean ball in R^d."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def _components(arr, d: int) -> np.ndarray:
-    """View an array as points with d spatial components on the last axis."""
+    """View an array as points with d spatial components on the last
+    axis; for d = 1 each entry is a point, whatever the array's shape."""
     arr = np.asarray(arr, dtype=float)
-    if d == 1 and (arr.ndim == 0 or arr.shape[-1] != 1):
+    if d == 1:
         return arr[..., None]
     if arr.ndim == 0 or arr.shape[-1] != d:
         raise ValueError(f"expected points with {d} components on the last axis")
@@ -235,8 +224,6 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
     if r <= 0:
         raise ValueError("radius must be positive")
     params = dict(params or {})
-    if kind == "nested_k":
-        kind = "nested"
     if kind == "centered":
         shift, rho = 0.0, r
     elif kind == "past":
@@ -267,16 +254,6 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
     zeros = np.zeros(center.d)
     eff_center = compose(center, PhasePoint(shift, zeros, zeros))
     return Cylinder(kind, center, r, params, eff_center, rho)
-
-
-def cylinder_contains(cyl: Cylinder, z) -> bool:
-    """Membership of a single phase point, catalog style."""
-    z = as_point(z)
-    return bool(np.all(cyl.contains(z.t, z.x, z.v)))
-
-
-def cylinder_volume(cyl: Cylinder) -> float:
-    return cyl.volume()
 
 
 def translate_cylinder(z, cyl: Cylinder) -> Cylinder:

@@ -17,12 +17,11 @@ representation of solutions with a source term.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
-from .geometry import PhasePoint, _components, inverse
+from .geometry import PhasePoint, inverse
 
 __all__ = [
     "QuadratureError",
@@ -38,7 +37,6 @@ __all__ = [
     "split_kernel_l1",
     "convolve_representation",
     "translated_kernel_values",
-    "tabulate_kernel",
 ]
 
 # exp() underflows to subnormal around -708; below this floor the kernel
@@ -50,27 +48,15 @@ class QuadratureError(ValueError):
     """Raised when a quadrature cannot meet its accuracy budget."""
 
 
-def _kernel_pieces(t, x, v, d):
-    t = np.asarray(t, dtype=float)
-    if d == 1:
-        # entrywise broadcasting: x and v are scalar fields, not vectors
-        t, xb, vb = np.broadcast_arrays(t, np.asarray(x, float),
-                                        np.asarray(v, float))
-        u = xb - 0.5 * t * vb
-        return t, u[..., None], u * u, vb * vb
-    x = _components(x, d)
-    v = _components(v, d)
-    t, xb, vb = np.broadcast_arrays(t[..., None], x, v)
-    t = t[..., 0]
-    u = xb - 0.5 * t[..., None] * vb
-    uu = np.sum(u * u, axis=-1)
-    vv = np.sum(vb * vb, axis=-1)
-    return t, u, uu, vv
-
-
 def _kernel(t, x, v, d, v_divisor):
-    """Kernel body with velocity exponent |v|^2 / (v_divisor t)."""
-    t, _, uu, vv = _kernel_pieces(t, x, v, d)
+    """Kernel body with velocity exponent |v|^2 / (v_divisor t), d = 1:
+    x and v are scalar fields broadcast entrywise, not vectors."""
+    if d != 1:
+        raise NotImplementedError("the kernel is implemented for d = 1")
+    t, x, v = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float),
+                                  np.asarray(v, float))
+    u = x - 0.5 * t * v
+    uu, vv = u * u, v * v
     pos = t > 0.0
     ts = np.where(pos, t, 1.0)
     expo = -3.0 * uu / ts**3 - vv / (v_divisor * ts)
@@ -304,8 +290,7 @@ def _slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
     return float(np.sum(g * slab) * dx * dv)
 
 
-def convolve_representation(source, eval_points, *, tau_cut=None,
-                            tail_correction=True):
+def convolve_representation(source, eval_points):
     """Duhamel convolution of the kernel with a gridded source.
 
     source: a (times, xs, vs, values) tuple, values of shape
@@ -316,8 +301,8 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
     integrated in the elapsed time tau with midpoint panels; panels
     shorter than the source time spacing refine geometrically (factor
     2) toward the kernel concentration endpoint tau -> 0, and the
-    remaining [0, tau_cut] sliver is accounted by the flat-source
-    correction tau_cut * S(z) unless tail_correction is disabled.
+    remaining [0, tau_cut] sliver, tau_cut set by the source cell sizes,
+    is accounted by the flat-source correction tau_cut * S(z).
 
     Evaluation points earlier than the whole source support return 0.
     """
@@ -341,8 +326,7 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
         return out if out.ndim else float(out)
 
     dt_src = float(times[1] - times[0])
-    if tau_cut is None:
-        tau_cut = max((24.0 * dx * dx) ** (1.0 / 3.0), 2.0 * dv * dv, 1e-9)
+    tau_cut = max((24.0 * dx * dx) ** (1.0 / 3.0), 2.0 * dv * dv, 1e-9)
 
     def slab_at(tp):
         """Source slice at absolute time tp, linear in time, clamped."""
@@ -365,11 +349,9 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
         if horizon <= 0.0:
             continue
         if horizon <= tau_cut:
-            if tail_correction:
-                out[i] = horizon * tail_value(t - 0.5 * horizon, x, v)
+            out[i] = horizon * tail_value(t - 0.5 * horizon, x, v)
             continue
-        total = (tau_cut * tail_value(t - 0.5 * tau_cut, x, v)
-                 if tail_correction else 0.0)
+        total = tau_cut * tail_value(t - 0.5 * tau_cut, x, v)
         lo = tau_cut
         while lo < horizon:
             hi = min(2.0 * lo, horizon)
@@ -384,17 +366,3 @@ def convolve_representation(source, eval_points, *, tau_cut=None,
             lo = hi
         out[i] = total
     return out if out.ndim else float(out)
-
-
-def tabulate_kernel(path, ts, xs, vs):
-    """Write a CSV table of kernel values and gradients on a lattice."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "v", "g", "dg_dx", "dg_dv"])
-        for t in ts:
-            for x in xs:
-                for v in vs:
-                    g, gx, gv = kernel_gradients(t, x, v, d=1)
-                    writer.writerow([repr(float(t)), repr(float(x)),
-                                     repr(float(v)), repr(float(g)),
-                                     repr(float(gx)), repr(float(gv))])

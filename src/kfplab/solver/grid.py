@@ -54,9 +54,10 @@ class Box:
         return Box(self.t0, self.t1, self.x0 + pad_x, self.x1 - pad_x,
                    self.v0 + pad_v, self.v1 - pad_v)
 
-    def contains(self, bounds, tol=1e-9) -> bool:
+    def contains(self, bounds) -> bool:
         """Whether ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)) lies inside,
-        up to tol on every side."""
+        up to 1e-9 on every side."""
+        tol = 1e-9
         (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = bounds
         return (t_lo >= self.t0 - tol and t_hi <= self.t1 + tol
                 and x_lo >= self.x0 - tol and x_hi <= self.x1 + tol
@@ -78,7 +79,7 @@ class GridFunction:
     pad_x / pad_v declare how many coordinate units near the x and v
     boundaries are considered contaminated (by the periodic wrap and
     the artificial zero-flux wall); solve_box records the domain the
-    dynamics actually ran on when the stored values were cropped.
+    dynamics ran on.
     """
 
     times: np.ndarray
@@ -135,10 +136,10 @@ class GridFunction:
                 "cell measure undefined on a single-slice grid function")
         return self.dt * self.dx * self.dv
 
-    def require_cylinder(self, cyl: Cylinder, tol=1e-9):
+    def require_cylinder(self, cyl: Cylinder):
         """Raise SafeRegionError unless the cylinder sits in the safe box."""
         safe = self.safe_box
-        if not safe.contains(cyl.bbox(), tol):
+        if not safe.contains(cyl.bbox()):
             raise SafeRegionError(
                 f"cylinder {cyl.describe()['kind']} with bbox "
                 f"{cyl.bbox()} leaves safe box {safe}")
@@ -202,18 +203,6 @@ class GridFunction:
             fh.write(self.xs.astype("<f8").tobytes())
             fh.write(self.vs.astype("<f8").tobytes())
             fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    def to_csv(self, path, t_stride=1, x_stride=1, v_stride=1):
-        """Plain long-format CSV export (t, x, v, value), strided."""
-        with open(path, "w") as fh:
-            fh.write("t,x,v,value\n")
-            for it in range(0, self.times.size, t_stride):
-                for ix in range(0, self.xs.size, x_stride):
-                    for iv in range(0, self.vs.size, v_stride):
-                        fh.write(f"{float(self.times[it])!r},"
-                                 f"{float(self.xs[ix])!r},"
-                                 f"{float(self.vs[iv])!r},"
-                                 f"{float(self.values[it, ix, iv])!r}\n")
 
 
 class CylinderCells:

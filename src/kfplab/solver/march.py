@@ -31,29 +31,61 @@ keep the (t, x, v) layout of GridFunction.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .coefficients import CoefficientField
 from .grid import Box, GridFunction, centered_axis
 
 __all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
-           "solve", "transport_weights", "fit_order"]
+           "SolveAxes", "solve_axes", "solve", "transport_weights",
+           "fit_order"]
 
 # default advective CFL allowance of solve
 CFL_LIMIT = 4.0
 
 
+class SolveAxes(NamedTuple):
+    """The grid solve marches on: its slice times and cell centers, the
+    steps, and the largest speed in the box."""
+
+    times: np.ndarray
+    xs: np.ndarray
+    vs: np.ndarray
+    dt: float
+    dx: float
+    dv: float
+    v_max: float
+
+    @property
+    def cfl(self) -> float:
+        """Advective CFL number dt max|v| / dx."""
+        return self.dt * self.v_max / self.dx
+
+
+def solve_axes(box: Box, nx, nv, nt) -> SolveAxes:
+    """solve's axes and steps for a box and grid sizes (each >= 2)."""
+    xs = centered_axis(box.x0, box.x1, nx)
+    vs = centered_axis(box.v0, box.v1, nv)
+    dt = (box.t1 - box.t0) / nt
+    return SolveAxes(box.t0 + np.arange(nt + 1) * dt, xs, vs, dt,
+                     float(xs[1] - xs[0]), float(vs[1] - vs[0]),
+                     max(abs(box.v0), abs(box.v1)))
+
+
 class CFLViolationError(ValueError):
     """Requested step exceeds the configured advective CFL allowance."""
 
-    def __init__(self, dt, dx, v_max, cfl_limit):
+    def __init__(self, axes: SolveAxes, cfl_limit):
+        dt, dx, v_max = axes.dt, axes.dx, axes.v_max
         self.payload = {
             "error": "cfl_violation",
             "dt": dt, "dx": dx, "v_max": v_max,
-            "cfl": dt * v_max / dx, "cfl_limit": cfl_limit,
+            "cfl": axes.cfl, "cfl_limit": cfl_limit,
         }
         super().__init__(
-            f"dt {dt:.3e} gives CFL {dt * v_max / dx:.2f} > limit "
+            f"dt {dt:.3e} gives CFL {axes.cfl:.2f} > limit "
             f"{cfl_limit:.2f} (dx {dx:.3e}, v_max {v_max:.3f})")
 
 
@@ -174,26 +206,21 @@ def _v_solve(f, lower, denom, cp, ds):
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
-          pad_v=2.0, store_every=1, store_x=None, cfl_limit=CFL_LIMIT,
+          pad_v=2.0, store_every=1, cfl_limit=CFL_LIMIT,
           check_every=25) -> GridFunction:
     """March the kinetic equation on the box and return stored slices.
 
     f0 is an (nx, nv) array or a callable f0(x, v); store_every thins
-    the stored time slices (nt must be divisible by it); store_x, when
-    given as (lo, hi), crops the stored x-range while the dynamics keep
-    the full box.  The padding declares the boundary-contaminated strip
-    recorded on the result.  Steps whose advective CFL number exceeds
-    cfl_limit are refused; the interpolation itself is stable at any
-    CFL, the limit only guards accuracy.
+    the stored time slices (nt must be divisible by it).  The padding
+    declares the boundary-contaminated strip recorded on the result.
+    Steps whose advective CFL number exceeds cfl_limit are refused; the
+    interpolation itself is stable at any CFL, the limit only guards
+    accuracy.
     """
-    xs = centered_axis(box.x0, box.x1, nx)
-    vs = centered_axis(box.v0, box.v1, nv)
-    dx = float(xs[1] - xs[0])
-    dv = float(vs[1] - vs[0])
-    dt = (box.t1 - box.t0) / nt
-    v_max = max(abs(box.v0), abs(box.v1))
-    if dt * v_max / dx > cfl_limit:
-        raise CFLViolationError(dt, dx, v_max, cfl_limit)
+    axes = solve_axes(box, nx, nv, nt)
+    xs, vs, dt, dx, dv = axes.xs, axes.vs, axes.dt, axes.dx, axes.dv
+    if axes.cfl > cfl_limit:
+        raise CFLViolationError(axes, cfl_limit)
     if nt % store_every != 0:
         raise ValueError("store_every must divide nt")
 
@@ -207,22 +234,14 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     # the march keeps the state velocity-major, (nv, nx)
     f = np.ascontiguousarray(f.T)
 
-    if store_x is not None:
-        keep = (xs >= store_x[0]) & (xs <= store_x[1])
-        if not np.any(keep):
-            raise ValueError("store_x keeps no columns")
-    else:
-        keep = slice(None)
-
     transport = _transport(*transport_weights(vs, 0.5 * dt, dx), nx)
     # rough fields are constant on time cells; duck-typed fields that
     # cannot name their cell are re-sampled every step
     time_cell = getattr(coef, "time_cell", None)
     cell = factors = None
 
-    values = np.empty((nt // store_every + 1, xs[keep].size, nv))
-    values[0] = f.T[keep]
-    times = [box.t0]
+    values = np.empty((nt // store_every + 1, nx, nv))
+    values[0] = f.T
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
         key = None if time_cell is None else time_cell(t_mid)
@@ -236,18 +255,17 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
             if not np.all(np.isfinite(f)):
                 raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
         if (n + 1) % store_every == 0:
-            values[len(times)] = f.T[keep]
-            times.append(box.t0 + (n + 1) * dt)
+            values[(n + 1) // store_every] = f.T
 
     meta = {
         "scheme": "strang_semilag_backward_euler",
         "coefficients": coef.describe(),
         "nx": nx, "nv": nv, "nt": nt,
         "dt": dt, "dx": dx, "dv": dv,
-        "cfl": dt * v_max / dx,
+        "cfl": axes.cfl,
         "store_every": store_every,
     }
-    return GridFunction(np.asarray(times), xs[keep], vs, values,
+    return GridFunction(axes.times[::store_every], xs, vs, values,
                         pad_x=pad_x, pad_v=pad_v, solve_box=box, meta=meta)
 
 

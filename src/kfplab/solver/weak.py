@@ -27,11 +27,13 @@ import numpy as np
 from ..geometry import as_point
 from ..kernel import translated_kernel_values
 from .coefficients import CoefficientField
-from .grid import GridFunction, sample_function, velocity_gradient
+from .grid import (GridFunction, InsufficientResolutionError,
+                   sample_function, velocity_gradient)
 
 __all__ = ["TestBump", "HingeProfile", "default_test_basis",
-           "default_hinges", "weak_residual", "WeakResidualReport",
-           "indicator_subsolution", "translated_kernel_solution"]
+           "default_hinges", "EmptyBumpError", "basis_windows",
+           "weak_residual", "WeakResidualReport", "indicator_subsolution",
+           "translated_kernel_solution"]
 
 
 def _profile(s):
@@ -144,6 +146,43 @@ def default_test_basis(region, n=(2, 3, 3)):
     return bumps
 
 
+class EmptyBumpError(InsufficientResolutionError):
+    """A test bump's support holds no cell center on grid axis
+    `axis` (0, 1, 2 for t, x, v)."""
+
+    def __init__(self, phi: TestBump, axis: int):
+        self.axis = axis
+        super().__init__(f"test bump {phi.support()} holds no cell center")
+
+
+def basis_windows(f: GridFunction, phis=None, region=None):
+    """The test bumps and each one's index window on f's grid.
+
+    phis defaults to the basis tiling region, itself by default the
+    safe box over the stored slice times.  Raises ValueError when the
+    basis is empty or a support leaves that safe box, and EmptyBumpError
+    when a support holds no cell center on some axis.
+    """
+    safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
+                               t1=float(f.times[-1]))
+    if phis is None:
+        if region is None:
+            region = ((safe.t0, safe.t1), (safe.x0, safe.x1),
+                      (safe.v0, safe.v1))
+        phis = default_test_basis(region)
+    if len(phis) == 0:
+        raise ValueError("phis is empty: no (beta, phi) pair to test")
+    windows = [f.window(phi.support()) for phi in phis]
+    for phi, w in zip(phis, windows):
+        if not safe.contains(phi.support()):
+            raise ValueError(
+                f"test bump support {phi.support()} leaves the safe box")
+        for axis, s in enumerate(w):
+            if s.start == s.stop:
+                raise EmptyBumpError(phi, axis)
+    return phis, windows
+
+
 def default_hinges(f_min, f_max, n_thresholds=5, rel_widths=(0.03, 0.1, 0.3)):
     """Hinges whose thresholds span the observed range of f."""
     span = max(f_max - f_min, 1e-12)
@@ -172,10 +211,10 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     """Max weak residual of f over a (beta, phi) basis.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  Test supports must hold a cell center and stay inside
-    the safe box (or the explicitly passed region); other bumps, and an
-    empty basis, are rejected.  Positive residuals beyond the tolerance
-    mean the inequality fails.
+    mirrored one.  phis and region are read by basis_windows, which
+    rejects an empty basis and bumps outside the safe box or holding no
+    cell center.  Positive residuals beyond the tolerance mean the
+    inequality fails.
 
     The hinges, their velocity gradient, the coefficients and the
     bump-independent products -beta(f), A grad_v beta(f) and
@@ -191,29 +230,14 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     sgn = 1.0 if direction == "sub" else -1.0
     fv = sgn * f.values
 
-    # the safe box over the stored slice times
-    safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
-                               t1=float(f.times[-1]))
-    if region is None:
-        region = ((safe.t0, safe.t1), (safe.x0, safe.x1), (safe.v0, safe.v1))
-    if phis is None:
-        phis = default_test_basis(region)
+    phis, windows = basis_windows(f, phis, region)
     if betas is None:
         betas = default_hinges(float(fv.min()), float(fv.max()))
-    for name, basis in (("phis", phis), ("betas", betas)):
-        if len(basis) == 0:
-            raise ValueError(f"{name} is empty: no (beta, phi) pair to test")
+    if len(betas) == 0:
+        raise ValueError("betas is empty: no (beta, phi) pair to test")
     if tolerance is None:
         from ..calibration import grid_tolerance
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
-
-    windows = [f.window(phi.support()) for phi in phis]
-    for phi, w in zip(phis, windows):
-        if not safe.contains(phi.support()):
-            raise ValueError(
-                f"test bump support {phi.support()} leaves the safe box")
-        if any(s.start == s.stop for s in w):
-            raise ValueError(f"test bump {phi.support()} holds no cell center")
 
     measure = f.cell_measure
     # bumps' bounding window plus one v cell per side (slicing clips hi)

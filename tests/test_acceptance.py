@@ -3,7 +3,9 @@
 Each test pins the tolerances it enforces; heavy solver runs are shared
 through module-scoped fixtures.  Calibrated pass bounds live in
 src/kfplab/data/calibration.json (twice the worst value observed on the
-frozen calibration workloads, regenerated by scripts/make_calibration.py).
+frozen calibration workloads, regenerated by scripts/make_calibration.py);
+a last test refolds the worst values from the fixtures' reports, so no
+reported constant moves without a rerun of that script.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from kfplab import experiments
+from kfplab.calibration import load_calibration, worst_constants
 from kfplab.geometry import (
     PhasePoint,
     compose,
@@ -82,6 +85,11 @@ def counterexample():
 @pytest.fixture(scope="module")
 def harnack_suite():
     return experiments.run_harnack_suite()
+
+
+@pytest.fixture(scope="module")
+def poincare():
+    return experiments.run_poincare()
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +190,9 @@ def test_criterion_06_integral_gains(ensemble, refinement_pairs):
             assert 0.5 <= ratio <= 1.5, (pair["seed"], sid, ratio)
 
 
-def test_criterion_07_weak_poincare():
-    runs = experiments.run_poincare()
-    assert len(runs["reports"]) == 3
-    for report in runs["reports"]:
+def test_criterion_07_weak_poincare(poincare):
+    assert len(poincare["reports"]) == 3
+    for report in poincare["reports"]:
         assert report.hypotheses_met
         assert report.empirical_constant is not None
         assert np.isfinite(report.empirical_constant)
@@ -246,3 +253,17 @@ def test_criterion_11_boundary_noncontamination():
         pair = experiments.run_boundary_pair(seed)
         for sid, shift in pair["shifts"].items():
             assert shift < 0.02, (seed, sid, shift)
+
+
+def test_calibration_worst_constants_unchanged(ensemble, poincare,
+                                               harnack_suite, kernel_suite):
+    # the calibration workloads of scripts/make_calibration.py, read from
+    # the fixtures that already hold them
+    reports = [r for member in ensemble for r in member["reports"]]
+    reports += poincare["reports"] + harnack_suite["reports"]
+    reports.append(kernel_suite["representation"]["report"])
+    worst = worst_constants(reports)
+    pinned = load_calibration()["worst_observed"]
+    assert sorted(worst) == sorted(pinned)
+    for sid, value in pinned.items():
+        assert worst[sid] == pytest.approx(value, rel=1e-13, abs=0.0), sid

@@ -11,10 +11,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kfplab import cli
 from kfplab.cli import ExperimentConfig, parse_seeds, validate
@@ -140,6 +142,39 @@ def test_gagliardo_resolution_exits_2_without_solving(tmp_path, monkeypatch,
     assert {v["field"] for v in error["violations"]} == {"checks[0]"}
     assert any("only 2 x-cells in a cylinder slice, need at least 4"
                in v["reason"] for v in error["violations"])
+
+
+# CFL 4 + 1 ulp on solve's own axes, 4 on (x1 - x0) / nx
+_CFL_ULP = {"grid": {"nt": 3, "nx": 12, "nv": 8},
+            "box": {"t0": -1.0, "t1": 0.0, "x0": -1.0, "x1": 1.0,
+                    "v0": -2.0, "v1": 2.0},
+            "pads": {"x": 0.2, "v": 0.5},
+            "coefficients": {"lam": 0.2, "Lam": 1.0, "seeds": [1]}}
+# the two v cells sit outside every default test bump
+_COARSE_V = {"grid": {"nt": 5, "nx": 5, "nv": 2},
+             "box": {"t0": -1.0, "t1": 0.0, "x0": -2.5, "x1": 2.5,
+                     "v0": -3.5, "v1": 3.5},
+             "pads": {"x": 1.0, "v": 2.0},
+             "coefficients": {"lam": 0.2, "Lam": 1.0, "seeds": [1]}}
+
+
+@pytest.mark.parametrize("kind, data, field, words", [
+    ("solve", _CFL_ULP, "grid.nt", "advective CFL 4.000000000000001"),
+    ("verify", _CFL_ULP, "grid.nt", "advective CFL 4.000000000000001"),
+    ("verify", _COARSE_V, "grid.nv", "holds no cell center"),
+], ids=["cfl-solve", "cfl-verify", "verify-empty-bump"])
+def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should not validate")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    config = ExperimentConfig.from_dict(dict(copy.deepcopy(data), kind=kind))
+    assert cli.run(config, out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == [field]
+    assert words in error["violations"][0]["reason"]
 
 
 def test_validation_counts_cells_on_the_axes_solve_stores():
@@ -520,3 +555,66 @@ def test_verify_kind_passes_residuals(tmp_path):
     reports = json.loads((out / "reports.json").read_text())
     for direction in ("sub", "super"):
         assert reports["residuals"][direction]["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# property: every compute config runs or is rejected with exit 2
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+# resolvable pairs on some 16-cell grids next to cylinders no such grid
+# resolves, so both sides of validation are drawn
+_DRAWN_CHECKS = [
+    {"name": "energy_estimate"}, {"name": "energy_estimate", "r": 0.9},
+    {"name": "gain_integrability", "p": 2.0},
+    {"name": "gain_integrability", "p": 2.4, "R": 0.9},
+    {"name": "sobolev_gain", "sigma": 0.25},
+    {"name": "sobolev_gain", "sigma": 0.1, "r": 0.75},
+    {"name": "linfty_bound", "zeta": 0.5},
+    {"name": "linfty_bound", "zeta": 2.0, "r": 0.9},
+    {"name": "weak_poincare", "eps": 0.5}, {"name": "harnack"},
+    {"name": "weak_harnack"}, {"name": "oscillation_decay"},
+]
+
+
+@st.composite
+def _compute_configs(draw):
+    """JSON-shaped solve, verify and ensemble configs, sizes <= 16; the
+    box is the unit cylinder's plus the pads plus a margin per side,
+    which falls below zero on some draws."""
+    kind = draw(st.sampled_from(("solve", "verify", "ensemble")))
+    px, pv = draw(_num(0.0, 2.0)), draw(_num(0.0, 2.0))
+    m = [draw(_num(-0.25, 3.0)) for _ in range(5)]
+    lam = draw(_num(0.05, 1.0))
+    return {
+        "kind": kind,
+        "grid": {k: draw(st.integers(2, 16)) for k in ("nt", "nx", "nv")},
+        "box": {"t0": -(1.0 + m[0]), "t1": draw(_num(0.0, 0.5)),
+                "x0": -(1.0 + px + m[1]), "x1": 1.0 + px + m[2],
+                "v0": -(1.0 + pv + m[3]), "v1": 1.0 + pv + m[4]},
+        "pads": {"x": px, "v": pv},
+        "coefficients": {"lam": lam, "Lam": lam + draw(_num(-0.1, 2.0)),
+                         "s_amp": draw(_num(0.0, 1.0)),
+                         "cell_size": draw(_num(0.05, 1.0)),
+                         "seeds": draw(st.lists(st.integers(0, 9),
+                                                min_size=1, max_size=2))},
+        "datum": {"floor": draw(_num(-1.0, 1.0)),
+                  "amp": draw(_num(-2.0, 2.0)),
+                  "width": draw(_num(0.05, 2.0))},
+        "checks": draw(st.lists(st.sampled_from(_DRAWN_CHECKS),
+                                min_size=kind == "ensemble", max_size=2)),
+        "threads": 1,
+    }
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_compute_configs())
+def test_every_config_runs_or_exits_2(data):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
+        wrote = (Path(out) / "reports.json").exists()
+    assert code == 2 and not wrote or code in (0, 1) and wrote

@@ -1,7 +1,6 @@
 """Tests for the fundamental kernel: values, gradients, mass, residual,
 splitting, and the convolution representation."""
 
-import csv
 import math
 import time
 
@@ -19,6 +18,12 @@ def test_value_oracle_at_unit_time():
         math.sqrt(3.0 / (4.0 * math.pi**2)), rel=1e-14)
     assert K.kolmogorov_g(1.0, 0.0, 0.0) == pytest.approx(0.27566444771089604,
                                                           rel=1e-13)
+
+
+def test_kernel_is_one_dimensional():
+    for kernel in (K.kolmogorov_g, K.detuned_kernel):
+        with pytest.raises(NotImplementedError):
+            kernel(1.0, 0.0, 0.0, d=2)
 
 
 def test_zero_for_nonpositive_time():
@@ -245,15 +250,3 @@ def test_translated_kernel_matches_group_action():
         got = K.translated_kernel_values(z0, z.t, z.x[0], z.v[0])
         ref = K.kolmogorov_g(w.t, w.x[0], w.v[0])
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
-
-
-def test_tabulate_kernel_csv(tmp_path):
-    path = tmp_path / "kernel.csv"
-    K.tabulate_kernel(path, [0.5, 1.0], [0.0, 0.2], [-0.3, 0.3])
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "x", "v", "g", "dg_dx", "dg_dv"]
-    assert len(rows) == 1 + 2 * 2 * 2
-    g = float(rows[1][3])
-    t, x, v = (float(rows[1][i]) for i in range(3))
-    assert g == pytest.approx(K.kolmogorov_g(t, x, v), rel=1e-15)

@@ -113,19 +113,6 @@ def test_store_every_matches_dense_run():
         solve(f0, coef, BOX, nx=48, nv=32, nt=25, store_every=4)
 
 
-def test_store_x_crop_keeps_solve_box():
-    coef = constant_coefficients(1.0, 0.0, 0.0)
-    f0 = lambda x, v: np.exp(-x * x - v * v)
-    gf = solve(f0, coef, BOX, nx=64, nv=32, nt=16, store_x=(-1.0, 1.0),
-               pad_x=0.5, pad_v=0.5)
-    assert gf.xs.min() >= -1.0 and gf.xs.max() <= 1.0
-    assert gf.solve_box == BOX
-    safe = gf.safe_box
-    # safe region is the pad-shrunk solve box clipped to the stored crop
-    assert safe.x0 == pytest.approx(gf.box.x0)
-    assert safe.v0 == pytest.approx(-1.5)
-
-
 def test_comparison_principle_up_to_grid_tolerance():
     coef = make_rough_coefficients(seed=14, lam=0.2, Lam=1.0, cell_size=0.12)
     lo = solve(lambda x, v: np.exp(-x * x - v * v), coef, BOX,
@@ -172,20 +159,6 @@ def test_binary_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_grid_function(path)
-
-
-def test_csv_export(tmp_path):
-    times = np.array([0.0, 0.1])
-    xs = centered_axis(-1, 1, 4)
-    vs = centered_axis(-1, 1, 3)
-    gf = sample_function(lambda T, X, V: T + X + V, times, xs, vs)
-    path = tmp_path / "dump.csv"
-    gf.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,v,value"
-    assert len(lines) == 1 + 2 * 4 * 3
-    t, x, v, val = (float(p) for p in lines[1].split(","))
-    assert val == t + x + v
 
 
 def test_grid_function_shape_validation():
@@ -319,7 +292,7 @@ def _reference_diffusion_step(f, coef, t_mid, xs, vs, dv, dt):
 
 
 def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
-                     store_x=None, cfl_limit=None):
+                     cfl_limit=None):
     """Samples and eliminates every step, gathers by 2-D fancy index;
     it has no CFL guard, so cfl_limit is ignored."""
     xs = centered_axis(box.x0, box.x1, nx)
@@ -328,8 +301,6 @@ def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
     dv = float(vs[1] - vs[0])
     dt = (box.t1 - box.t0) / nt
     f = np.broadcast_to(f0(xs[:, None], vs[None, :]), (nx, nv)).copy()
-    keep = (slice(None) if store_x is None
-            else (xs >= store_x[0]) & (xs <= store_x[1]))
     k, weights = transport_weights(vs, 0.5 * dt, dx)
     rows = np.arange(nx)[:, None]
     cols = np.arange(nv)[None, :]
@@ -341,7 +312,7 @@ def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
             out += weights[m][None, :] * f[idx[m], cols]
         return out
 
-    stored = [f[keep, :].copy()]
+    stored = [f.copy()]
     times = [box.t0]
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
@@ -349,7 +320,7 @@ def _reference_solve(f0, coef, box, nx, nv, nt, store_every=1,
         f = _reference_diffusion_step(f, coef, t_mid, xs, vs, dv, dt)
         f = transport(f)
         if (n + 1) % store_every == 0:
-            stored.append(f[keep, :].copy())
+            stored.append(f.copy())
             times.append(box.t0 + (n + 1) * dt)
     return np.asarray(times), np.stack(stored, axis=0)
 
@@ -372,9 +343,8 @@ GRID = (48, 32, 16)  # nx, nv, nt
                  BOX, GRID, {}, id="dt-exceeds-cell"),
     pytest.param(constant_coefficients(0.7, 0.3, 0.1), BOX, GRID, {},
                  id="constant"),
-    pytest.param(ROUGH_EIGHTH, BOX, GRID, {"store_every": 2,
-                                           "store_x": (-1.0, 1.0)},
-                 id="thinned-and-cropped"),
+    pytest.param(ROUGH_EIGHTH, BOX, GRID, {"store_every": 2},
+                 id="thinned"),
     pytest.param(_NoDrift(make_rough_coefficients(seed=6, lam=0.2, Lam=1.0,
                                                   cell_size=0.2)),
                  BOX, GRID, {}, id="duck-typed"),
