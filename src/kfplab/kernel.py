@@ -50,11 +50,12 @@ class QuadratureError(ValueError):
 
 def _kernel(t, x, v, d, v_divisor):
     """Kernel body with velocity exponent |v|^2 / (v_divisor t), d = 1:
-    x and v are scalar fields broadcast entrywise, not vectors."""
+    x and v are scalar fields broadcast entrywise, not vectors.  Each
+    factor stays on the shape of the inputs it reads (0-d numpy arrays
+    for a scalar t), so only the products are full-size."""
     if d != 1:
         raise NotImplementedError("the kernel is implemented for d = 1")
-    t, x, v = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float),
-                                  np.asarray(v, float))
+    t, x, v = np.asarray(t, float), np.asarray(x, float), np.asarray(v, float)
     u = x - 0.5 * t * v
     uu, vv = u * u, v * v
     pos = t > 0.0
@@ -285,8 +286,8 @@ def translated_kernel_values(z0, t, x, v, d=1):
 
 def _slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
     """Integral of G(tau, x - x' - tau v', v - v') slab(x', v') dx' dv'."""
-    X, V = np.meshgrid(xg, vg, indexing="ij")
-    g = kolmogorov_g(tau, x - X - tau * V, v - V, d=1)
+    V = vg[None, :]
+    g = kolmogorov_g(tau, x - xg[:, None] - tau * V, v - V, d=1)
     return float(np.sum(g * slab) * dx * dv)
 
 

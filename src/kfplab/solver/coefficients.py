@@ -34,14 +34,6 @@ def _mix(z):
         return z ^ (z >> np.uint64(31))
 
 
-def _hash_cells(seed, channel, it, ix, iv):
-    h = _mix(np.uint64(seed) ^ _CHANNEL[channel])
-    h = _mix(h ^ it.astype(np.int64).view(np.uint64))
-    h = _mix(h ^ ix.astype(np.int64).view(np.uint64))
-    h = _mix(h ^ iv.astype(np.int64).view(np.uint64))
-    return h.astype(np.float64) / 2.0**64
-
-
 def _full(value, t, x, v):
     """value everywhere on the broadcast shape of (t, x, v)."""
     shape = np.broadcast(np.asarray(t), np.asarray(x), np.asarray(v)).shape
@@ -82,14 +74,18 @@ class CoefficientField:
         return np.floor(t * (1.0 / self.cell_size))
 
     def _uniform(self, channel, t, x, v):
-        t, x, v = np.broadcast_arrays(np.asarray(t, float),
-                                      np.asarray(x, float),
-                                      np.asarray(v, float))
+        """Hash of (seed, channel, it, ix, iv) in [0, 1).
+
+        Each stage runs on the broadcast shape of the inputs it has read
+        so far, so on open grids only the last stage is full-size.
+        """
         inv = 1.0 / self.cell_size
-        it = self.time_cell(t)
-        ix = np.floor(x * inv)
-        iv = np.floor(v * inv)
-        return _hash_cells(self.seed, channel, it, ix, iv)
+        h = _mix(np.uint64(self.seed) ^ _CHANNEL[channel])
+        for cell in (self.time_cell(np.asarray(t, float)),
+                     np.floor(np.asarray(x, float) * inv),
+                     np.floor(np.asarray(v, float) * inv)):
+            h = _mix(h ^ cell.astype(np.int64).view(np.uint64))
+        return h.astype(np.float64) / 2.0**64
 
     def diffusion(self, t, x, v):
         if self.kind == "constant":

@@ -5,14 +5,16 @@ business; here each checker is fed hand-built grid functions whose
 verdicts are known, plus the structural rejections.
 """
 
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kfplab import cli
-from kfplab.calibration import pass_bound as calibrated_bound
+from kfplab.calibration import load_calibration, pass_bound as calibrated_bound
 from kfplab.estimates import (
     InsufficientResolutionError,
     ORIGIN,
@@ -30,6 +32,7 @@ from kfplab.estimates import (
     explicit_constants,
     velocity_gradient,
 )
+from kfplab.estimates import checks
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
 from kfplab.experiments import (STANDARD_BOX, standard_coefficients,
                                 standard_cylinders, standard_datum)
@@ -472,3 +475,32 @@ def test_checker_measures_on_declared_cylinders(name, params, grid):
     report = cli._CHECKS[name](f, COEF0, params)
     declared = [cyl.describe() for cyl in statement.cylinders(params)]
     assert all(cyl in declared for cyl in report.cylinders)
+
+
+def test_pass_bound_keys_parse_to_declared_statements():
+    # a key is `name` or `name[param=value]`, value as the checkers
+    # format it with :g
+    keyed = set()
+    for key in load_calibration()["pass_bounds"]:
+        match = re.fullmatch(r"(\w+)(?:\[(\w+)=([^\]]+)\])?", key)
+        assert match, key
+        name, param, value = match.groups()
+        params = {} if param is None else {param: float(value)}
+        if param is not None:
+            assert key == f"{name}[{param}={params[param]:g}]"
+        if name == "kolmogorov_representation":
+            # the kernel suite's check_kolm_lp_bound, p in [2, 3)
+            assert list(params) == ["p"], key
+            checks._GAIN_P.coerce("p", params["p"])
+            continue
+        assert name in STATEMENTS, key
+        assert set(params) <= set(STATEMENTS[name].params), key
+        STATEMENTS[name].require(**params)
+        keyed.add(name)
+    # a checker whose pass_bound defaults to None reads the calibration
+    calibrated = {name for name in STATEMENTS if inspect.signature(
+        getattr(checks, f"check_{name}")).parameters["pass_bound"].default
+        is None}
+    assert calibrated <= keyed
+    # the one analytic bound: the oscillation contraction, pass_bound 1
+    assert set(STATEMENTS) - calibrated == {"oscillation_decay"}

@@ -104,3 +104,43 @@ def test_bounds_property(seed, t, x, v):
     assert 0.5 <= float(coef.diffusion(t, x, v)) <= 2.5
     assert -2.5 <= float(coef.drift(t, x, v)) <= 2.5
     assert -1.0 <= float(coef.source(t, x, v)) <= 1.0
+
+
+@st.composite
+def _open_grid(draw):
+    """A rough field and (t, x, v) that broadcast from 1-D axes: an open
+    (t, x, v) grid, a scalar t over an open (v, x) grid as the solver
+    samples, or flat point lists.  Coordinates are negative or on the
+    cell edges k * cell_size on some draws."""
+    cell = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0 / 3.0]))
+    coordinate = st.one_of(st.floats(-8.0, 8.0),
+                           st.integers(-80, 80).map(lambda k: k * cell))
+
+    def axis(size):
+        return np.array(draw(st.lists(coordinate, min_size=size,
+                                      max_size=size)))
+
+    coef = make_rough_coefficients(seed=draw(st.integers(0, 2**32 - 1)),
+                                   lam=0.3, Lam=1.7, cell_size=cell,
+                                   s_amp=0.6)
+    sizes = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    t, x, v = (axis(n) for n in sizes)
+    layout = draw(st.sampled_from(["open", "scalar_t", "flat"]))
+    if layout == "open":
+        return coef, (t[:, None, None], x[None, :, None], v[None, None, :])
+    if layout == "scalar_t":
+        return coef, (float(t[0]), x[None, :], v[:, None])
+    n = min(sizes)
+    return coef, (t[:n], x[:n], v[:n])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_open_grid())
+def test_open_grids_match_full_arrays_bitwise(case):
+    coef, (t, x, v) = case
+    full = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float),
+                               np.asarray(v, float))
+    for field in (coef.diffusion, coef.drift, coef.source):
+        got, ref = field(t, x, v), field(*full)
+        assert np.shape(got) == np.shape(ref) == full[0].shape
+        assert np.array_equal(got, ref)

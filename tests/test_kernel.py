@@ -250,3 +250,74 @@ def test_translated_kernel_matches_group_action():
         got = K.translated_kernel_values(z0, z.t, z.x[0], z.v[0])
         ref = K.kolmogorov_g(w.t, w.x[0], w.v[0])
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def _on_full_arrays(kernel, t, x, v):
+    """kernel on the broadcast full arrays of (t, x, v)."""
+    return kernel(*np.broadcast_arrays(np.asarray(t, float),
+                                       np.asarray(x, float),
+                                       np.asarray(v, float)))
+
+
+@pytest.mark.parametrize("kernel", [K.kolmogorov_g, K.detuned_kernel])
+def test_open_grids_match_full_arrays_bitwise(kernel):
+    rng = np.random.default_rng(17)
+    # t <= 0 entries, and small times whose exponent passes EXP_FLOOR
+    t = np.concatenate([[-0.5, 0.0, 1e-3, 2e-3],
+                        10.0 ** rng.uniform(-2.0, 1.5, 12)])
+    x = rng.uniform(-6.0, 6.0, 96)
+    v = rng.uniform(-5.0, 5.0, 80)
+    got = kernel(t[:, None, None], x[None, :, None], v[None, None, :])
+    ref = _on_full_arrays(kernel, t[:, None, None], x[None, :, None],
+                          v[None, None, :])
+    assert got.shape == (t.size, x.size, v.size)
+    assert np.array_equal(got, ref)
+    assert np.all(got[:2] == 0.0)
+    # exponents below EXP_FLOOR give exact zeros beside positive values
+    assert np.any(got[2:] == 0.0) and np.any(got[2:] > 0.0)
+    # a scalar time over an open (x, v) grid, as the slice quadrature
+    # calls it: the t-only factors are 0-d there
+    for tau in np.concatenate([t, rng.uniform(0.01, 3.0, 40)]):
+        got = kernel(tau, x[:, None], v[None, :])
+        assert np.array_equal(got, _on_full_arrays(kernel, tau, x[:, None],
+                                                   v[None, :]))
+    # 0-d inputs still return a Python float
+    for args in [(0.7, 0.2, -0.4), (np.float64(0.7), np.asarray(0.2), -0.4),
+                 (np.asarray(-1.0), 0.0, 0.0)]:
+        got = kernel(*args)
+        assert type(got) is float
+        assert got == _on_full_arrays(kernel, *args)
+
+
+def _meshgrid_slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
+    """Reference for kernel._slice_quadrature: the kernel on full
+    meshgrid arrays, one evaluation point at a time."""
+    X, V = np.meshgrid(xg, vg, indexing="ij")
+    g = _on_full_arrays(K.kolmogorov_g, tau, x - X - tau * V, v - V)
+    return float(np.sum(g * slab) * dx * dv)
+
+
+def _space_time_source():
+    times = -0.4 + 0.05 * np.arange(8)
+    xs = np.linspace(-1.5, 1.5, 24, endpoint=False) + 1.5 / 24
+    vs = np.linspace(-1.5, 1.5, 20, endpoint=False) + 1.5 / 20
+    T, X, V = np.meshgrid(times, xs, vs, indexing="ij")
+    vals = np.exp(-((T + 0.2) / 0.1) ** 2 - X**2 - 2.0 * V**2) * np.cos(X)
+    return (times, xs, vs, vals)
+
+
+@pytest.mark.parametrize("source, points", [
+    (_point_mass_source(0.1),
+     ([1.0, 0.3, 0.05, -0.5, 2.0], [0.0, 0.4, -0.2, 0.0, 1.5],
+      [0.0, -0.3, 0.1, 0.0, -1.0])),
+    (_space_time_source(),
+     ([0.0, 0.2, -0.1, -0.42, -0.39], [0.0, 0.5, -0.7, 0.0, 0.1],
+      [0.0, -0.2, 0.4, 0.0, 0.3])),
+])
+def test_convolution_matches_meshgrid_reference_bitwise(source, points,
+                                                        monkeypatch):
+    got = K.convolve_representation(source, points)
+    monkeypatch.setattr(K, "_slice_quadrature", _meshgrid_slice_quadrature)
+    ref = K.convolve_representation(source, points)
+    assert np.array_equal(got, ref)
+    assert np.count_nonzero(got) >= 3
