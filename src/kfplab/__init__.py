@@ -13,7 +13,6 @@ from .geometry import (
     compose,
     inverse,
     scale,
-    ball_volume,
     Cylinder,
     make_cylinder,
     translate_cylinder,

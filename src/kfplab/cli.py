@@ -186,7 +186,6 @@ _KIND_FIELDS = {
         "options.digits": Interval(1, 61, lo_closed=True, integer=True,
                                    default=12),
     },
-    "counterexample": {"options.verify": _Flag(True)},
     "convergence": {
         "options.levels": _Levels((1, 2, 4)),
         "options.min_order": Interval(-math.inf, default=1.8),
@@ -346,9 +345,17 @@ def validate(config: ExperimentConfig) -> list:
                               f"expected one of {', '.join(KINDS)}"))
     for key in config.unknown_keys:
         out.append(_violation(key, "unknown configuration key"))
+    read = set(_KIND_FIELDS.get(config.kind, ()))
+    if config.kind in _COMPUTE_KINDS:
+        read.add("coefficients.seeds")
     for section in _SECTIONS:
-        if not isinstance(getattr(config, section), dict):
+        data = getattr(config, section)
+        if not isinstance(data, dict):
             out.append(_violation(section, "must be an object"))
+        elif config.kind in KINDS:
+            out += [_violation(f"{section}.{key}",
+                               f"not read by kind {config.kind!r}")
+                    for key in data if f"{section}.{key}" not in read]
     if config.out is not None and not isinstance(config.out, str):
         out.append(_violation("out", f"must be a path string, "
                                      f"got {config.out!r}"))
@@ -599,7 +606,7 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
 def _run_constants(config: ExperimentConfig, out: Path):
     inputs = {k: _field(config, f"options.{k}")
               for k in ("delta1", "delta2", "s_inf")}
-    consts = explicit_constants(d=1, **inputs)
+    consts = explicit_constants(**inputs)
     digits = _field(config, "options.digits")
     tup = consts.as_tuple_str(digits)
     print("(r0, eps, theta, nu, mu, alpha) =", tup)
@@ -615,21 +622,23 @@ def _run_constants(config: ExperimentConfig, out: Path):
 
 
 def _run_counterexample(config: ExperimentConfig, out: Path):
-    result = experiments.run_counterexample(
-        verify=_field(config, "options.verify"))
+    result = experiments.run_counterexample()
     gap_removed = result["gap_removed"]
     fraction = result["intermediate_fraction"]
-    ok = fraction == 0.0 and gap_removed.hypotheses_met
+    # the indicator must be a weak sub-solution for the counterexample
+    # to hold; residual_super is the negative control and is only
+    # reported
+    ok = (fraction == 0.0 and gap_removed.hypotheses_met
+          and result["residual_sub"].passed)
     payload = {
         "kind": "counterexample",
         "intermediate_fraction": fraction,
         "nu": result["nu"],
         "gap_removed": gap_removed.to_json_dict(),
         "with_gap": result["with_gap"].to_json_dict(),
+        "residual_sub": result["residual_sub"].to_json_dict(),
+        "residual_super": result["residual_super"].to_json_dict(),
     }
-    if "residual_sub" in result:
-        payload["residual_sub"] = result["residual_sub"].to_json_dict()
-        payload["residual_super"] = result["residual_super"].to_json_dict()
     rows = [["counterexample_gap_removed", "", fraction, result["nu"], "",
              ok, gap_removed.hypotheses_met]]
     return (0 if ok else 1), payload, rows, {}

@@ -227,8 +227,8 @@ def _provenance(f: GridFunction, coef=None) -> dict:
 def _require_nested(Qr: Cylinder, QR: Cylinder):
     a, b = Qr.eff_center, QR.eff_center
     same = (abs(a.t - b.t) < 1e-12
-            and np.allclose(a.x, b.x, atol=1e-12)
-            and np.allclose(a.v, b.v, atol=1e-12))
+            and abs(a.x - b.x) < 1e-12
+            and abs(a.v - b.v) < 1e-12)
     if not same or not Qr.eff_radius < QR.eff_radius:
         raise ValueError("cylinders must be nested around a common center")
 
@@ -252,7 +252,7 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
 
     vals_R = f.cells(QR).values
     const = energy_constant(Qr.eff_radius, QR.eff_radius,
-                            float(np.linalg.norm(QR.eff_center.v)))
+                            abs(QR.eff_center.v))
     sq = float((vals_R ** 2).sum() * f.cell_measure)
     svals = f.cells(QR).source(coef)
     cross = float((np.abs(vals_R) * np.abs(svals)).sum() * f.cell_measure)
@@ -269,13 +269,12 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
 def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
                              QR: Cylinder, p: float, *,
                              pass_bound=None) -> EstimateReport:
-    """L^p norm on Qr against L^2 data on QR, p below the critical 2 + 1/d."""
-    d = 1
+    """L^p norm on Qr against L^2 data on QR, p below the critical 3."""
     STATEMENTS["gain_integrability"].require(p=p)
     _require_nested(Qr, QR)
     const = gain_int_constant(Qr.eff_radius, QR.eff_radius,
-                              float(np.linalg.norm(QR.eff_center.v)))
-    prefactor = const / (2.0 + 1.0 / d - p)
+                              abs(QR.eff_center.v))
+    prefactor = const / (3.0 - p)
     lhs = lp_norm(f, Qr, p)
     sid = f"gain_integrability[p={p:g}]"
     return build_report(
@@ -293,9 +292,8 @@ def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
     """Fractional x-regularity on Qr against L^2 data on QR."""
     STATEMENTS["sobolev_gain"].require(sigma=sigma)
     _require_nested(Qr, QR)
-    d = 1
     const = gain_reg_constant(Qr.eff_radius, QR.eff_radius,
-                              float(np.linalg.norm(QR.eff_center.v)), d)
+                              abs(QR.eff_center.v))
     prefactor = const / (1.0 / 3.0 - sigma)
     semi = gagliardo_x_seminorm(f, Qr, sigma)
     l1 = lp_norm(f, Qr, 1.0)
@@ -317,10 +315,9 @@ def check_linfty_bound(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
     """Sup bound on Qr from a small-exponent quasi-norm on QR."""
     STATEMENTS["linfty_bound"].require(zeta=zeta)
     _require_nested(Qr, QR)
-    d = 1
     r, R = Qr.eff_radius, QR.eff_radius
-    v0 = float(np.linalg.norm(QR.eff_center.v))
-    factor = ((1.0 + v0) / (r * r * (R - r) ** 3)) ** ((1.0 + 4 * d) / zeta)
+    v0 = abs(QR.eff_center.v)
+    factor = ((1.0 + v0) / (r * r * (R - r) ** 3)) ** (5.0 / zeta)
     lhs = max(sup_on(f, Qr), 0.0)
     sid = f"linfty_bound[zeta={zeta:g}]"
     return build_report(
@@ -342,9 +339,8 @@ def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
     L^p norm sits below the critical-exponent barrier constant times
     the L^2 norms of the data.
     """
-    d = 1
     _GAIN_P.coerce("p", p)
-    prefactor = 1.0 / (2.0 + 1.0 / d - p)
+    prefactor = 1.0 / (3.0 - p)
     lhs = grid_lp_norm(f, p)
     sid = f"kolmogorov_representation[p={p:g}]"
     return build_report(
@@ -367,7 +363,6 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     """
     statement = STATEMENTS["weak_poincare"]
     statement.require(eps=eps, sigma=sigma)
-    d = 1
     q1, q1_past, q5 = statement.cylinders()
     avg = cylinder_average(f, q1_past)
     vals1 = f.cells(q1).values
@@ -375,7 +370,7 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     sid = "weak_poincare"
     return build_report(
         sid, lhs,
-        {"grad_v_l1": eps ** (-(d + 2)) * grad_v_l1(f, q5),
+        {"grad_v_l1": eps ** -3 * grad_v_l1(f, q5),
          "f_l2": eps ** sigma / (1.0 / 3.0 - sigma) * lp_norm(f, q5, 2.0),
          "source_l2": source_l2(coef, f, q5)},
         _bound(sid, pass_bound),
@@ -400,7 +395,7 @@ def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
     physical scale of the test geometry.
     """
     if consts is None:
-        consts = explicit_constants(d=1, delta1=delta1, delta2=delta2,
+        consts = explicit_constants(delta1=delta1, delta2=delta2,
                                     s_inf=coef.source_sup)
     sf = float(scale_factor)
     if sf <= 0:
@@ -503,7 +498,6 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
     tilde, lower, early = statement.cylinders()
     vals = np.clip(f.cells(tilde).values, 0.0, None)
     lhs = float((vals ** zeta).sum() * f.cell_measure) ** (1.0 / zeta)
-    d = 1
     log_vals = np.log1p(np.clip(f.cells(early).values, 0.0, None))
     log_diag = float((log_vals ** _LOG_DIAG_EXPONENT).sum() * f.cell_measure)
     sid = f"weak_harnack[zeta={zeta:g}]"
@@ -514,7 +508,7 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
         _bound(sid, pass_bound),
         cylinders=(tilde, lower),
         extras={"zeta_measure": zeta,
-                "zeta_statement": WEAK_HARNACK_DELTA0 ** (10 * d + 17),
+                "zeta_statement": WEAK_HARNACK_DELTA0 ** 27,
                 "delta0": WEAK_HARNACK_DELTA0, "r0": HARNACK_R0,
                 "log_integral_diagnostic": log_diag},
         provenance=_provenance(f, coef))
@@ -585,7 +579,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
             slope = np.polyfit(np.log(radii), np.log(oscs), 1)[0]
             alpha_hats.append(float(slope))
         per_center.append({
-            "center": [z0.t, z0.x.tolist(), z0.v.tolist()],
+            "center": z0.to_json(),
             "radii": radii, "oscillations": oscs,
         })
 

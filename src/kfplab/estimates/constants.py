@@ -1,16 +1,17 @@
 """Explicit constants of the quantitative regularity statements.
 
-Derivation chain, with C a universal constant and the cylinder volume
-|Q_(1/2)| entering the density constant:
+Derivation chain in dimension d = 1, with C a universal constant and
+the cylinder volume |Q_(1/2)| = 4 (1/2)^6 = 1/16 entering the density
+constant:
 
     epsilon = (delta1 delta2 / (8 C))^(1/sigma)
     theta   = delta1^2 delta2^2
-              [8 (delta2 + C (1+S) / (r0^(4d+1) epsilon^(d+2)))]^(-2)
+              [8 (delta2 + C (1+S) / (r0^5 epsilon^3))]^(-2)
     nu      = |Q_(1/2)|^(-1)
-              ((delta1 delta2 / (4 C)) epsilon^(d+2) r0^(4d+1))^2
+              ((delta1 delta2 / (4 C)) epsilon^3 r0^5)^2
     mu      = theta^(1 + 1/nu) / 2
     alpha   solves 1 - mu/2 = r0^alpha
-    zeta    = delta0^(10 d + 17)
+    zeta    = delta0^27
 
 Two variants differ in r0 and in where the source bound enters:
 
@@ -63,9 +64,9 @@ def gain_int_constant(r: float, R: float, v0: float) -> float:
     return (1.0 + 1.0 / (R - r)) * energy_constant(r, R, v0)
 
 
-def gain_reg_constant(r: float, R: float, v0: float, d: int = 1) -> float:
-    """Constant in the regularity gain: R^(1+2d) (1 + 1/(R-r)) energy."""
-    return R ** (1 + 2 * d) * (1.0 + 1.0 / (R - r)) * energy_constant(r, R, v0)
+def gain_reg_constant(r: float, R: float, v0: float) -> float:
+    """Constant in the regularity gain: R^3 (1 + 1/(R-r)) energy."""
+    return R ** 3 * (1.0 + 1.0 / (R - r)) * energy_constant(r, R, v0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +77,6 @@ class ExplicitConstants:
     value as a 20-digit decimal string.
     """
 
-    d: int
     delta1: float
     delta2: float
     s_inf: float
@@ -110,11 +110,7 @@ class ExplicitConstants:
         return out
 
 
-def _ball_volume(d: int) -> mp.mpf:
-    return mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2 + 1)
-
-
-def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
+def explicit_constants(delta1: float = 0.5, delta2: float = 0.5,
                        s_inf: float = 0.0, sigma: float = 0.25,
                        c_universal: float = 10.0, delta0: float = 0.01,
                        variant: str = "ivl", source_free=None,
@@ -124,8 +120,6 @@ def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
     source_free applies to the "increase" variant only and defaults to
     s_inf == 0.
     """
-    if d < 1 or int(d) != d:
-        raise ValueError("d must be a positive integer")
     if not (0.0 < delta1 < 1.0 and 0.0 < delta2 < 1.0):
         raise ValueError("delta1 and delta2 must lie in (0, 1)")
     if not 0.0 < sigma < 1.0 / 3.0:
@@ -141,7 +135,6 @@ def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
     if source_free is None:
         source_free = s_inf == 0.0
 
-    d = int(d)
     with mp.workdps(dps):
         d1 = mp.mpf(delta1)
         d2 = mp.mpf(delta2)
@@ -161,11 +154,11 @@ def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
             s_formula = mp.mpf(1)
 
         epsilon = (d1 * d2 / (8 * c)) ** (1 / sig)
-        eps_pow = epsilon ** (d + 2)
-        r0_pow = r0 ** (4 * d + 1)
+        eps_pow = epsilon ** 3
+        r0_pow = r0 ** 5
         theta = (d1 * d2) ** 2 / (8 * (d2 + c * (1 + s_formula)
                                        / (r0_pow * eps_pow))) ** 2
-        q_half = mp.mpf(2) ** (-(4 * d + 2)) * _ball_volume(d) ** 2
+        q_half = mp.mpf(1) / 16
         nu = ((d1 * d2 / (4 * c)) * eps_pow * r0_pow) ** 2 / q_half
         mu = mp.exp((1 + 1 / nu) * mp.log(theta)) / 2
         # 1 - mu/2 rounds to 1 at any feasible precision, so expand the
@@ -174,7 +167,7 @@ def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
             alpha = (mu / 2) / (-mp.log(r0))
         else:
             alpha = mp.log(1 - mu / 2) / mp.log(r0)
-        zeta = mp.mpf(delta0) ** (10 * d + 17)
+        zeta = mp.mpf(delta0) ** 27
 
         derived = {"r0": r0, "epsilon": epsilon, "theta": theta, "nu": nu,
                    "mu": mu, "alpha": alpha, "zeta": zeta}
@@ -182,7 +175,7 @@ def explicit_constants(d: int = 1, delta1: float = 0.5, delta2: float = 0.5,
         floats = {k: float(val) for k, val in derived.items()}
 
     return ExplicitConstants(
-        d=d, delta1=float(delta1), delta2=float(delta2), s_inf=float(s_inf),
+        delta1=float(delta1), delta2=float(delta2), s_inf=float(s_inf),
         sigma=float(sigma), c_universal=float(c_universal),
         delta0=float(delta0), variant=variant, precise=precise, **floats)
 

@@ -1,10 +1,11 @@
 """Galilean group operations and the kinetic cylinders built from them.
 
-Phase points are z = (t, x, v) with x and v in R^d.  The group law
+Phase points are z = (t, x, v) with t, x and v real numbers.  The
+group law
 
     compose(z0, z1) = (t0 + t1, x0 + x1 + t1 v0, v0 + v1)
 
-is the symmetry of free transport (d/dt + v . grad_x), and the scaling
+is the symmetry of free transport (d/dt + v d/dx), and the scaling
 
     scale(r, z) = (r^2 t, r^3 x, r v)
 
@@ -26,7 +27,6 @@ run on those two fields.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "compose",
     "inverse",
     "scale",
-    "ball_volume",
     "Cylinder",
     "make_cylinder",
     "translate_cylinder",
@@ -49,24 +48,19 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """A point (t, x, v) of kinetic phase space; x and v have equal length."""
+    """A point (t, x, v) of kinetic phase space, three floats."""
 
     t: float
-    x: np.ndarray
-    v: np.ndarray
+    x: float
+    v: float
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if x.ndim != 1 or v.ndim != 1 or x.shape != v.shape:
-            raise ValueError("x and v must be one dimensional and of equal length")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+        for name in ("t", "x", "v"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
-    @property
-    def d(self) -> int:
-        return self.x.size
+    def to_json(self) -> list:
+        """[t, [x], [v]]: reports write x and v as one-element lists."""
+        return [self.t, [self.x], [self.v]]
 
 
 def as_point(z) -> PhasePoint:
@@ -97,22 +91,6 @@ def scale(r: float, a) -> PhasePoint:
     return PhasePoint(r * r * a.t, r ** 3 * a.x, r * a.v)
 
 
-def ball_volume(d: int) -> float:
-    """Volume of the unit euclidean ball in R^d."""
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def _components(arr, d: int) -> np.ndarray:
-    """View an array as points with d spatial components on the last
-    axis; for d = 1 each entry is a point, whatever the array's shape."""
-    arr = np.asarray(arr, dtype=float)
-    if d == 1:
-        return arr[..., None]
-    if arr.ndim == 0 or arr.shape[-1] != d:
-        raise ValueError(f"expected points with {d} components on the last axis")
-    return arr
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class Cylinder:
     """A kinetic cylinder; construct through make_cylinder.
@@ -130,36 +108,32 @@ class Cylinder:
     eff_radius: float
 
     def contains(self, t, x, v):
-        """Pointwise membership with broadcasting; x, v entrywise when d = 1."""
+        """Pointwise membership, broadcasting t, x and v entrywise."""
         zc = self.eff_center
         rho = self.eff_radius
         t = np.asarray(t, dtype=float)
-        x = _components(x, zc.d)
-        v = _components(v, zc.d)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         dt = t - zc.t
-        tube = x - (zc.x + dt[..., None] * zc.v)
+        tube = x - (zc.x + dt * zc.v)
         ok = (dt > -rho * rho) & (dt <= 0.0)
-        ok = ok & (np.linalg.norm(tube, axis=-1) < rho ** 3)
-        ok = ok & (np.linalg.norm(v - zc.v, axis=-1) < rho)
+        ok = ok & (np.abs(tube) < rho ** 3)
+        ok = ok & (np.abs(v - zc.v) < rho)
         return ok
 
     def volume(self) -> float:
-        """Lebesgue measure: rho^(4d+2) times the unit cylinder volume."""
-        d = self.eff_center.d
-        return self.eff_radius ** (4 * d + 2) * ball_volume(d) ** 2
+        """Lebesgue measure: 4 rho^6, rho^2 in t times 2 rho^3 in x
+        times 2 rho in v."""
+        return 4.0 * self.eff_radius ** 6
 
     def sample_lattice(self, n: int):
-        """Regular lattice of n**3 strictly interior points (d = 1 only).
+        """Regular lattice of n**3 strictly interior points.
 
         Offsets use the midpoint rule per axis, so no point sits on the
         boundary and the time slice t = center time is not included.
         """
-        if self.eff_center.d != 1:
-            raise NotImplementedError("lattice sampling is implemented for d = 1")
         rho = self.eff_radius
-        tc = self.eff_center.t
-        xc = float(self.eff_center.x[0])
-        vc = float(self.eff_center.v[0])
+        tc, xc, vc = self.eff_center.t, self.eff_center.x, self.eff_center.v
         frac = (np.arange(n) + 0.5) / n
         dt = -rho * rho * frac
         off = 2.0 * frac - 1.0
@@ -170,17 +144,13 @@ class Cylinder:
         return t.ravel(), x.ravel(), v.ravel()
 
     def bbox(self):
-        """Axis aligned bounds ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)), d = 1.
+        """Axis aligned bounds ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)).
 
         The x extent accounts for the drift of the tube center across
         the time window.
         """
-        if self.eff_center.d != 1:
-            raise NotImplementedError("bbox is implemented for d = 1")
         rho = self.eff_radius
-        tc = self.eff_center.t
-        xc = float(self.eff_center.x[0])
-        vc = float(self.eff_center.v[0])
+        tc, xc, vc = self.eff_center.t, self.eff_center.x, self.eff_center.v
         x_drift = -rho * rho * vc
         x_lo = min(xc, xc + x_drift) - rho ** 3
         x_hi = max(xc, xc + x_drift) + rho ** 3
@@ -188,13 +158,12 @@ class Cylinder:
 
     def describe(self) -> dict:
         """JSON ready summary used in reports."""
-        zc, ze = self.center, self.eff_center
         return {
             "kind": self.kind,
             "radius": self.radius,
-            "center": [zc.t, zc.x.tolist(), zc.v.tolist()],
+            "center": self.center.to_json(),
             "params": dict(self.params),
-            "effective_center": [ze.t, ze.x.tolist(), ze.v.tolist()],
+            "effective_center": self.eff_center.to_json(),
             "effective_radius": self.eff_radius,
         }
 
@@ -251,8 +220,7 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
         shift = -2.5 * r * r + 0.5 * rho * rho
     else:
         raise ValueError(f"unknown cylinder kind {kind!r}")
-    zeros = np.zeros(center.d)
-    eff_center = compose(center, PhasePoint(shift, zeros, zeros))
+    eff_center = compose(center, PhasePoint(shift, 0.0, 0.0))
     return Cylinder(kind, center, r, params, eff_center, rho)
 
 
@@ -300,8 +268,6 @@ def vitali_inclusion_check(c1: Cylinder, c2: Cylinder, n: int = 17) -> VitaliRep
     for c in (c1, c2):
         if c.kind != "covering" or c.params.get("mate"):
             raise ValueError("vitali_inclusion_check expects plain covering cylinders")
-    if c1.center.d != 1 or c2.center.d != 1:
-        raise NotImplementedError("implemented for d = 1")
     r1, r2 = c1.radius, c2.radius
     if r1 > 2.0 * r2:
         return VitaliReport(False, None, None, True, 0,
@@ -312,8 +278,8 @@ def vitali_inclusion_check(c1: Cylinder, c2: Cylinder, n: int = 17) -> VitaliRep
     z1, z2 = c1.center, c2.center
     dt = z1.t - z2.t
     if (abs(dt) >= 10.0 * r2 ** 2
-            or np.linalg.norm(z1.v - z2.v) >= 6.0 * r2
-            or np.linalg.norm(z1.x - z2.x - dt * z2.v) >= 120.0 * r2 ** 3):
+            or abs(z1.v - z2.v) >= 6.0 * r2
+            or abs(z1.x - z2.x - dt * z2.v) >= 120.0 * r2 ** 3):
         return VitaliReport(True, False, None, True, 0,
                             "centers too far apart to intersect")
     lat1 = c1.sample_lattice(n)

@@ -2,12 +2,12 @@
 
 The kernel
 
-    G(t, x, v) = (3 / (4 pi^2 t^4))^{d/2}
-                 * exp(-3|x - (t/2) v|^2 / t^3 - |v|^2 / (4 t)),   t > 0,
+    G(t, x, v) = (3 / (4 pi^2 t^4))^{1/2}
+                 * exp(-3 (x - (t/2) v)^2 / t^3 - v^2 / (4 t)),   t > 0,
 
 extended by 0 for t <= 0, solves
 
-    dG/dt + v . grad_x G = Delta_v G
+    dG/dt + v dG/dx = d^2G/dv^2
 
 with a point mass at the origin as initial datum.  This module provides
 pointwise evaluation, gradients, mass and PDE-residual diagnostics, the
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import PhasePoint, inverse
+from .geometry import as_point, inverse
 
 __all__ = [
     "QuadratureError",
@@ -48,13 +48,11 @@ class QuadratureError(ValueError):
     """Raised when a quadrature cannot meet its accuracy budget."""
 
 
-def _kernel(t, x, v, d, v_divisor):
-    """Kernel body with velocity exponent |v|^2 / (v_divisor t), d = 1:
-    x and v are scalar fields broadcast entrywise, not vectors.  Each
-    factor stays on the shape of the inputs it reads (0-d numpy arrays
-    for a scalar t), so only the products are full-size."""
-    if d != 1:
-        raise NotImplementedError("the kernel is implemented for d = 1")
+def _kernel(t, x, v, v_divisor):
+    """Kernel body with velocity exponent v^2 / (v_divisor t), broadcast
+    entrywise.  Each factor stays on the shape of the inputs it reads
+    (0-d numpy arrays for a scalar t), so only the products are
+    full-size."""
     t, x, v = np.asarray(t, float), np.asarray(x, float), np.asarray(v, float)
     u = x - 0.5 * t * v
     uu, vv = u * u, v * v
@@ -62,7 +60,7 @@ def _kernel(t, x, v, d, v_divisor):
     ts = np.where(pos, t, 1.0)
     expo = -3.0 * uu / ts**3 - vv / (v_divisor * ts)
     keep = pos & (expo >= EXP_FLOOR)
-    pref = (3.0 / (4.0 * math.pi**2)) ** (0.5 * d) * ts ** (-2.0 * d)
+    pref = (3.0 / (4.0 * math.pi**2)) ** 0.5 * ts ** -2.0
     out = np.where(keep, pref * np.exp(np.where(keep, expo, 0.0)), 0.0)
     if out.ndim == 0:
         return float(out)
@@ -70,32 +68,36 @@ def _kernel(t, x, v, d, v_divisor):
 
 
 def kolmogorov_g(t, x, v, d=1):
-    """Evaluate G(t, x, v); zero for t <= 0 or once exp underflows."""
-    return _kernel(t, x, v, d, 4.0)
+    """Evaluate G(t, x, v); zero for t <= 0 or once exp underflows.
+
+    d is the phase-space dimension; only d = 1 is implemented.  The
+    slot stays because perfbench/spans.py passes it positionally.
+    """
+    if d != 1:
+        raise NotImplementedError("the kernel is implemented for d = 1")
+    return _kernel(t, x, v, 4.0)
 
 
-def detuned_kernel(t, x, v, d=1):
-    """Negative control: same prefactor but velocity exponent |v|^2/(2t).
+def detuned_kernel(t, x, v):
+    """Negative control: same prefactor but velocity exponent v^2/(2t).
 
     Not a solution of the kinetic equation; used to verify that the PDE
     residual diagnostic actually rejects a wrong kernel.
     """
-    return _kernel(t, x, v, d, 2.0)
+    return _kernel(t, x, v, 2.0)
 
 
-def kernel_gradients(t, x, v, d=1):
-    """Spatial and velocity gradients of G for t > 0 (d = 1 entrywise).
+def kernel_gradients(t, x, v):
+    """Spatial and velocity derivatives of G for t > 0, entrywise.
 
     Returns (g, dG/dx, dG/dv).  Inputs with t <= 0 are rejected: the
     kernel is not differentiable across the initial time.
     """
-    if d != 1:
-        raise NotImplementedError("kernel_gradients is implemented for d = 1")
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("kernel_gradients requires t > 0")
     t, x, v = np.broadcast_arrays(t, np.asarray(x, float), np.asarray(v, float))
-    g = np.asarray(kolmogorov_g(t, x, v, d=1), dtype=float)
+    g = np.asarray(kolmogorov_g(t, x, v), dtype=float)
     u = x - 0.5 * t * v
     gx = -6.0 * u / t**3 * g
     gv = (3.0 * u / t**2 - v / (2.0 * t)) * g
@@ -121,16 +123,14 @@ def _sheared_grid(t, n, mult):
     return u, v, du, dv
 
 
-def kernel_mass(t, n=256, mult=8.0, d=1):
-    """Total integral of G(t, ., .) by sheared midpoint quadrature (d = 1).
+def kernel_mass(t, n=256, mult=8.0):
+    """Total integral of G(t, ., .) by sheared midpoint quadrature.
 
     The analytic truncation error of the domain |u| <= mult t^{3/2},
     |v| <= mult sqrt(t) is 1 - erf(mult sqrt(3)) erf(mult / 2); if that
     alone exceeds 5e-7 the quadrature is refused rather than silently
     degraded.
     """
-    if d != 1:
-        raise NotImplementedError("kernel_mass is implemented for d = 1")
     if t <= 0.0:
         raise ValueError("kernel_mass requires t > 0")
     truncation = 1.0 - math.erf(mult * math.sqrt(3.0)) * math.erf(mult / 2.0)
@@ -140,12 +140,12 @@ def kernel_mass(t, n=256, mult=8.0, d=1):
     u, v, du, dv = _sheared_grid(t, n, mult)
     U, V = np.meshgrid(u, v, indexing="ij")
     X = U + 0.5 * t * V
-    vals = kolmogorov_g(t, X, V, d=1)
+    vals = kolmogorov_g(t, X, V)
     return float(np.sum(vals) * du * dv)
 
 
 def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-                        n=9, kernel=None, d=1):
+                        n=9, kernel=None):
     """Max centered-difference residual of dG/dt + v dG/dx - d2G/dv2.
 
     Evaluated on an n^3 midpoint lattice of the region; the time range
@@ -161,25 +161,25 @@ def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
     T, X, V = np.meshgrid(t0 + (t1 - t0) * frac,
                           x0 + (x1 - x0) * frac,
                           v0 + (v1 - v0) * frac, indexing="ij")
-    dt = (kernel(T + h, X, V, d=d) - kernel(T - h, X, V, d=d)) / (2.0 * h)
-    dx = (kernel(T, X + h, V, d=d) - kernel(T, X - h, V, d=d)) / (2.0 * h)
-    dvv = (kernel(T, X, V + h, d=d) - 2.0 * kernel(T, X, V, d=d)
-           + kernel(T, X, V - h, d=d)) / h**2
+    dt = (kernel(T + h, X, V) - kernel(T - h, X, V)) / (2.0 * h)
+    dx = (kernel(T, X + h, V) - kernel(T, X - h, V)) / (2.0 * h)
+    dvv = (kernel(T, X, V + h) - 2.0 * kernel(T, X, V)
+           + kernel(T, X, V - h)) / h**2
     return float(np.max(np.abs(dt + V * dx - dvv)))
 
 
 def kernel_gradient_bound_statistic(n=48, t_range=(0.05, 2.0), span=3.0):
-    """Sup of t^{2d+1/2} (|grad_v G| + t |grad_x G|) against the inverse
-    half-Gaussian weight exp(3|x - tv/2|^2 / (2 t^3) + |v|^2 / (8 t)).
+    """Sup of t^{5/2} (|dG/dv| + t |dG/dx|) against the inverse
+    half-Gaussian weight exp(3 (x - tv/2)^2 / (2 t^3) + v^2 / (8 t)).
 
     Finite because the weight cancels only half of the kernel decay.
-    Sampled on an n^3 lattice with d = 1.
+    Sampled on an n^3 lattice.
     """
     frac = (np.arange(n) + 0.5) / n
     T, X, V = np.meshgrid(t_range[0] + (t_range[1] - t_range[0]) * frac,
                           -span + 2 * span * frac,
                           -span + 2 * span * frac, indexing="ij")
-    g, gx, gv = kernel_gradients(T, X, V, d=1)
+    g, gx, gv = kernel_gradients(T, X, V)
     u = X - 0.5 * T * V
     weight_log = 3.0 * u**2 / (2.0 * T**3) + V**2 / (8.0 * T)
     base = np.abs(gv) + T * np.abs(gx)
@@ -201,12 +201,12 @@ def semigroup_defect(t, s, points, n=400, mult=8.0):
     u, vv, du, dv = _sheared_grid(t - s, n, mult)
     U, V2 = np.meshgrid(u, vv, indexing="ij")
     X2 = U + 0.5 * (t - s) * V2
-    inner = kolmogorov_g(t - s, X2, V2, d=1)
+    inner = kolmogorov_g(t - s, X2, V2)
     worst = 0.0
     for (x, v) in points:
-        outer = kolmogorov_g(s, x - X2 - s * V2, v - V2, d=1)
+        outer = kolmogorov_g(s, x - X2 - s * V2, v - V2)
         conv = float(np.sum(outer * inner) * du * dv)
-        worst = max(worst, abs(conv - kolmogorov_g(t, x, v, d=1)))
+        worst = max(worst, abs(conv - kolmogorov_g(t, x, v)))
     return worst
 
 
@@ -241,13 +241,13 @@ def split_kernel(eps):
     if eps <= 0.0:
         raise ValueError("split_kernel requires eps > 0")
 
-    def g_eps(t, x, v, d=1):
-        g = kolmogorov_g(t, x, v, d=d)
+    def g_eps(t, x, v):
+        g = kolmogorov_g(t, x, v)
         w = smooth_step(np.asarray(t, dtype=float) / eps)
         return g * w
 
-    def g_perp(t, x, v, d=1):
-        g = kolmogorov_g(t, x, v, d=d)
+    def g_perp(t, x, v):
+        g = kolmogorov_g(t, x, v)
         w = smooth_step(np.asarray(t, dtype=float) / eps)
         return g * (1.0 - w)
 
@@ -255,7 +255,7 @@ def split_kernel(eps):
 
 
 def split_kernel_l1(eps, n=4096):
-    """Integral of |G_eps| over all of (0, infinity) x R^{2d}, d = 1.
+    """Integral of |G_eps| over all of (0, infinity) x R^2.
 
     Since the mass of G(t, ., .) is identically 1 the integral reduces
     to eps * int_0^2 chi; the value sits strictly between eps and
@@ -265,29 +265,26 @@ def split_kernel_l1(eps, n=4096):
     return float(eps * np.sum(smooth_step(s)) * (2.0 / n))
 
 
-def translated_kernel_values(z0, t, x, v, d=1):
+def translated_kernel_values(z0, t, x, v):
     """G evaluated in the frame translated by z0: G(z0^{-1} o z).
 
     z0 may be a PhasePoint or an (t0, x0, v0) triple.  The translate of
     an exact solution is an exact solution with point source at z0.
     """
-    if not isinstance(z0, PhasePoint):
-        z0 = PhasePoint(float(z0[0]), np.atleast_1d(np.asarray(z0[1], float)),
-                        np.atleast_1d(np.asarray(z0[2], float)))
-    inv = inverse(z0)
+    inv = inverse(as_point(z0))
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     tt = inv.t + t
-    xx = inv.x[0] + x + t * inv.v[0]
-    vv = inv.v[0] + v
-    return kolmogorov_g(tt, xx, vv, d=d)
+    xx = inv.x + x + t * inv.v
+    vv = inv.v + v
+    return kolmogorov_g(tt, xx, vv)
 
 
 def _slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
     """Integral of G(tau, x - x' - tau v', v - v') slab(x', v') dx' dv'."""
     V = vg[None, :]
-    g = kolmogorov_g(tau, x - xg[:, None] - tau * V, v - V, d=1)
+    g = kolmogorov_g(tau, x - xg[:, None] - tau * V, v - V)
     return float(np.sum(g * slab) * dx * dv)
 
 

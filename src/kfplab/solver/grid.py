@@ -175,7 +175,7 @@ class GridFunction:
         """
         self.require_cylinder(cyl)
         z = cyl.eff_center
-        key = (z.t, *z.x, *z.v, cyl.eff_radius)
+        key = (z.t, z.x, z.v, cyl.eff_radius)
         cells = self._cells.get(key)
         if cells is None:
             cells = CylinderCells(self, self.window(cyl), self.mask(cyl))

@@ -313,5 +313,5 @@ def translated_kernel_solution(z0, times, xs, vs, pad_x=0.0,
         lambda T, X, V: translated_kernel_values(z0, T, X, V),
         times, xs, vs, pad_x=pad_x, pad_v=pad_v,
         meta={"scheme": "translated_kernel",
-              "pole": [z0.t, z0.x.tolist(), z0.v.tolist()]})
+              "pole": z0.to_json()})
     return gf

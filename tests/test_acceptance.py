@@ -126,16 +126,16 @@ def test_criterion_04_group_geometry_properties():
     pts = rng.uniform(-10.0, 10.0, size=(10_000, 9))
     worst = 0.0
     for row in pts:
-        a = PhasePoint(row[0], [row[1]], [row[2]])
-        b = PhasePoint(row[3], [row[4]], [row[5]])
-        c = PhasePoint(row[6], [row[7]], [row[8]])
+        a = PhasePoint(row[0], row[1], row[2])
+        b = PhasePoint(row[3], row[4], row[5])
+        c = PhasePoint(row[6], row[7], row[8])
         left = compose(compose(a, b), c)
         right = compose(a, compose(b, c))
         ident = compose(a, inverse(a))
         worst = max(worst,
-                    abs(left.t - right.t), abs(left.x[0] - right.x[0]),
-                    abs(left.v[0] - right.v[0]),
-                    abs(ident.t), abs(ident.x[0]), abs(ident.v[0]))
+                    abs(left.t - right.t), abs(left.x - right.x),
+                    abs(left.v - right.v),
+                    abs(ident.t), abs(ident.x), abs(ident.v))
     assert worst <= 1e-12, worst
 
     n_intersecting = 0
@@ -148,8 +148,8 @@ def test_criterion_04_group_geometry_properties():
         dt = rng.uniform(-12.0, 12.0) * r2 ** 2
         v1 = v2 + rng.uniform(-8.0, 8.0) * r2
         x1 = x2 + dt * v2 + rng.uniform(-150.0, 150.0) * r2 ** 3
-        c1 = make_cylinder("covering", (t2 + dt, [x1], [v1]), r1)
-        c2 = make_cylinder("covering", (t2, [x2], [v2]), r2)
+        c1 = make_cylinder("covering", (t2 + dt, x1, v1), r1)
+        c2 = make_cylinder("covering", (t2, x2, v2), r2)
         report = vitali_inclusion_check(c1, c2)
         assert report.holds, (c1.describe(), c2.describe())
         if report.intersects:
@@ -157,9 +157,9 @@ def test_criterion_04_group_geometry_properties():
             assert report.included
     assert n_intersecting >= 500  # the sample genuinely exercises inclusion
 
-    q1 = make_cylinder("centered", (0.0, [0.0], [0.0]), 1.0)
+    q1 = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
     for r in (0.5, 0.37, 1.0 / 3.0, 2.0, 0.025):
-        qr = make_cylinder("centered", (0.0, [0.0], [0.0]), r)
+        qr = make_cylinder("centered", (0.0, 0.0, 0.0), r)
         assert qr.volume() == r ** 6 * q1.volume()  # exact, not approximate
 
 

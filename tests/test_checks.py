@@ -104,6 +104,19 @@ def test_energy_rejects_unnested():
         check_energy_estimate(f, COEF0, Q1, QH)
 
 
+@pytest.mark.parametrize("center,moved", [
+    ((0.0, 1.0, 0.0), (0.0, 1.0 + 5e-6, 0.0)),
+    ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0 + 5e-6)),
+])
+def test_nesting_compares_centers_absolutely(center, moved):
+    # a relative tolerance would call centers 5e-6 apart at |x| = 1 common
+    f = _grid(lambda t, x, v: 0.0 * t, 64, 1.1, 129, 2.5, 129, 2.5)
+    Qr = make_cylinder("centered", center, 0.5)
+    QR = make_cylinder("centered", moved, 1.0)
+    with pytest.raises(ValueError, match="nested"):
+        check_energy_estimate(f, COEF0, Qr, QR)
+
+
 def test_energy_gradient_oracle():
     # f = v^2 / 2: grad_v f = v, LHS = int v^2 over Q_(1/2)
     f = _mid_grid(lambda t, x, v: 0.5 * v**2 + 0.0 * t)
@@ -274,7 +287,7 @@ def test_ivl_scale_factor():
 
 def test_ivl_lhs_is_nu():
     f = _ivl_grid(lambda t, x, v: 0.5 + 0.0 * t)
-    consts = explicit_constants(d=1, delta1=0.3, delta2=0.4, s_inf=0.0)
+    consts = explicit_constants(delta1=0.3, delta2=0.4, s_inf=0.0)
     rep = check_ivl(f, COEF0, 0.3, 0.4, consts=consts)
     assert rep.lhs == consts.nu
     assert rep.extras["nu_precise"] == consts.precise["nu"]

@@ -284,6 +284,24 @@ _MISTYPED = {
         lambda data, env: data.update(tolerances={"kernel_mass": "a"})),
     "counterexample:verify=no": ("counterexample", "options.verify",
                                  _options(verify="no")),
+    # keys the kind does not read, which would otherwise fall back
+    # silently to a default
+    "pads.vv": ("ensemble", "pads.vv",
+                lambda data, env: data["pads"].update(vv=2.0)),
+    "tolerances.kernel_mass": (
+        "ensemble", "tolerances.kernel_mass",
+        lambda data, env: data["tolerances"].update(kernel_mass=1e-6)),
+    "constants:digit=5": ("constants", "options.digit", _options(digit=5)),
+    "constants:seeds": ("constants", "coefficients.seeds",
+                        lambda data, env: data.update(
+                            coefficients={"seeds": [1]})),
+    "kernel-check:grid.nx": ("kernel-check", "grid.nx",
+                             lambda data, env: data.update(grid={"nx": 8})),
+    "counterexample:verify=true": ("counterexample", "options.verify",
+                                   _options(verify=True)),
+    "convergence:datum.floor": ("convergence", "datum.floor",
+                                lambda data, env: data.update(
+                                    datum={"floor": 0.1})),
 }
 
 
@@ -302,6 +320,36 @@ def test_mistyped_field_exits_2_naming_it(case, tmp_path, monkeypatch,
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == "validation"
     assert field in {v["field"] for v in error["violations"]}
+
+
+class _FakeReport:
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def to_json_dict(self):
+        return dict(self.__dict__)
+
+
+@pytest.mark.parametrize("sub_passed,code", [(True, 0), (False, 1)])
+def test_counterexample_exit_requires_sub_solution(sub_passed, code, tmp_path,
+                                                   monkeypatch):
+    """The counterexample holds only if its indicator is a weak
+    sub-solution; the super direction is the negative control and
+    fails without moving the exit code."""
+    result = {
+        "gap_removed": _FakeReport(hypotheses_met=True),
+        "with_gap": _FakeReport(hypotheses_met=False),
+        "intermediate_fraction": 0.0,
+        "nu": 1e-3,
+        "residual_sub": _FakeReport(passed=sub_passed),
+        "residual_super": _FakeReport(passed=False),
+    }
+    monkeypatch.setattr(cli.experiments, "run_counterexample",
+                        lambda **kwargs: result)
+    assert cli.main(["counterexample", "--out", str(tmp_path)]) == code
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert reports["residual_sub"]["passed"] is sub_passed
+    assert reports["residual_super"]["passed"] is False
 
 
 # ---------------------------------------------------------------------------

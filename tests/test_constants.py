@@ -134,9 +134,7 @@ def test_mu_monotone_in_delta():
 def test_ranges_random_inputs():
     rng = np.random.default_rng(42)
     for _ in range(120):
-        d = int(rng.integers(1, 4))
         consts = explicit_constants(
-            d=d,
             delta1=float(rng.uniform(0.02, 0.98)),
             delta2=float(rng.uniform(0.02, 0.98)),
             s_inf=float(rng.uniform(0.0, 5.0)),
@@ -156,8 +154,6 @@ def test_ranges_random_inputs():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"d": 0},
-    {"d": -1},
     {"delta1": 0.0},
     {"delta1": 1.0},
     {"delta2": -0.2},
@@ -222,7 +218,5 @@ def test_prefactor_relations():
     base = energy_constant(r, R, v0)
     assert gain_int_constant(r, R, v0) == pytest.approx(
         (1.0 + 1.0 / (R - r)) * base, rel=1e-14)
-    assert gain_reg_constant(r, R, v0, 1) == pytest.approx(
+    assert gain_reg_constant(r, R, v0) == pytest.approx(
         R**3 * (1.0 + 1.0 / (R - r)) * base, rel=1e-14)
-    assert gain_reg_constant(r, R, v0, 2) == pytest.approx(
-        R**5 * (1.0 + 1.0 / (R - r)) * base, rel=1e-14)

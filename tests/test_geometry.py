@@ -10,7 +10,6 @@ from kfplab.geometry import (
     compose,
     inverse,
     scale,
-    ball_volume,
     make_cylinder,
     translate_cylinder,
     scale_cylinder,
@@ -25,33 +24,33 @@ def assert_point_close(a, b, tol=1e-12):
 
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
-point = st.builds(lambda t, x, v: PhasePoint(t, [x], [v]), coord, coord, coord)
+point = st.builds(lambda t, x, v: PhasePoint(t, x, v), coord, coord, coord)
 
 
 def test_compose_oracle():
-    z = compose((1.0, [2.0], [3.0]), (1.0, [1.0], [1.0]))
+    z = compose((1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
     assert z.t == 2.0
-    assert z.x[0] == 6.0
-    assert z.v[0] == 4.0
+    assert z.x == 6.0
+    assert z.v == 4.0
 
 
 def test_inverse_oracle():
-    z = inverse((1.0, [2.0], [3.0]))
+    z = inverse((1.0, 2.0, 3.0))
     assert z.t == -1.0
-    assert z.x[0] == 1.0
-    assert z.v[0] == -3.0
+    assert z.x == 1.0
+    assert z.v == -3.0
 
 
 def test_scale_oracle():
-    z = scale(2.0, (1.0, [1.0], [1.0]))
+    z = scale(2.0, (1.0, 1.0, 1.0))
     assert z.t == 4.0
-    assert z.x[0] == 8.0
-    assert z.v[0] == 2.0
+    assert z.x == 8.0
+    assert z.v == 2.0
 
 
 def test_scale_rejects_nonpositive():
     with pytest.raises(ValueError):
-        scale(0.0, (0.0, [0.0], [0.0]))
+        scale(0.0, (0.0, 0.0, 0.0))
 
 
 @given(point, point, point)
@@ -66,9 +65,9 @@ def test_compose_associative(a, b, c):
 @settings(deadline=None)
 def test_inverse_cancels(a):
     e = compose(a, inverse(a))
-    assert_point_close(e, PhasePoint(0.0, [0.0], [0.0]), tol=1e-9)
+    assert_point_close(e, PhasePoint(0.0, 0.0, 0.0), tol=1e-9)
     e = compose(inverse(a), a)
-    assert_point_close(e, PhasePoint(0.0, [0.0], [0.0]), tol=1e-9)
+    assert_point_close(e, PhasePoint(0.0, 0.0, 0.0), tol=1e-9)
 
 
 @given(point, point, st.floats(min_value=0.1, max_value=10.0))
@@ -83,11 +82,11 @@ def test_group_laws_bulk():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-10.0, 10.0, size=(10_000, 9))
     for row in pts[:200]:
-        a = PhasePoint(row[0], [row[1]], [row[2]])
-        b = PhasePoint(row[3], [row[4]], [row[5]])
-        c = PhasePoint(row[6], [row[7]], [row[8]])
+        a = PhasePoint(row[0], row[1], row[2])
+        b = PhasePoint(row[3], row[4], row[5])
+        c = PhasePoint(row[6], row[7], row[8])
         assert_point_close(compose(compose(a, b), c), compose(a, compose(b, c)), tol=1e-10)
-        assert_point_close(compose(a, inverse(a)), PhasePoint(0, [0], [0]), tol=1e-10)
+        assert_point_close(compose(a, inverse(a)), PhasePoint(0, 0, 0), tol=1e-10)
     # vectorized check of the same laws on the full sample
     t0, x0, v0, t1, x1, v1 = (pts[:, i] for i in range(6))
     tc = t0 + t1
@@ -103,7 +102,7 @@ def test_group_laws_bulk():
 
 
 def test_unit_cylinder_membership():
-    q1 = make_cylinder("centered", (0.0, [0.0], [0.0]), 1.0)
+    q1 = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
     assert q1.contains(-0.5, 0.3, 0.9).all()
     assert q1.contains(0.0, 0.0, 0.0).all()          # top time slice is included
     assert not q1.contains(-1.0, 0.0, 0.0).any()     # bottom time slice is not
@@ -113,14 +112,14 @@ def test_unit_cylinder_membership():
 
 
 def test_membership_follows_center_velocity():
-    q = make_cylinder("centered", (0.0, [0.0], [2.0]), 1.0)
+    q = make_cylinder("centered", (0.0, 0.0, 2.0), 1.0)
     # tube center at t = -0.5 sits at x = -1.0
     assert q.contains(-0.5, -0.7, 2.5).all()
     assert not q.contains(-0.5, 0.3, 2.5).any()
 
 
 def test_membership_broadcasts():
-    q = make_cylinder("centered", (0.0, [0.0], [0.0]), 1.0)
+    q = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
     t = np.array([-0.5, -0.5, 0.25])
     x = np.array([0.0, 2.0, 0.0])
     v = np.array([0.5, 0.5, 0.5])
@@ -132,19 +131,18 @@ def test_membership_broadcasts():
 
 
 def test_volumes():
-    assert ball_volume(1) == pytest.approx(2.0, rel=1e-14)
-    q1 = make_cylinder("centered", (0.0, [0.0], [0.0]), 1.0)
+    q1 = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
     assert q1.volume() == pytest.approx(4.0, rel=1e-13)
-    qh = make_cylinder("centered", (0.0, [0.0], [0.0]), 0.5)
+    qh = make_cylinder("centered", (0.0, 0.0, 0.0), 0.5)
     assert qh.volume() == pytest.approx(1.0 / 16.0, rel=1e-13)
     r = 0.37
-    qr = make_cylinder("past", (0.2, [0.1], [-0.4]), r)
+    qr = make_cylinder("past", (0.2, 0.1, -0.4), r)
     assert qr.volume() == pytest.approx(4.0 * r ** 6, rel=1e-13)
 
 
 def test_volume_matches_monte_carlo():
     rng = np.random.default_rng(3)
-    q = make_cylinder("centered", (0.0, [0.0], [1.5]), 0.8)
+    q = make_cylinder("centered", (0.0, 0.0, 1.5), 0.8)
     (t0, t1), (x0, x1), (v0, v1) = q.bbox()
     n = 200_000
     t = rng.uniform(t0, t1, n)
@@ -156,7 +154,7 @@ def test_volume_matches_monte_carlo():
 
 
 def test_past_cylinder_window():
-    qm = make_cylinder("past", (0.0, [0.0], [0.0]), 1.0)
+    qm = make_cylinder("past", (0.0, 0.0, 0.0), 1.0)
     assert qm.eff_center.t == -2.0
     assert qm.eff_radius == 1.0
     assert qm.contains(-2.0, 0.0, 0.0).all()
@@ -166,7 +164,7 @@ def test_past_cylinder_window():
 
 
 def test_future_cylinder_window():
-    qp = make_cylinder("future", (0.0, [0.0], [0.0]), 1.0)
+    qp = make_cylinder("future", (0.0, 0.0, 0.0), 1.0)
     assert qp.eff_center.t == 2.0
     assert qp.eff_radius == 0.5
     assert qp.contains(2.0, 0.1, 0.4).all()
@@ -176,30 +174,30 @@ def test_future_cylinder_window():
 
 def test_time_shifts_drift_with_center_velocity():
     v0 = 1.3
-    qm = make_cylinder("past", (0.0, [0.0], [v0]), 1.0)
-    assert qm.eff_center.x[0] == pytest.approx(-2.0 * v0, rel=1e-14)
-    assert qm.eff_center.v[0] == v0
+    qm = make_cylinder("past", (0.0, 0.0, v0), 1.0)
+    assert qm.eff_center.x == pytest.approx(-2.0 * v0, rel=1e-14)
+    assert qm.eff_center.v == v0
 
 
 @pytest.mark.parametrize("divisor", [2, 4])
 def test_tilde_past_reduction(divisor):
     r0 = 0.4
-    q = make_cylinder("tilde_past", (0.0, [0.0], [0.0]), r0, {"divisor": divisor})
+    q = make_cylinder("tilde_past", (0.0, 0.0, 0.0), r0, {"divisor": divisor})
     assert q.eff_center.t == pytest.approx(-19.0 / 8.0 * r0 ** 2, rel=1e-14)
     assert q.eff_radius == pytest.approx(r0 / divisor, rel=1e-14)
 
 
 def test_tilde_past_rejects_other_divisors():
     with pytest.raises(ValueError):
-        make_cylinder("tilde_past", (0.0, [0.0], [0.0]), 0.4, {"divisor": 3})
+        make_cylinder("tilde_past", (0.0, 0.0, 0.0), 0.4, {"divisor": 3})
 
 
 def test_covering_reduction():
     r = 0.25
-    c = make_cylinder("covering", (0.0, [0.0], [0.0]), r)
+    c = make_cylinder("covering", (0.0, 0.0, 0.0), r)
     assert c.eff_center.t == pytest.approx(2.0 * r * r, rel=1e-14)
     assert c.eff_radius == pytest.approx(2.0 * r, rel=1e-14)
-    mate = make_cylinder("covering", (0.0, [0.0], [0.0]), r, {"mate": True})
+    mate = make_cylinder("covering", (0.0, 0.0, 0.0), r, {"mate": True})
     assert mate.eff_center.t == pytest.approx(10.0 * r * r, rel=1e-14)
     assert mate.eff_radius == pytest.approx(r, rel=1e-14)
 
@@ -207,7 +205,7 @@ def test_covering_reduction():
 def test_covering_mate_sits_inside_triple_covering():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        z = (rng.uniform(-1, 1), [rng.uniform(-1, 1)], [rng.uniform(-1.5, 1.5)])
+        z = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
         r = rng.uniform(0.05, 0.5)
         mate = make_cylinder("covering", z, r, {"mate": True})
         triple = make_cylinder("covering", z, 3.0 * r)
@@ -217,8 +215,8 @@ def test_covering_mate_sits_inside_triple_covering():
 
 def test_nested_stage_one_is_past_cylinder():
     r0 = 0.3
-    q1 = make_cylinder("nested", (0.1, [0.2], [-0.5]), r0, {"k": 1})
-    qm = make_cylinder("past", (0.1, [0.2], [-0.5]), r0)
+    q1 = make_cylinder("nested", (0.1, 0.2, -0.5), r0, {"k": 1})
+    qm = make_cylinder("past", (0.1, 0.2, -0.5), r0)
     assert q1.eff_radius == pytest.approx(qm.eff_radius, rel=1e-15)
     assert q1.eff_center.t == pytest.approx(qm.eff_center.t, rel=1e-14)
     assert np.allclose(q1.eff_center.x, qm.eff_center.x, rtol=1e-14, atol=1e-16)
@@ -226,7 +224,7 @@ def test_nested_stage_one_is_past_cylinder():
 
 def test_nested_chain_shrinks_into_tilde_limit():
     r0 = 0.3
-    z0 = (0.0, [0.1], [0.7])
+    z0 = (0.0, 0.1, 0.7)
     stages = [make_cylinder("nested", z0, r0, {"k": k}) for k in range(1, 11)]
     radii = [q.eff_radius for q in stages]
     assert all(a > b for a, b in zip(radii, radii[1:]))
@@ -244,23 +242,23 @@ def test_nested_chain_shrinks_into_tilde_limit():
 
 def test_nested_requires_stage():
     with pytest.raises(ValueError):
-        make_cylinder("nested", (0.0, [0.0], [0.0]), 0.3)
+        make_cylinder("nested", (0.0, 0.0, 0.0), 0.3)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        make_cylinder("sideways", (0.0, [0.0], [0.0]), 1.0)
+        make_cylinder("sideways", (0.0, 0.0, 0.0), 1.0)
 
 
 def test_lattice_points_are_interior():
-    q = make_cylinder("covering", (0.3, [-0.2], [0.9]), 0.2)
+    q = make_cylinder("covering", (0.3, -0.2, 0.9), 0.2)
     t, x, v = q.sample_lattice(7)
     assert t.size == 7 ** 3
     assert q.contains(t, x, v).all()
 
 
 def test_bbox_contains_lattice():
-    q = make_cylinder("past", (0.0, [0.0], [2.0]), 0.7)
+    q = make_cylinder("past", (0.0, 0.0, 2.0), 0.7)
     (t0, t1), (x0, x1), (v0, v1) = q.bbox()
     t, x, v = q.sample_lattice(13)
     assert ((t >= t0) & (t <= t1)).all()
@@ -279,8 +277,8 @@ def test_bbox_contains_lattice():
 ])
 def test_membership_is_translation_covariant(kind, params):
     rng = np.random.default_rng(5)
-    cyl = make_cylinder(kind, (0.1, [0.2], [-0.6]), 0.5, params)
-    z1 = PhasePoint(0.7, [-0.4], [1.1])
+    cyl = make_cylinder(kind, (0.1, 0.2, -0.6), 0.5, params)
+    z1 = PhasePoint(0.7, -0.4, 1.1)
     moved = translate_cylinder(z1, cyl)
     (t0, t1), (x0, x1), (v0, v1) = cyl.bbox()
     n = 2000
@@ -289,8 +287,8 @@ def test_membership_is_translation_covariant(kind, params):
     v = rng.uniform(v0 - 0.1, v1 + 0.1, n)
     before = cyl.contains(t, x, v)
     tt = z1.t + t
-    xx = z1.x[0] + x + t * z1.v[0]
-    vv = z1.v[0] + v
+    xx = z1.x + x + t * z1.v
+    vv = z1.v + v
     after = moved.contains(tt, xx, vv)
     assert np.array_equal(before, after)
 
@@ -303,7 +301,7 @@ def test_membership_is_translation_covariant(kind, params):
 ])
 def test_membership_is_scaling_covariant(kind, params):
     rng = np.random.default_rng(9)
-    cyl = make_cylinder(kind, (0.1, [0.2], [-0.6]), 0.5, params)
+    cyl = make_cylinder(kind, (0.1, 0.2, -0.6), 0.5, params)
     r = 1.7
     dilated = scale_cylinder(r, cyl)
     (t0, t1), (x0, x1), (v0, v1) = cyl.bbox()
@@ -325,8 +323,8 @@ def _random_covering_pair(rng):
     dt = rng.uniform(-12.0, 12.0) * r2 ** 2
     v1 = v2 + rng.uniform(-8.0, 8.0) * r2
     x1 = x2 + dt * v2 + rng.uniform(-150.0, 150.0) * r2 ** 3
-    c1 = make_cylinder("covering", (t2 + dt, [x1], [v1]), r1)
-    c2 = make_cylinder("covering", (t2, [x2], [v2]), r2)
+    c1 = make_cylinder("covering", (t2 + dt, x1, v1), r1)
+    c2 = make_cylinder("covering", (t2, x2, v2), r2)
     return c1, c2
 
 
@@ -363,7 +361,7 @@ def test_vitali_far_apart_filter_agrees_with_sampling():
 
 
 def test_vitali_detects_strong_overlap():
-    z = (0.2, [0.3], [-0.5])
+    z = (0.2, 0.3, -0.5)
     c1 = make_cylinder("covering", z, 0.15)
     c2 = make_cylinder("covering", z, 0.10)
     report = vitali_inclusion_check(c1, c2)
@@ -374,7 +372,7 @@ def test_vitali_detects_strong_overlap():
 
 
 def test_vitali_radius_condition_is_vacuous():
-    z = (0.0, [0.0], [0.0])
+    z = (0.0, 0.0, 0.0)
     c1 = make_cylinder("covering", z, 0.5)
     c2 = make_cylinder("covering", z, 0.1)
     report = vitali_inclusion_check(c1, c2)
@@ -384,11 +382,11 @@ def test_vitali_radius_condition_is_vacuous():
 
 
 def test_vitali_rejects_non_covering_input():
-    q = make_cylinder("centered", (0.0, [0.0], [0.0]), 0.2)
-    c = make_cylinder("covering", (0.0, [0.0], [0.0]), 0.2)
+    q = make_cylinder("centered", (0.0, 0.0, 0.0), 0.2)
+    c = make_cylinder("covering", (0.0, 0.0, 0.0), 0.2)
     with pytest.raises(ValueError):
         vitali_inclusion_check(q, c)
-    mate = make_cylinder("covering", (0.0, [0.0], [0.0]), 0.2, {"mate": True})
+    mate = make_cylinder("covering", (0.0, 0.0, 0.0), 0.2, {"mate": True})
     with pytest.raises(ValueError):
         vitali_inclusion_check(mate, c)
 
@@ -396,7 +394,7 @@ def test_vitali_rejects_non_covering_input():
 def test_describe_round_trips_through_json():
     import json
 
-    q = make_cylinder("nested", (0.1, [0.2], [0.3]), 0.25, {"k": 2})
+    q = make_cylinder("nested", (0.1, 0.2, 0.3), 0.25, {"k": 2})
     blob = json.dumps(q.describe())
     back = json.loads(blob)
     assert back["kind"] == "nested"
@@ -405,7 +403,7 @@ def test_describe_round_trips_through_json():
 
 
 def test_vitali_identical_cylinders():
-    c = make_cylinder("covering", (0.1, [-0.2], [0.4]), 0.12)
+    c = make_cylinder("covering", (0.1, -0.2, 0.4), 0.12)
     report = vitali_inclusion_check(c, c)
     assert report.intersects is True
     assert report.included is True
@@ -414,12 +412,12 @@ def test_vitali_identical_cylinders():
 
 def test_translation_covariance_via_inverse():
     rng = np.random.default_rng(13)
-    z0 = PhasePoint(0.4, [-0.3], [0.8])
+    z0 = PhasePoint(0.4, -0.3, 0.8)
     q_at_z0 = make_cylinder("centered", z0, 0.6)
-    q_at_origin = make_cylinder("centered", (0.0, [0.0], [0.0]), 0.6)
+    q_at_origin = make_cylinder("centered", (0.0, 0.0, 0.0), 0.6)
     z0_inv = inverse(z0)
     for _ in range(500):
-        z = PhasePoint(rng.uniform(-1, 1), [rng.uniform(-1, 1)], [rng.uniform(-1, 1)])
+        z = PhasePoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
         w = compose(z0_inv, z)
         a = q_at_z0.contains(z.t, z.x, z.v).all()
         b = q_at_origin.contains(w.t, w.x, w.v).all()
@@ -429,10 +427,10 @@ def test_translation_covariance_via_inverse():
 def test_scaling_covariance_to_unit_cylinder():
     rng = np.random.default_rng(17)
     r = 0.35
-    q_r = make_cylinder("centered", (0.0, [0.0], [0.0]), r)
-    q_1 = make_cylinder("centered", (0.0, [0.0], [0.0]), 1.0)
+    q_r = make_cylinder("centered", (0.0, 0.0, 0.0), r)
+    q_1 = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
     for _ in range(500):
-        z = PhasePoint(rng.uniform(-0.2, 0.1), [rng.uniform(-0.1, 0.1)], [rng.uniform(-0.5, 0.5)])
+        z = PhasePoint(rng.uniform(-0.2, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5))
         w = scale(1.0 / r, z)
         assert q_r.contains(z.t, z.x, z.v).all() == q_1.contains(w.t, w.x, w.v).all()
 
@@ -441,5 +439,70 @@ def test_as_point_accepts_triples_and_points():
     z = as_point((1.0, 2.0, 3.0))
     assert isinstance(z, PhasePoint)
     assert as_point(z) is z
-    with pytest.raises(ValueError):
-        PhasePoint(0.0, [0.0, 1.0], [0.0])
+
+
+def _norm_contains(cyl, t, x, v):
+    """Membership as computed with a component axis: each x and v entry
+    a one-component vector measured with np.linalg.norm."""
+    zc, rho = cyl.eff_center, cyl.eff_radius
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
+    dt = t - zc.t
+    tube = x - (zc.x + dt[..., None] * zc.v)
+    ok = (dt > -rho * rho) & (dt <= 0.0)
+    ok = ok & (np.linalg.norm(tube, axis=-1) < rho ** 3)
+    return ok & (np.linalg.norm(v - zc.v, axis=-1) < rho)
+
+
+_KINDS = [("centered", None), ("past", None), ("future", None),
+          ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
+          ("covering", None), ("covering", {"mate": True}),
+          ("nested", {"k": 1}), ("nested", {"k": 3})]
+# unit offsets: inside, outside, on the boundary and next to it, and
+# tiny ones where the squared norm underflows
+_UNIT = st.one_of(st.floats(-2.0, 2.0),
+                  st.sampled_from([-1.0, 1.0, 0.0, -0.0, 1e-200, -1e-160,
+                                   np.nextafter(1.0, 2.0),
+                                   np.nextafter(1.0, 0.0)]))
+
+
+@st.composite
+def _membership_case(draw):
+    kind, params = draw(st.sampled_from(_KINDS))
+    center = tuple(draw(st.floats(-10.0, 10.0)) for _ in range(3))
+    cyl = make_cylinder(kind, center, draw(st.floats(1e-3, 10.0)), params)
+    zc, rho = cyl.eff_center, cyl.eff_radius
+    n = draw(st.integers(1, 12))
+    s = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(
+        [0.0, 1.0]), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    dt = -rho * rho * s
+    t = zc.t + dt
+    x = zc.x + dt * zc.v + a * rho ** 3
+    v = zc.v + b * rho
+    shape = draw(st.sampled_from(["flat", "column", "scalar_t", "grid"]))
+    if shape == "column":  # a length-1 last axis, as in a one-cell window
+        t, x, v = t[:, None], x[:, None], v[:, None]
+    elif shape == "scalar_t":
+        t = float(t[0])
+    elif shape == "grid":
+        t, x, v = t[:, None, None], x[None, :, None], v[None, None, :]
+    return cyl, t, x, v
+
+
+@given(_membership_case())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_scalar_membership_matches_norm_reference(case):
+    cyl, t, x, v = case
+    got = cyl.contains(t, x, v)
+    ref = _norm_contains(cyl, t, x, v)
+    assert got.shape == ref.shape
+    zc = cyl.eff_center
+    dt = np.asarray(t) - zc.t
+    tube = np.abs(x - (zc.x + dt * zc.v))
+    dv = np.abs(np.asarray(v) - zc.v)
+    far = (tube > 1e-150) & (dv > 1e-150)
+    far = np.broadcast_to(far, got.shape)
+    assert np.array_equal(got[far], ref[far])

@@ -173,15 +173,13 @@ def test_require_cylinder_safe_region():
     vs = centered_axis(-2, 2, 64)
     gf = sample_function(lambda T, X, V: 0 * T * X * V, times, xs, vs,
                          pad_x=0.5, pad_v=0.5)
-    inside = geo.make_cylinder("centered", geo.PhasePoint(0.0, np.zeros(1),
-                                                          np.zeros(1)), 0.9)
+    inside = geo.make_cylinder("centered", geo.PhasePoint(0.0, 0.0, 0.0), 0.9)
     gf.require_cylinder(inside)
-    too_fat = geo.make_cylinder("centered", geo.PhasePoint(0.0, np.zeros(1),
-                                                           np.zeros(1)), 1.8)
+    too_fat = geo.make_cylinder("centered", geo.PhasePoint(0.0, 0.0, 0.0), 1.8)
     with pytest.raises(SafeRegionError):
         gf.require_cylinder(too_fat)
     too_early = geo.make_cylinder(
-        "centered", geo.PhasePoint(-0.5, np.zeros(1), np.zeros(1)), 0.9)
+        "centered", geo.PhasePoint(-0.5, 0.0, 0.0), 0.9)
     with pytest.raises(SafeRegionError):
         gf.require_cylinder(too_early)
 
@@ -192,7 +190,7 @@ def test_mask_counts_cells():
     vs = centered_axis(-1, 1, 100)
     gf = sample_function(lambda T, X, V: 0 * T * X * V, times, xs, vs)
     cyl = geo.make_cylinder("centered",
-                            geo.PhasePoint(0.0, np.zeros(1), np.zeros(1)), 0.5)
+                            geo.PhasePoint(0.0, 0.0, 0.0), 0.5)
     frac = int(gf.mask(cyl).sum()) / gf.values.size
     expected = cyl.volume() / (1.0 * 2.0 * 2.0)
     assert frac == pytest.approx(expected, rel=0.05)

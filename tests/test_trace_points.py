@@ -17,7 +17,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 
-from kfplab import cli, experiments  # noqa: E402
+from kfplab import cli, experiments, kernel  # noqa: E402
 from kfplab.estimates import lp_norm, source_l2  # noqa: E402
 from kfplab.geometry import Cylinder, make_cylinder  # noqa: E402
 from kfplab.solver.coefficients import (CoefficientField,  # noqa: E402
@@ -39,11 +39,24 @@ def test_traced_patches_every_entry_point_and_restores_it():
                 (CoefficientField, "diffusion"), (CoefficientField, "drift"),
                 (CoefficientField, "source"), (cli, "solve"),
                 (cli, "weak_residual"), (experiments, "solve"),
-                (experiments, "convolve_representation")}
+                (experiments, "convolve_representation"),
+                (kernel, "kolmogorov_g")}
     assert expected <= set(points)
     checks = {name for owner, name in points if owner is cli}
     assert {"check_energy_estimate", "check_gain_integrability",
             "check_sobolev_gain", "check_linfty_bound"} <= checks
+
+
+def test_traced_kernel_keeps_the_dimension_slot():
+    # the tracer's wrapper calls the original as fn(t, x, v, d)
+    untraced = kernel.kolmogorov_g(1.0, 0.0, 0.0)
+    rec = spans.Recorder()
+    with spans.traced(rec):
+        traced = kernel.kolmogorov_g(1.0, 0.0, 0.0)
+    assert traced == untraced
+    metrics = spans.layer_metrics(rec.spans)
+    assert metrics["kernel.g.calls"] == 1
+    assert metrics["kernel.g.points"] == 1
 
 
 def test_cell_sets_are_counted_through_the_traced_names():
