@@ -29,23 +29,13 @@ import numpy as np
 
 from . import experiments
 from .calibration import grid_tolerance
-from .estimates.checks import (
-    STATEMENTS,
-    Interval,
-    check_energy_estimate,
-    check_gain_integrability,
-    check_harnack,
-    check_linfty_bound,
-    check_oscillation_decay,
-    check_sobolev_gain,
-    check_weak_harnack,
-    check_weak_poincare,
-    pair_cylinders,
-)
+from .estimates.checks import STATEMENTS, Interval
 from .estimates.constants import explicit_constants
-from .solver.coefficients import make_rough_coefficients
 from .solver.grid import Box, GridFunction, InsufficientResolutionError
-from .solver.march import CFL_LIMIT, solve, solve_axes
+# members solve and check through experiments.run_member, so solve and
+# the check_* names resolve in kfplab.experiments; this module keeps
+# solve because perfbench/spans.py wraps it here too
+from .solver.march import CFL_LIMIT, solve, solve_axes  # noqa: F401
 from .solver.weak import EmptyBumpError, basis_windows, weak_residual
 
 __all__ = ["ExperimentConfig", "validate", "run", "main", "parse_seeds"]
@@ -91,30 +81,6 @@ def parse_seeds(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# checks: name -> checker call on (f, coef, params), with params and
-# cylinders as declared in kfplab.estimates.checks.STATEMENTS.  The
-# check_* names resolve in this module at call time, so a wrapper set on
-# them here sees every check a run makes.
-
-_CHECKS = {
-    "energy_estimate": lambda f, coef, p: check_energy_estimate(
-        f, coef, *pair_cylinders(p)),
-    "gain_integrability": lambda f, coef, p: check_gain_integrability(
-        f, coef, *pair_cylinders(p), p["p"]),
-    "sobolev_gain": lambda f, coef, p: check_sobolev_gain(
-        f, coef, *pair_cylinders(p), p["sigma"]),
-    "linfty_bound": lambda f, coef, p: check_linfty_bound(
-        f, coef, *pair_cylinders(p), p["zeta"]),
-    "weak_poincare": lambda f, coef, p: check_weak_poincare(
-        f, coef, p["eps"], p["sigma"]),
-    "harnack": lambda f, coef, p: check_harnack(f, coef),
-    "weak_harnack": lambda f, coef, p: check_weak_harnack(f, coef, p["zeta"]),
-    "oscillation_decay": lambda f, coef, p: check_oscillation_decay(
-        f, coef, p["levels"], centers=p["centers"]),
-}
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 _BOX_KEYS = ("t0", "t1", "x0", "x1", "v0", "v1")
@@ -154,19 +120,22 @@ class _Levels:
         return levels
 
 
-# numeric fields of the compute kinds -> domain; default None: required
+_STANDARD = experiments.STANDARD_CONFIG
+# numeric fields of the compute kinds -> domain; default None: required,
+# other defaults are the standard instance's
 _COMPUTE_FIELDS = {
     **{f"grid.{k}": _GRID_SIZE for k in ("nt", "nx", "nv")},
     **{f"box.{k}": _FINITE for k in _BOX_KEYS},
-    "pads.x": Interval(0.0, lo_closed=True, default=1.0),
-    "pads.v": Interval(0.0, lo_closed=True, default=2.0),
+    **{f"pads.{k}": Interval(0.0, lo_closed=True, default=d)
+       for k, d in _STANDARD["pads"].items()},
     "coefficients.lam": Interval(0.0),
     "coefficients.Lam": Interval(0.0),
     "coefficients.s_amp": Interval(0.0, lo_closed=True, default=0.0),
-    "coefficients.cell_size": Interval(0.0, default=0.1),
-    "datum.floor": Interval(-math.inf, default=0.15),
-    "datum.amp": Interval(-math.inf, default=1.0),
-    "datum.width": Interval(0.0, default=0.25),
+    "coefficients.cell_size": Interval(
+        0.0, default=_STANDARD["coefficients"]["cell_size"]),
+    "datum.floor": Interval(-math.inf, default=_STANDARD["datum"]["floor"]),
+    "datum.amp": Interval(-math.inf, default=_STANDARD["datum"]["amp"]),
+    "datum.width": Interval(0.0, default=_STANDARD["datum"]["width"]),
 }
 # kernel-check tolerances -> default; each is a number >= 0
 _KERNEL_TOLERANCES = {"kernel_mass": 1e-6, "residual_ratio_low": 3.2,
@@ -291,6 +260,17 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
         out.append(_violation("coefficients.Lam",
                               "must be at least coefficients.lam"))
 
+    # the coefficient hash casts floor(coordinate * (1 / cell_size)) to
+    # int64; past 2^63 every cell gets the same index
+    cell_size = get("coefficients.cell_size")
+    if box is not None and cell_size is not None:
+        reach = np.floor(max(abs(c) for c in bounds) * (1.0 / cell_size))
+        if not reach < 2.0 ** 63:
+            out.append(_violation(
+                "coefficients.cell_size",
+                f"box corner lies {reach:g} cells from the origin; lattice "
+                f"cell indices must stay below 2^63"))
+
     seeds = (config.coefficients.get("seeds", [])
              if isinstance(config.coefficients, dict) else [])
     if not (isinstance(seeds, list) and all(
@@ -394,51 +374,25 @@ def _passes(report) -> bool:
     return report.passed is not False
 
 
-def _datum_fn(config: ExperimentConfig):
-    floor, amp, width = (_field(config, f"datum.{k}")
-                         for k in ("floor", "amp", "width"))
-
-    def datum(x, v):
-        return floor + amp * np.exp(-(x * x + v * v) / (2.0 * width ** 2))
-
-    return datum
-
-
-def _solve_member(config: ExperimentConfig, seed: int):
-    coef = make_rough_coefficients(
-        int(seed),
-        lam=_field(config, "coefficients.lam"),
-        Lam=_field(config, "coefficients.Lam"),
-        cell_size=_field(config, "coefficients.cell_size"),
-        s_amp=_field(config, "coefficients.s_amp"))
-    box = Box(*(_field(config, f"box.{k}") for k in _BOX_KEYS))
-    f = solve(_datum_fn(config), coef, box,
-              nx=_field(config, "grid.nx"), nv=_field(config, "grid.nv"),
-              nt=_field(config, "grid.nt"),
-              pad_x=_field(config, "pads.x"), pad_v=_field(config, "pads.v"))
-    return f, coef
+def _member_config(config: ExperimentConfig, checks=()) -> dict:
+    """The compute fields of a valid config, defaults filled in, in the
+    sections experiments.run_member reads, with the given checks."""
+    sections = {"checks": list(checks)}
+    for name in _COMPUTE_FIELDS:
+        section, key = name.split(".")
+        sections.setdefault(section, {})[key] = _field(config, name)
+    return sections
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _error_row(name, seed) -> list:
+    return [name, seed, "", "", "", "error", ""]
 
 
-def _member_reports(config: ExperimentConfig, seed: int) -> list:
-    """The seed's reports in check order; a check that raised is
-    recorded in its place as {"check": name, "error": message}."""
-    f, coef = _solve_member(config, seed)
-    reports = []
-    for entry in config.checks:
-        name = entry["name"]
-        try:
-            report = _CHECKS[name](f, coef,
-                                   STATEMENTS[name].parameters(entry))
-        except Exception as exc:  # one check's failure keeps the others
-            reports.append({"check": name, "error": _error_text(exc)})
-            continue
-        report.provenance["seed"] = int(seed)
-        reports.append(report)
-    return reports
+def _failed(kind, record, names):
+    """Exit 1 with a member's error record; names label its summary
+    rows."""
+    return (1, {"kind": kind, **record},
+            [_error_row(name, record["seed"]) for name in names], {})
 
 
 def _seed_list(config: ExperimentConfig) -> list:
@@ -506,7 +460,10 @@ def _run_kernel_check(config: ExperimentConfig, out: Path):
 
 def _run_solve(config: ExperimentConfig, out: Path):
     seed = _seed_list(config)[0]
-    f, _ = _solve_member(config, seed)
+    record = experiments.run_member(_member_config(config), seed)
+    if record["status"] == "error":
+        return _failed("solve", record, ["solve"])
+    f = record["solution"]
     container = out / f"solution_seed{seed}.kfp"
     f.to_binary(container)
     finite = bool(np.isfinite(f.values).all())
@@ -527,8 +484,11 @@ def _run_solve(config: ExperimentConfig, out: Path):
 
 def _run_verify(config: ExperimentConfig, out: Path):
     seed = _seed_list(config)[0]
-    f, coef = _solve_member(config, seed)
-    residuals = {d: weak_residual(f, coef, direction=d)
+    record = experiments.run_member(_member_config(config), seed)
+    if record["status"] == "error":
+        return _failed("verify", record, ["residual_sub", "residual_super"])
+    f = record["solution"]
+    residuals = {d: weak_residual(f, record["coefficients"], direction=d)
                  for d in ("sub", "super")}
     payload = {
         "kind": "verify",
@@ -544,52 +504,42 @@ def _run_verify(config: ExperimentConfig, out: Path):
 
 def _run_ensemble(config: ExperimentConfig, out: Path):
     seeds = _seed_list(config)
-    results = {}
+    sections = _member_config(config, config.checks)
 
-    def member(seed):
-        try:
-            return ("ok", _member_reports(config, seed))
-        except Exception as exc:  # per-seed failure: record, keep going
-            return ("error", _error_text(exc))
+    def run_seed(seed):
+        record = experiments.run_member(sections, seed)
+        record.pop("solution", None)  # free the grid before the next seed
+        return record
 
     with ThreadPoolExecutor(max_workers=int(config.threads)) as pool:
-        futures = {seed: pool.submit(member, seed) for seed in seeds}
-        for seed, fut in futures.items():
-            results[seed] = fut.result()
+        futures = {seed: pool.submit(run_seed, seed) for seed in seeds}
+        records = {seed: fut.result() for seed, fut in futures.items()}
 
     members = []
     rows = []
-    const_rows = []
-    all_pass = True
-    any_error = False
-    check_error = False
     all_reports = []
-    for seed in sorted(results):  # aggregation ordered by seed
-        status, body = results[seed]
-        if status == "error":
-            any_error = True
-            members.append({"seed": seed, "status": "error", "error": body})
-            for entry in config.checks:
-                rows.append([entry["name"], seed, "", "", "", "error", ""])
+    for seed in sorted(records):  # aggregation ordered by seed
+        record = records[seed]
+        if record["status"] == "error":
+            members.append(record)
+            rows += [_error_row(entry["name"], seed)
+                     for entry in config.checks]
             continue
         member = {"seed": seed, "status": "ok", "reports": []}
-        for r in body:
+        for r in record["reports"]:
             if isinstance(r, dict):  # the check raised
-                check_error = True
                 member.setdefault("errors", []).append(r)
-                rows.append([r["check"], seed, "", "", "", "error", ""])
+                rows.append(_error_row(r["check"], seed))
                 continue
             all_reports.append(r)
             member["reports"].append(r.to_json_dict())
             rows.append(_summary_row(r))
-            if not _passes(r):
-                all_pass = False
-            const_rows.append([r.statement_id, seed,
-                               "" if r.empirical_constant is None
-                               else r.empirical_constant])
         members.append(member)
 
     payload = {"kind": "ensemble", "seeds": seeds, "members": members}
+    const_rows = [[r.statement_id, r.provenance["seed"],
+                   "" if r.empirical_constant is None
+                   else r.empirical_constant] for r in all_reports]
     plots = {"constants_by_seed.csv":
              (("statement_id", "seed", "empirical_constant"), const_rows)}
     osc_rows = _osc_plot_rows(all_reports)
@@ -598,8 +548,10 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
             ("seed", "center_t", "radius", "oscillation"), osc_rows)
     # a run that evaluated no check, or a check that raised, fails
     # whatever the policy
-    failed = (not all_pass or not all_reports or check_error
-              or (config.strict and any_error))
+    failed = (not all_reports or not all(map(_passes, all_reports))
+              or any("errors" in m for m in members)
+              or (config.strict and any(m["status"] == "error"
+                                        for m in members)))
     return (1 if failed else 0), payload, rows, plots
 
 

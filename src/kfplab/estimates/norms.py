@@ -26,7 +26,6 @@ __all__ = [
     "velocity_gradient",
     "grad_v_l1",
     "gagliardo_x_seminorm",
-    "holder_seminorm",
     "source_sup",
     "source_l2",
 ]
@@ -125,61 +124,6 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
         diffs = np.abs(vals[:, None, :] - vals[None, :, :])
         total += float(np.einsum("ijk,ij->", diffs, weights))
     return total * f.dx * f.dx * f.dv * f.dt
-
-
-def holder_seminorm(f: GridFunction, cyl: Cylinder, alpha: float,
-                    min_sep: float, max_points: int = 4000) -> float:
-    """Max of |f(z1) - f(z2)| / |z1 - z2|^alpha over separated pairs.
-
-    Distance is Euclidean on (t, x, v).  Pairs are drawn from a
-    stride-decimated sublattice of the cylinder's cells capped at
-    max_points points, and only pairs at distance >= min_sep count.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    coarse = 2.0 * max(f.dt, f.dx, f.dv)
-    if min_sep < coarse:
-        raise ValueError(
-            f"min_sep {min_sep:g} below twice the grid spacing {coarse:g}")
-    cells = f.cells(cyl)
-    mask = cells.mask
-
-    strides = [1, 1, 1]
-    axes = [np.flatnonzero(mask.any(axis=other))
-            for other in ((1, 2), (0, 2), (0, 1))]
-
-    def selected():
-        sel = np.ix_(*(ax[::st] for ax, st in zip(axes, strides)))
-        keep = np.zeros_like(mask)
-        keep[sel] = mask[sel]
-        return keep
-
-    keep = selected()
-    while np.count_nonzero(keep) > max_points:
-        sizes = [len(ax[::st]) for ax, st in zip(axes, strides)]
-        strides[int(np.argmax(sizes))] *= 2
-        keep = selected()
-
-    sub = keep[mask]  # the kept cells among the cylinder's, in grid order
-    pts = np.stack(cells.centers(), axis=1)[sub]
-    vals = cells.values[sub]
-    n = pts.shape[0]
-    best = 0.0
-    admissible = 0
-    for i0 in range(0, n, 256):
-        block = slice(i0, min(i0 + 256, n))
-        diff = pts[block, None, :] - pts[None, :, :]
-        sep = np.sqrt((diff * diff).sum(axis=-1))
-        ok = sep >= min_sep
-        admissible += int(ok.sum())
-        if not ok.any():
-            continue
-        ratio = np.abs(vals[block, None] - vals[None, :])[ok] / sep[ok] ** alpha
-        best = max(best, float(ratio.max()))
-    if admissible == 0:
-        raise InsufficientResolutionError(
-            "no cell pairs at the requested separation")
-    return best
 
 
 def source_sup(coef, cyl: Cylinder, n: int = 12) -> float:

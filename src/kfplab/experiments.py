@@ -6,7 +6,9 @@ identical floating-point output.  The families:
 
   * standard ensemble: rough-coefficient solves for the calibrated
     interior estimates (energy, integrability and regularity gains,
-    sup bounds), plus refinement and enlarged-box variants;
+    sup bounds), plus refinement and enlarged-box variants.  The
+    standard instance is one config, STANDARD_CONFIG, and its members
+    run through run_member, the member path the CLI shares;
   * poincare instance: an exact kernel translate whose mass sweeps
     across the unit cylinder;
   * mixing instance: a solver-generated field cold and hot on
@@ -51,6 +53,7 @@ from .estimates.checks import (
     check_sobolev_gain,
     check_weak_harnack,
     check_weak_poincare,
+    pair_cylinders,
 )
 from .estimates.constants import explicit_constants
 from .estimates.norms import inf_on, lp_norm, sup_on
@@ -79,19 +82,12 @@ from .solver.weak import (
 )
 
 __all__ = [
-    "GAIN_PS",
-    "GAIN_SIGMAS",
-    "LINFTY_ZETAS",
     "POINCARE_EPS",
     "ENSEMBLE_SEEDS",
     "REFINEMENT_SEEDS",
     "BOUNDARY_SEEDS",
-    "STANDARD_BOX",
-    "standard_coefficients",
-    "standard_datum",
-    "standard_cylinders",
-    "solve_standard",
-    "standard_checks",
+    "STANDARD_CONFIG",
+    "run_member",
     "run_standard_member",
     "run_standard_ensemble",
     "run_refinement_pair",
@@ -119,9 +115,6 @@ __all__ = [
     "lifted_copy",
 ]
 
-GAIN_PS = (2.0, 2.4)
-GAIN_SIGMAS = (0.1, 0.25)
-LINFTY_ZETAS = (0.5, 2.0)
 POINCARE_EPS = (0.5, 0.25, 0.1)
 
 # Constant instances use a dyadic value: sums and means of identical
@@ -163,76 +156,123 @@ def lifted_copy(f: GridFunction, amount: float) -> GridFunction:
 # standard ensemble
 
 
-STANDARD_BOX = Box(-1.2, 0.0, -2.5, 2.5, -3.5, 3.5)
-STANDARD_GRID = (256, 128, 128)  # nx, nv, nt
-STANDARD_PADS = (1.0, 2.0)
+# The standard instance, in the sections of a compute config.  Its rough
+# draw is resolved by the base grid: cells of size 0.1 cover 5.1 x-cells
+# and 1.8 v-cells, so one refinement sees the same field rather than a
+# new roughness scale.  The datum is a Gaussian bump over a positive
+# floor; the floor keeps the field bounded away from zero so quasi-norms
+# stay informative, and its boundary values are flat, limiting box-edge
+# sensitivity.
+STANDARD_CONFIG = {
+    "grid": {"nt": 128, "nx": 256, "nv": 128},
+    "box": {"t0": -1.2, "t1": 0.0, "x0": -2.5, "x1": 2.5,
+            "v0": -3.5, "v1": 3.5},
+    "pads": {"x": 1.0, "v": 2.0},
+    "coefficients": {"lam": 0.2, "Lam": 1.0, "s_amp": 0.1, "cell_size": 0.1},
+    "datum": {"floor": 0.15, "amp": 1.0, "width": 0.25},
+    "checks": [
+        {"name": "energy_estimate"},
+        {"name": "gain_integrability", "p": 2.0},
+        {"name": "gain_integrability", "p": 2.4},
+        {"name": "sobolev_gain", "sigma": 0.1},
+        {"name": "sobolev_gain", "sigma": 0.25},
+        {"name": "linfty_bound", "zeta": 0.5},
+        {"name": "linfty_bound", "zeta": 2.0},
+    ],
+}
 ENSEMBLE_SEEDS = tuple(range(1, 21))
 REFINEMENT_SEEDS = (1, 2, 3, 4, 5)
 BOUNDARY_SEEDS = (1, 7, 13)
 BOUNDARY_SCALE = 1.5
 
-
-def standard_coefficients(seed):
-    """Rough draw resolved by the base grid: cells of size 0.1 cover
-    5.1 x-cells and 1.8 v-cells, so one refinement sees the same field
-    rather than a new roughness scale."""
-    return make_rough_coefficients(seed, lam=0.2, Lam=1.0, cell_size=0.1,
-                                   s_amp=0.1)
-
-
-def standard_datum(x, v):
-    """Gaussian bump over a positive floor; the floor keeps the field
-    bounded away from zero so quasi-norms stay informative, and its
-    boundary values are flat, limiting box-edge sensitivity."""
-    return 0.15 + np.exp(-(x * x + v * v) / (2.0 * 0.25 ** 2))
-
-
-def standard_cylinders():
-    return STATEMENTS["energy_estimate"].cylinders()
-
-
-def solve_standard(seed, *, refine=1, box_scale=1.0) -> GridFunction:
-    """Solve the standard instance; box_scale widens x and v extents
-    while keeping the spacings, so overlapping cell centers coincide
-    exactly (scale 1.5 shifts the axes by whole cells: 64 in x, 32 in
-    v at the base resolution)."""
-    nx0, nv0, nt0 = STANDARD_GRID
-    b = STANDARD_BOX
-    box = Box(b.t0, b.t1, box_scale * b.x0, box_scale * b.x1,
-              box_scale * b.v0, box_scale * b.v1)
-    nx = int(round(nx0 * box_scale)) * refine
-    nv = int(round(nv0 * box_scale)) * refine
-    nt = nt0 * refine
-    return solve(standard_datum, standard_coefficients(seed), box,
-                 nx=nx, nv=nv, nt=nt,
-                 pad_x=STANDARD_PADS[0], pad_v=STANDARD_PADS[1])
+# check name -> checker call on (f, coef, params), with params and
+# cylinders as declared in STATEMENTS.  The check_* names resolve in
+# this module at call time, so a wrapper set on them here sees every
+# check a member makes.
+_CHECKS = {
+    "energy_estimate": lambda f, coef, p: check_energy_estimate(
+        f, coef, *pair_cylinders(p)),
+    "gain_integrability": lambda f, coef, p: check_gain_integrability(
+        f, coef, *pair_cylinders(p), p["p"]),
+    "sobolev_gain": lambda f, coef, p: check_sobolev_gain(
+        f, coef, *pair_cylinders(p), p["sigma"]),
+    "linfty_bound": lambda f, coef, p: check_linfty_bound(
+        f, coef, *pair_cylinders(p), p["zeta"]),
+    "weak_poincare": lambda f, coef, p: check_weak_poincare(
+        f, coef, p["eps"], p["sigma"]),
+    "harnack": lambda f, coef, p: check_harnack(f, coef),
+    "weak_harnack": lambda f, coef, p: check_weak_harnack(f, coef, p["zeta"]),
+    "oscillation_decay": lambda f, coef, p: check_oscillation_decay(
+        f, coef, p["levels"], centers=p["centers"]),
+}
 
 
-def standard_checks(f: GridFunction, coef) -> list:
-    qr, qR = standard_cylinders()
-    reports = [check_energy_estimate(f, coef, qr, qR)]
-    for p in GAIN_PS:
-        reports.append(check_gain_integrability(f, coef, qr, qR, p))
-    for sigma in GAIN_SIGMAS:
-        reports.append(check_sobolev_gain(f, coef, qr, qR, sigma))
-    for zeta in LINFTY_ZETAS:
-        reports.append(check_linfty_bound(f, coef, qr, qR, zeta))
-    return reports
+def _datum(floor, amp, width):
+    def datum(x, v):
+        return floor + amp * np.exp(-(x * x + v * v) / (2.0 * width ** 2))
+
+    return datum
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_member(config: dict, seed: int) -> dict:
+    """Solve one member of a config and run its checks (STATEMENTS
+    entries): the datum is floor + amp exp(-(x^2 + v^2) / (2 width^2)).
+
+    The record holds the solution, the coefficient field and the
+    reports in check order, a check that raised as {"check", "error"}
+    in its place; a solve that raised gives {"seed", "status": "error",
+    "error"} instead."""
+    seed = int(seed)
+    pads = config["pads"]
+    try:
+        coef = make_rough_coefficients(seed, **config["coefficients"])
+        f = solve(_datum(**config["datum"]), coef, Box(**config["box"]),
+                  **config["grid"], pad_x=pads["x"], pad_v=pads["v"])
+    except Exception as exc:  # the member fails, its caller decides
+        return {"seed": seed, "status": "error", "error": _error_text(exc)}
+    reports = []
+    for entry in config["checks"]:
+        name = entry["name"]
+        try:
+            report = _CHECKS[name](f, coef, STATEMENTS[name].parameters(entry))
+        except Exception as exc:  # one check's failure keeps the others
+            reports.append({"check": name, "error": _error_text(exc)})
+            continue
+        report.provenance["seed"] = seed
+        reports.append(report)
+    return {"seed": seed, "status": "ok", "solution": f,
+            "coefficients": coef, "reports": reports}
 
 
 def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
-    coef = standard_coefficients(seed)
-    f = solve_standard(seed, refine=refine, box_scale=box_scale)
-    return {
-        "seed": int(seed),
-        "refine": int(refine),
-        "box_scale": float(box_scale),
-        "reports": standard_checks(f, coef),
-    }
+    """The standard instance's checks on one seed; RuntimeError when its
+    solve or a check raised.  refine multiplies every size; box_scale
+    widens the x and v extents at the same spacings, so overlapping
+    cell centers coincide exactly (scale 1.5 shifts the axes by whole
+    cells: 64 in x, 32 in v at the base resolution)."""
+    g, b = STANDARD_CONFIG["grid"], STANDARD_CONFIG["box"]
+    record = run_member(dict(
+        STANDARD_CONFIG,
+        grid={"nt": g["nt"] * refine,
+              "nx": int(round(g["nx"] * box_scale)) * refine,
+              "nv": int(round(g["nv"] * box_scale)) * refine},
+        box=dict(b, **{k: box_scale * b[k]
+                       for k in ("x0", "x1", "v0", "v1")})), seed)
+    if record["status"] == "error":
+        raise RuntimeError(f"standard member {seed}: {record['error']}")
+    errors = [f"{r['check']}: {r['error']}" for r in record["reports"]
+              if isinstance(r, dict)]
+    if errors:
+        raise RuntimeError(f"standard member {seed}: {'; '.join(errors)}")
+    return {"seed": int(seed), "reports": record["reports"]}
 
 
-def run_standard_ensemble(seeds=ENSEMBLE_SEEDS, **kwargs) -> list:
-    return [run_standard_member(seed, **kwargs) for seed in seeds]
+def run_standard_ensemble(seeds=ENSEMBLE_SEEDS) -> list:
+    return [run_standard_member(seed) for seed in seeds]
 
 
 def _member_constants(seed, **kwargs) -> dict:
@@ -648,9 +688,10 @@ def oscillation_centers(f: GridFunction):
 
 
 def run_oscillation_member(seed) -> dict:
-    coef = standard_coefficients(seed)
+    coef = make_rough_coefficients(seed, **STANDARD_CONFIG["coefficients"])
     nx, nv, nt = OSC_GRID
-    f = solve(standard_datum, coef, OSC_BOX, nx=nx, nv=nv, nt=nt,
+    f = solve(_datum(**STANDARD_CONFIG["datum"]), coef, OSC_BOX,
+              nx=nx, nv=nv, nt=nt,
               pad_x=OSC_PADS[0], pad_v=OSC_PADS[1], store_every=2)
     report = check_oscillation_decay(f, coef, levels=1,
                                      centers=oscillation_centers(f))

@@ -17,11 +17,10 @@ velocity diffusion.  A centered cylinder of radius rho at z0 is the set
     |v - v0| < rho,
 
 a tube trailing backward in time and drifting with the center velocity.
-Every other cylinder kind used by the estimate checkers (past, future,
-shrunk past, covering, nested) reduces to a centered cylinder after a
-group translation of the center and a change of radius, so each
-instance stores an effective center and radius and all set operations
-run on those two fields.
+Every other cylinder kind (past, shrunk past, covering) reduces to a
+centered cylinder after a group translation of the center and a change
+of radius, so each instance stores an effective center and radius and
+all set operations run on those two fields.
 """
 
 from __future__ import annotations
@@ -171,22 +170,18 @@ class Cylinder:
 def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = None) -> Cylinder:
     """Build a cylinder of the given kind around a center point.
 
-    Kinds and their reduction to an effective centered cylinder, with r
-    the radius argument and time shifts applied through the group law
-    (so the center drifts along its own characteristic):
+    The four kinds are those the statements of kfplab.estimates.checks
+    build and the Vitali covering check reads.  Each reduces to an
+    effective centered cylinder, with r the radius argument and time
+    shifts applied through the group law (so the center drifts along
+    its own characteristic):
 
       centered    radius r at the center itself
       past        radius r, center shifted by -2 r^2 in time
-      future      radius r/2, center shifted by +2 r^2
       tilde_past  radius r/divisor (params divisor in {2, 4}),
                   center shifted by -19/8 r^2
       covering    radius 2 r, center shifted by +2 r^2; with params
                   {"mate": True} instead radius r shifted by +10 r^2
-      nested      stage k >= 1 (params k) of a family that shrinks from
-                  the past cylinder at k = 1 toward the tilde_past
-                  cylinder with divisor 2: radius rho_k = r/2 + alpha_k,
-                  alpha_k = r / (2 * 7**(k-1)), center shifted by
-                  -5/2 r^2 + rho_k^2 / 2
     """
     center = as_point(center)
     r = float(radius)
@@ -197,8 +192,6 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
         shift, rho = 0.0, r
     elif kind == "past":
         shift, rho = -2.0 * r * r, r
-    elif kind == "future":
-        shift, rho = 2.0 * r * r, 0.5 * r
     elif kind == "tilde_past":
         divisor = params.setdefault("divisor", 2)
         if divisor not in (2, 4):
@@ -210,14 +203,6 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
             shift, rho = 10.0 * r * r, r
         else:
             shift, rho = 2.0 * r * r, 2.0 * r
-    elif kind == "nested":
-        k = int(params.get("k", 0))
-        if k < 1:
-            raise ValueError("nested cylinders need params['k'] >= 1")
-        params["k"] = k
-        alpha = r / (2.0 * 7.0 ** (k - 1))
-        rho = 0.5 * r + alpha
-        shift = -2.5 * r * r + 0.5 * rho * rho
     else:
         raise ValueError(f"unknown cylinder kind {kind!r}")
     eff_center = compose(center, PhasePoint(shift, 0.0, 0.0))

@@ -10,8 +10,8 @@ extended by 0 for t <= 0, solves
     dG/dt + v dG/dx = d^2G/dv^2
 
 with a point mass at the origin as initial datum.  This module provides
-pointwise evaluation, gradients, mass and PDE-residual diagnostics, the
-smooth small-time / large-time splitting, and the convolution
+pointwise evaluation, mass and PDE-residual diagnostics, the mass of the
+small-time part of the smooth splitting in time, and the convolution
 representation of solutions with a source term.
 """
 
@@ -27,13 +27,10 @@ __all__ = [
     "QuadratureError",
     "kolmogorov_g",
     "detuned_kernel",
-    "kernel_gradients",
     "kernel_mass",
     "kernel_pde_residual",
-    "kernel_gradient_bound_statistic",
     "semigroup_defect",
     "smooth_step",
-    "split_kernel",
     "split_kernel_l1",
     "convolve_representation",
     "translated_kernel_values",
@@ -85,25 +82,6 @@ def detuned_kernel(t, x, v):
     residual diagnostic actually rejects a wrong kernel.
     """
     return _kernel(t, x, v, 2.0)
-
-
-def kernel_gradients(t, x, v):
-    """Spatial and velocity derivatives of G for t > 0, entrywise.
-
-    Returns (g, dG/dx, dG/dv).  Inputs with t <= 0 are rejected: the
-    kernel is not differentiable across the initial time.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("kernel_gradients requires t > 0")
-    t, x, v = np.broadcast_arrays(t, np.asarray(x, float), np.asarray(v, float))
-    g = np.asarray(kolmogorov_g(t, x, v), dtype=float)
-    u = x - 0.5 * t * v
-    gx = -6.0 * u / t**3 * g
-    gv = (3.0 * u / t**2 - v / (2.0 * t)) * g
-    if g.ndim == 0:
-        return float(g), float(gx), float(gv)
-    return g, gx, gv
 
 
 def _sheared_grid(t, n, mult):
@@ -168,28 +146,6 @@ def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
     return float(np.max(np.abs(dt + V * dx - dvv)))
 
 
-def kernel_gradient_bound_statistic(n=48, t_range=(0.05, 2.0), span=3.0):
-    """Sup of t^{5/2} (|dG/dv| + t |dG/dx|) against the inverse
-    half-Gaussian weight exp(3 (x - tv/2)^2 / (2 t^3) + v^2 / (8 t)).
-
-    Finite because the weight cancels only half of the kernel decay.
-    Sampled on an n^3 lattice.
-    """
-    frac = (np.arange(n) + 0.5) / n
-    T, X, V = np.meshgrid(t_range[0] + (t_range[1] - t_range[0]) * frac,
-                          -span + 2 * span * frac,
-                          -span + 2 * span * frac, indexing="ij")
-    g, gx, gv = kernel_gradients(T, X, V)
-    u = X - 0.5 * T * V
-    weight_log = 3.0 * u**2 / (2.0 * T**3) + V**2 / (8.0 * T)
-    base = np.abs(gv) + T * np.abs(gx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stat = np.where(base > 0.0,
-                        T**2.5 * base * np.exp(np.minimum(weight_log, 700.0)),
-                        0.0)
-    return float(np.max(stat))
-
-
 def semigroup_defect(t, s, points, n=400, mult=8.0):
     """Max defect of G(t) = G(s) * G(t-s) over the given (x, v) points.
 
@@ -231,34 +187,13 @@ def smooth_step(s):
     return val
 
 
-def split_kernel(eps):
-    """Smooth splitting G = G_eps + G_perp at time scale eps.
-
-    G_eps(t,.) = chi(t / eps) G(t,.) is supported in t <= 2 eps and
-    matches G for t <= eps; G_perp carries the complement.  Both pieces
-    are returned as callables with the kolmogorov_g signature.
-    """
-    if eps <= 0.0:
-        raise ValueError("split_kernel requires eps > 0")
-
-    def g_eps(t, x, v):
-        g = kolmogorov_g(t, x, v)
-        w = smooth_step(np.asarray(t, dtype=float) / eps)
-        return g * w
-
-    def g_perp(t, x, v):
-        g = kolmogorov_g(t, x, v)
-        w = smooth_step(np.asarray(t, dtype=float) / eps)
-        return g * (1.0 - w)
-
-    return g_eps, g_perp
-
-
 def split_kernel_l1(eps, n=4096):
-    """Integral of |G_eps| over all of (0, infinity) x R^2.
+    """Integral of |G_eps| over all of (0, infinity) x R^2, where
+    G_eps(t, .) = smooth_step(t / eps) G(t, .) is the small-time part of
+    G: supported in t <= 2 eps and equal to G for t <= eps.
 
     Since the mass of G(t, ., .) is identically 1 the integral reduces
-    to eps * int_0^2 chi; the value sits strictly between eps and
+    to eps * int_0^2 smooth_step; the value sits strictly between eps and
     2 eps and scales linearly in eps.
     """
     s = (np.arange(n) + 0.5) * (2.0 / n)

@@ -2,8 +2,8 @@
 
 One standard check pass measures seven statements on the same nested
 pair Q_r inside Q_R, so the masks of those two cylinders are built once
-and the source is sampled on the Q_R cells once, whether the pass runs
-through experiments.standard_checks or through the CLI.
+and the source is sampled on the Q_R cells once per member, on the one
+member path (experiments.run_member) the CLI and the experiments share.
 """
 
 import dataclasses
@@ -15,31 +15,25 @@ import pytest
 
 from kfplab import cli, experiments
 from kfplab.estimates import InsufficientResolutionError, lp_norm
-from kfplab.estimates.checks import check_oscillation_decay
+from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import CoefficientField
 from kfplab.solver.grid import GridFunction, SafeRegionError
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
-STANDARD_CHECKS = [
-    {"name": "energy_estimate"},
-    {"name": "gain_integrability", "p": 2.0},
-    {"name": "gain_integrability", "p": 2.4},
-    {"name": "sobolev_gain", "sigma": 0.1},
-    {"name": "sobolev_gain", "sigma": 0.25},
-    {"name": "linfty_bound", "zeta": 0.5},
-    {"name": "linfty_bound", "zeta": 2.0},
-]
+STANDARD_CHECKS = experiments.STANDARD_CONFIG["checks"]
+Q_BIG = STATEMENTS["energy_estimate"].cylinders()[1]
 LATTICE_POINTS = 12 ** 3  # source_sup's default lattice
 
 
 @pytest.fixture(scope="module")
 def member():
-    """A demo-grid solve of seed 3 and its coefficients."""
-    config = cli.ExperimentConfig.from_dict(
-        dict(json.loads(EXAMPLE.read_text()), checks=STANDARD_CHECKS))
-    f, coef = cli._solve_member(config, 3)
-    return config, f, coef
+    """The demo config's member sections with the standard checks, and
+    its seed-3 solve and coefficients."""
+    config = cli._member_config(cli.ExperimentConfig.from_dict(
+        json.loads(EXAMPLE.read_text())), STANDARD_CHECKS)
+    record = experiments.run_member(dict(config, checks=[]), 3)
+    return config, record["solution"], record["coefficients"]
 
 
 def _fresh(f):
@@ -67,46 +61,59 @@ def calls(monkeypatch):
 
 
 def _expected_source_calls(f):
-    q_big = experiments.standard_cylinders()[1]
-    return sorted([f.cells(q_big).count, LATTICE_POINTS, LATTICE_POINTS])
+    return sorted([f.cells(Q_BIG).count, LATTICE_POINTS, LATTICE_POINTS])
 
 
-def test_standard_pass_builds_each_cylinder_once(member, calls):
-    _, solved, coef = member
+def _member_reports(config, f, monkeypatch):
+    """run_member's reports on config, its solve replaced by f."""
+    monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: f)
+    reports = experiments.run_member(config, 3)["reports"]
+    assert len(reports) == len(STANDARD_CHECKS)
+    assert not any(isinstance(r, dict) for r in reports)
+    return [r.to_json_dict() for r in reports]
+
+
+def test_standard_pass_builds_each_cylinder_once(member, calls,
+                                                 monkeypatch):
+    config, solved, _ = member
     f = _fresh(solved)
-    first = [r.to_json_dict() for r in experiments.standard_checks(f, coef)]
+    first = _member_reports(config, f, monkeypatch)
     assert sorted(calls["mask"]) == [0.5, 1.0]
-    expected = _expected_source_calls(f)
-    assert sorted(calls["source"]) == expected
+    assert sorted(calls["source"]) == _expected_source_calls(f)
 
     # a second pass on the same grid function builds and samples nothing
     # new and reports the same numbers
     calls["mask"].clear()
     calls["source"].clear()
-    second = [r.to_json_dict() for r in experiments.standard_checks(f, coef)]
+    second = _member_reports(config, f, monkeypatch)
     assert calls["mask"] == []
     assert calls["source"] == [LATTICE_POINTS, LATTICE_POINTS]
     assert json.dumps(second, sort_keys=True) == json.dumps(first,
                                                             sort_keys=True)
 
 
-def test_cli_member_builds_each_cylinder_once(member, calls, monkeypatch):
-    config, solved, coef = member
+def test_cli_member_builds_each_cylinder_once(member, calls, monkeypatch,
+                                              tmp_path):
+    _, solved, _ = member
     f = _fresh(solved)
-    monkeypatch.setattr(cli, "_solve_member", lambda config, seed: (f, coef))
-    reports = cli._member_reports(config, 3)
-    assert len(reports) == len(STANDARD_CHECKS)
-    assert not any(isinstance(r, dict) for r in reports)
+    monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: f)
+    data = dict(json.loads(EXAMPLE.read_text()), checks=STANDARD_CHECKS)
+    data["coefficients"]["seeds"] = [3]
+    cli.run(cli.ExperimentConfig.from_dict(data), out_dir=tmp_path)
+    member, = json.loads((tmp_path / "reports.json").read_text())["members"]
+    assert len(member["reports"]) == len(STANDARD_CHECKS)
+    assert "errors" not in member
     # the CLI builds new cylinder objects for every check; the memo keys
-    # on what they contain
-    assert sorted(calls["mask"]) == [0.5, 1.0]
+    # on what they contain, so each cylinder is built once on the grid
+    # validation counts cells on and once on the solution
+    assert sorted(calls["mask"]) == [0.5, 0.5, 1.0, 1.0]
     assert sorted(calls["source"]) == _expected_source_calls(f)
 
 
 def test_cells_match_the_window_and_mask(member):
     _, solved, coef = member
     f = _fresh(solved)
-    cyl = experiments.standard_cylinders()[1]
+    cyl = Q_BIG
     cells = f.cells(cyl)
     window, mask = f.window(cyl), f.mask(cyl)
     assert cells.count == int(mask.sum())

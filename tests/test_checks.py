@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from kfplab import cli
+from kfplab import experiments
 from kfplab.calibration import load_calibration, pass_bound as calibrated_bound
 from kfplab.estimates import (
     InsufficientResolutionError,
@@ -34,10 +34,7 @@ from kfplab.estimates import (
 )
 from kfplab.estimates import checks
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
-from kfplab.experiments import (STANDARD_BOX, standard_coefficients,
-                                standard_cylinders, standard_datum)
 from kfplab.geometry import make_cylinder
-from kfplab.solver import solve
 from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
@@ -128,10 +125,11 @@ def test_energy_gradient_oracle():
 
 
 def test_energy_lhs_equals_full_grid_gradient_bitwise():
-    coef = standard_coefficients(3)
-    f = solve(standard_datum, coef, STANDARD_BOX, nx=64, nv=48, nt=32,
-              pad_x=1.0, pad_v=2.0)
-    qr, qR = standard_cylinders()
+    config = dict(experiments.STANDARD_CONFIG, checks=[],
+                  grid={"nt": 32, "nx": 64, "nv": 48})
+    member = experiments.run_member(config, 3)
+    f, coef = member["solution"], member["coefficients"]
+    qr, qR = STATEMENTS["energy_estimate"].cylinders()
     mask = _full_mask(f, qr)
     full = velocity_gradient(f.values, f.dv)[mask]
     rep = check_energy_estimate(f, coef, qr, qR)
@@ -475,7 +473,7 @@ _DECLARED_RUNS = [
 
 
 def test_every_declared_statement_has_a_cli_call():
-    assert set(cli._CHECKS) == set(STATEMENTS)
+    assert set(experiments._CHECKS) == set(STATEMENTS)
     assert sorted(name for name, _, _ in _DECLARED_RUNS) == sorted(STATEMENTS)
 
 
@@ -485,7 +483,7 @@ def test_checker_measures_on_declared_cylinders(name, params, grid):
     statement = STATEMENTS[name]
     params = statement.parameters(params)
     f = grid(lambda t, x, v: 2.0 + 0.0 * t)
-    report = cli._CHECKS[name](f, COEF0, params)
+    report = experiments._CHECKS[name](f, COEF0, params)
     declared = [cyl.describe() for cyl in statement.cylinders(params)]
     assert all(cyl in declared for cyl in report.cylinders)
 

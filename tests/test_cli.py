@@ -6,6 +6,7 @@ subprocesses on the shipped demo config.
 """
 
 import copy
+import importlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kfplab import cli
+from kfplab import cli, experiments
 from kfplab.cli import ExperimentConfig, parse_seeds, validate
 from kfplab.estimates.checks import STATEMENTS
 from kfplab.solver.grid import Box
@@ -169,7 +170,7 @@ def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a config that should not validate")
 
-    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(experiments, "solve", no_solve)
     config = ExperimentConfig.from_dict(dict(copy.deepcopy(data), kind=kind))
     assert cli.run(config, out_dir=tmp_path) == 2
     error = json.loads(capsys.readouterr().out)
@@ -180,7 +181,7 @@ def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
 def test_validation_counts_cells_on_the_axes_solve_stores():
     data = example_dict()
     config = ExperimentConfig.from_dict(data)
-    f, _ = cli._solve_member(config, 1)
+    f = experiments.run_member(cli._member_config(config), 1)["solution"]
     g = data["grid"]
     grid = cli._solve_grid(Box(**data["box"]), g["nt"], g["nx"], g["nv"],
                            data["pads"]["x"], data["pads"]["v"])
@@ -192,6 +193,39 @@ def test_validation_counts_cells_on_the_axes_solve_stores():
             if grid.safe_box.contains(cyl.bbox()):
                 assert (grid.cells(cyl, minimum=0).count
                         == f.cells(cyl, minimum=0).count)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("coefficients", "cell_size", 1e-20),
+    ("box", "x0", -1e300),
+], ids=["tiny-cell", "far-box"])
+def test_cell_index_overflow_exits_2(section, key, value, tmp_path,
+                                     monkeypatch, capsys):
+    # floor(coordinate / cell_size) past 2^63 casts to one int64 for
+    # every cell, so the field would not be the seeded one
+    monkeypatch.setattr(experiments, "solve", None)
+    data = example_dict()
+    data.update(kind="solve", checks=[])
+    data[section][key] = value
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == [
+        "coefficients.cell_size"]
+    assert "2^63" in error["violations"][0]["reason"]
+
+
+def test_standard_values_are_in_step(monkeypatch):
+    # the standard instance is defined once in experiments; the benchmark
+    # and the demo config restate it and must agree (seeds aside)
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    standard = experiments.STANDARD_CONFIG
+    assert dict(workloads.STANDARD_CONFIG,
+                checks=workloads.STANDARD_CHECKS) == standard
+    example = example_dict()
+    example["coefficients"].pop("seeds")
+    for section in ("box", "pads", "coefficients", "datum"):
+        assert example[section] == standard[section], section
 
 
 def test_unknown_check_name_flagged():
@@ -356,19 +390,23 @@ def test_counterexample_exit_requires_sub_solution(sub_passed, code, tmp_path,
 # strict aggregation policy (in-process, one seed sabotaged)
 
 
-def _patched_member(config, seed, fail_seed=2):
-    if seed == fail_seed:
-        raise RuntimeError("synthetic solver failure")
-    return cli.__dict__["_member_reports_orig"](config, seed)
+def _fail_solves(monkeypatch, fail_seeds):
+    """experiments.solve raises for the coefficient seeds listed."""
+    solve = experiments.solve
+
+    def patched(f0, coef, *args, **kwargs):
+        if coef.seed in fail_seeds:
+            raise RuntimeError("synthetic solver failure")
+        return solve(f0, coef, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve", patched)
 
 
 def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
     data = example_dict()
     data["coefficients"]["seeds"] = [1, 2]
     data["threads"] = 1
-    monkeypatch.setitem(cli.__dict__, "_member_reports_orig",
-                        cli._member_reports)
-    monkeypatch.setattr(cli, "_member_reports", _patched_member)
+    _fail_solves(monkeypatch, {2})
 
     config = ExperimentConfig.from_dict(data)
     assert cli.run(config, out_dir=tmp_path / "lax") == 0
@@ -389,15 +427,30 @@ def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
     assert by_seed == {1: "ok", 2: "error"}
 
 
+def test_standard_member_raises_on_a_failed_solve_or_check(monkeypatch):
+    # calibration and the acceptance fixtures read run_standard_member,
+    # which must not skip a member or a check that raised
+    _fail_solves(monkeypatch, {1})
+    with pytest.raises(RuntimeError, match="^standard member 1: "
+                       "RuntimeError: synthetic solver failure$"):
+        experiments.run_standard_member(1)
+    monkeypatch.undo()
+
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic checker failure")
+
+    monkeypatch.setattr(experiments, "check_linfty_bound", boom)
+    with pytest.raises(RuntimeError, match="^standard member 2: "
+                       "linfty_bound: ValueError: synthetic checker "
+                       "failure; linfty_bound: "):
+        experiments.run_standard_member(2)
+
+
 def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
     data = example_dict()
     data["coefficients"]["seeds"] = [1, 2]
     data["threads"] = 1
-    monkeypatch.setitem(cli.__dict__, "_member_reports_orig",
-                        cli._member_reports)
-    monkeypatch.setattr(cli, "_member_reports",
-                        lambda config, seed: _patched_member(config, seed,
-                                                             fail_seed=seed))
+    _fail_solves(monkeypatch, {1, 2})
 
     config = ExperimentConfig.from_dict(data)
     assert cli.run(config, out_dir=tmp_path) == 1
@@ -405,12 +458,31 @@ def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
     assert {m["status"] for m in reports["members"]} == {"error"}
 
 
+@pytest.mark.parametrize("kind, grid, rows", [
+    ("solve", {"nt": 8, "nx": 16, "nv": 8}, ["solve,1,,,,error,"]),
+    ("verify", {"nt": 40, "nx": 40, "nv": 40},
+     ["residual_sub,1,,,,error,", "residual_super,1,,,,error,"]),
+])
+def test_diverging_march_exits_1_with_its_error_record(kind, grid, rows,
+                                                       tmp_path):
+    data = example_dict()
+    data.update(kind=kind, grid=grid, checks=[])
+    data["coefficients"]["Lam"] = 1e100
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 1
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert reports.pop("error").startswith(
+        "SolverDivergenceError: solver diverged at step ")
+    assert reports == {"kind": kind, "seed": 1, "status": "error"}
+    summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    assert summary[1:] == rows
+
+
 def test_raising_check_keeps_the_seeds_other_reports(tmp_path,
                                                      monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic checker failure")
 
-    monkeypatch.setattr(cli, "check_sobolev_gain", boom)
+    monkeypatch.setattr(experiments, "check_sobolev_gain", boom)
     data = example_dict()
     data["coefficients"]["seeds"] = [1]
     data["threads"] = 1
@@ -431,16 +503,17 @@ def test_raising_check_keeps_the_seeds_other_reports(tmp_path,
     assert rows[1] == "sobolev_gain,1,,,,error,"
 
 
-def test_checks_resolve_through_cli_module_names(tmp_path, monkeypatch):
+def test_checks_resolve_through_experiments_module_names(tmp_path,
+                                                         monkeypatch):
     # perfbench/spans.py attributes checker time by wrapping these names
     calls = []
-    original = cli.check_energy_estimate
+    original = experiments.check_energy_estimate
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "check_energy_estimate", spy)
+    monkeypatch.setattr(experiments, "check_energy_estimate", spy)
     data = example_dict()
     data["coefficients"]["seeds"] = [1]
     data["threads"] = 1

@@ -163,15 +163,6 @@ def test_past_cylinder_window():
     assert not qm.contains(-1.99, 0.0, 0.0).any()
 
 
-def test_future_cylinder_window():
-    qp = make_cylinder("future", (0.0, 0.0, 0.0), 1.0)
-    assert qp.eff_center.t == 2.0
-    assert qp.eff_radius == 0.5
-    assert qp.contains(2.0, 0.1, 0.4).all()
-    assert qp.contains(1.8, 0.0, 0.0).all()
-    assert not qp.contains(1.5, 0.0, 0.0).any()
-
-
 def test_time_shifts_drift_with_center_velocity():
     v0 = 1.3
     qm = make_cylinder("past", (0.0, 0.0, v0), 1.0)
@@ -213,38 +204,6 @@ def test_covering_mate_sits_inside_triple_covering():
         assert triple.contains(t, x, v).all()
 
 
-def test_nested_stage_one_is_past_cylinder():
-    r0 = 0.3
-    q1 = make_cylinder("nested", (0.1, 0.2, -0.5), r0, {"k": 1})
-    qm = make_cylinder("past", (0.1, 0.2, -0.5), r0)
-    assert q1.eff_radius == pytest.approx(qm.eff_radius, rel=1e-15)
-    assert q1.eff_center.t == pytest.approx(qm.eff_center.t, rel=1e-14)
-    assert np.allclose(q1.eff_center.x, qm.eff_center.x, rtol=1e-14, atol=1e-16)
-
-
-def test_nested_chain_shrinks_into_tilde_limit():
-    r0 = 0.3
-    z0 = (0.0, 0.1, 0.7)
-    stages = [make_cylinder("nested", z0, r0, {"k": k}) for k in range(1, 11)]
-    radii = [q.eff_radius for q in stages]
-    assert all(a > b for a, b in zip(radii, radii[1:]))
-    for prev, nxt in zip(stages, stages[1:]):
-        t, x, v = nxt.sample_lattice(9)
-        assert prev.contains(t, x, v).all()
-    past = make_cylinder("past", z0, r0)
-    for q in stages:
-        t, x, v = q.sample_lattice(9)
-        assert past.contains(t, x, v).all()
-    tilde = make_cylinder("tilde_past", z0, r0, {"divisor": 2})
-    t, x, v = tilde.sample_lattice(9)
-    assert stages[-1].contains(t, x, v).all()
-
-
-def test_nested_requires_stage():
-    with pytest.raises(ValueError):
-        make_cylinder("nested", (0.0, 0.0, 0.0), 0.3)
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_cylinder("sideways", (0.0, 0.0, 0.0), 1.0)
@@ -269,11 +228,10 @@ def test_bbox_contains_lattice():
 @pytest.mark.parametrize("kind,params", [
     ("centered", None),
     ("past", None),
-    ("future", None),
+    ("tilde_past", {"divisor": 2}),
     ("tilde_past", {"divisor": 4}),
     ("covering", None),
     ("covering", {"mate": True}),
-    ("nested", {"k": 3}),
 ])
 def test_membership_is_translation_covariant(kind, params):
     rng = np.random.default_rng(5)
@@ -297,7 +255,7 @@ def test_membership_is_translation_covariant(kind, params):
     ("centered", None),
     ("past", None),
     ("covering", None),
-    ("nested", {"k": 2}),
+    ("tilde_past", {"divisor": 4}),
 ])
 def test_membership_is_scaling_covariant(kind, params):
     rng = np.random.default_rng(9)
@@ -394,11 +352,11 @@ def test_vitali_rejects_non_covering_input():
 def test_describe_round_trips_through_json():
     import json
 
-    q = make_cylinder("nested", (0.1, 0.2, 0.3), 0.25, {"k": 2})
+    q = make_cylinder("tilde_past", (0.1, 0.2, 0.3), 0.25, {"divisor": 4})
     blob = json.dumps(q.describe())
     back = json.loads(blob)
-    assert back["kind"] == "nested"
-    assert back["params"]["k"] == 2
+    assert back["kind"] == "tilde_past"
+    assert back["params"]["divisor"] == 4
     assert back["effective_radius"] == pytest.approx(q.eff_radius)
 
 
@@ -455,10 +413,9 @@ def _norm_contains(cyl, t, x, v):
     return ok & (np.linalg.norm(v - zc.v, axis=-1) < rho)
 
 
-_KINDS = [("centered", None), ("past", None), ("future", None),
+_KINDS = [("centered", None), ("past", None),
           ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
-          ("covering", None), ("covering", {"mate": True}),
-          ("nested", {"k": 1}), ("nested", {"k": 3})]
+          ("covering", None), ("covering", {"mate": True})]
 # unit offsets: inside, outside, on the boundary and next to it, and
 # tiny ones where the squared norm underflows
 _UNIT = st.one_of(st.floats(-2.0, 2.0),

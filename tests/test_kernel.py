@@ -51,37 +51,6 @@ def test_never_negative_times(t, x, v):
     assert K.kolmogorov_g(t, x, v) == 0.0
 
 
-@pytest.mark.parametrize("point", [(0.3, 0.2, -0.4), (1.0, 0.5, 0.5),
-                                   (0.7, -1.0, 2.0)])
-def test_gradients_match_finite_differences(point):
-    t0, x0, v0 = point
-    _, gx, gv = K.kernel_gradients(t0, x0, v0)
-    errs = []
-    for h in (1e-3, 5e-4):
-        fdx = (K.kolmogorov_g(t0, x0 + h, v0)
-               - K.kolmogorov_g(t0, x0 - h, v0)) / (2 * h)
-        fdv = (K.kolmogorov_g(t0, x0, v0 + h)
-               - K.kolmogorov_g(t0, x0, v0 - h)) / (2 * h)
-        errs.append(max(abs(gx - fdx), abs(gv - fdv)))
-    assert errs[0] < 1e-3
-    # centered differences converge at second order
-    assert errs[1] < 0.3 * errs[0] + 1e-12
-
-
-def test_gradients_reject_nonpositive_time():
-    with pytest.raises(ValueError):
-        K.kernel_gradients(0.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        K.kernel_gradients(np.array([0.5, -0.2]), 0.0, 0.0)
-
-
-def test_gradient_bound_statistic_finite():
-    stat = K.kernel_gradient_bound_statistic()
-    assert np.isfinite(stat)
-    # regression corridor around the measured value 0.8847
-    assert 0.2 < stat < 2.0
-
-
 def test_mass_is_one_at_all_scales():
     tic = time.time()
     for t in (0.01, 1.0, 100.0):
@@ -128,25 +97,6 @@ def test_smooth_step_plateaus_and_monotone():
     assert np.all(w[s >= 2.0] == 0.0)
     assert np.all(np.diff(w) <= 1e-15)
     assert np.all((0.0 <= w) & (w <= 1.0))
-
-
-def test_split_reconstructs_kernel():
-    eps = 0.4
-    g_eps, g_perp = K.split_kernel(eps)
-    for (t, x, v) in [(0.2, 0.1, 0.3), (0.5, 0.0, 0.1), (0.79, 0.2, -0.2),
-                      (1.5, 0.0, 0.0), (-0.5, 0.1, 0.1)]:
-        g = K.kolmogorov_g(t, x, v)
-        assert abs(g_eps(t, x, v) + g_perp(t, x, v) - g) <= 1e-14 * max(1.0, g)
-    # plateaus are exact: below eps the split piece IS the kernel
-    assert g_eps(0.39, 0.1, 0.1) == K.kolmogorov_g(0.39, 0.1, 0.1)
-    assert g_perp(0.39, 0.1, 0.1) == 0.0
-    assert g_eps(0.81, 0.1, 0.1) == 0.0
-    assert g_perp(0.81, 0.1, 0.1) == K.kolmogorov_g(0.81, 0.1, 0.1)
-
-
-def test_split_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        K.split_kernel(0.0)
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.1, 0.025])

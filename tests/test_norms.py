@@ -13,7 +13,6 @@ from kfplab.estimates import (
     gagliardo_x_seminorm,
     grad_v_l1,
     grid_lp_norm,
-    holder_seminorm,
     inf_on,
     level_set_fraction,
     lp_norm,
@@ -274,54 +273,6 @@ def test_gagliardo_needs_four_columns():
     # x window of radius 0.55 cylinder is +-0.166, dx = 0.15: 2 columns
     with pytest.raises(InsufficientResolutionError):
         gagliardo_x_seminorm(f, _unit_cyl(0.55), 0.25)
-
-
-# ------------------------------------------------------ Holder quotient
-
-
-def test_holder_rejects_bad_args():
-    f = _grid(lambda t, x, v: 0.0 * t, 10, 0.4, 10, 0.25, 10, 0.7)
-    with pytest.raises(ValueError):
-        holder_seminorm(f, _unit_cyl(0.5), 1.2, 0.2)
-    with pytest.raises(ValueError):
-        holder_seminorm(f, _unit_cyl(0.5), 0.5, 1e-9)
-
-
-def test_holder_constant_is_zero():
-    f = _grid(lambda t, x, v: 2.5 + 0.0 * t, 12, 0.4, 12, 0.25, 24, 0.7)
-    assert holder_seminorm(f, _unit_cyl(0.6), 0.5, 0.3) == 0.0
-
-
-def test_holder_time_monomial_oracle():
-    # f = t: the quotient |dt| / |z1 - z2|^alpha is maximized by a pair
-    # sharing (x, v) at the extreme times, giving span^(1 - alpha)
-    alpha = 0.4
-    f = _grid(lambda t, x, v: t + 0.0 * v, 18, 0.38, 14, 0.25, 12, 0.7)
-    cyl = _unit_cyl(0.6)
-    mask = _full_mask(f, cyl)
-    t_used = f.times[mask.any(axis=(1, 2))]
-    span = float(t_used.max() - t_used.min())
-    min_sep = 2.0 * max(f.dt, f.dx, f.dv)
-    got = holder_seminorm(f, cyl, alpha, min_sep)
-    assert got == pytest.approx(span ** (1.0 - alpha), rel=1e-9)
-
-
-def test_holder_min_sep_monotone():
-    f = _grid(lambda t, x, v: np.sin(5 * t) + np.cos(4 * x) * v,
-              16, 0.4, 16, 0.25, 16, 0.7)
-    cyl = _unit_cyl(0.6)
-    base = 2.0 * max(f.dt, f.dx, f.dv)
-    loose = holder_seminorm(f, cyl, 0.5, base)
-    tight = holder_seminorm(f, cyl, 0.5, 4.0 * base)
-    assert tight <= loose + 1e-15
-
-
-def test_holder_no_admissible_pairs():
-    f = _grid(lambda t, x, v: v + 0.0 * t, 16, 0.4, 16, 0.25, 16, 0.7)
-    tiny = make_cylinder("centered", (-0.05, 0.0, 0.0), 0.12)
-    # separation demanded beyond the cylinder diameter
-    with pytest.raises(InsufficientResolutionError):
-        holder_seminorm(f, tiny, 0.5, 3.0)
 
 
 # --------------------------------------------------------- source terms

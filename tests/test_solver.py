@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kfplab import geometry as geo
 from kfplab.calibration import grid_tolerance
-from kfplab.experiments import (STANDARD_BOX, STANDARD_GRID,
-                                harnack_edge_axes, harnack_observation_axes)
+from kfplab.experiments import (STANDARD_CONFIG, harnack_edge_axes,
+                                harnack_observation_axes)
 from kfplab.solver import (Box, CFLViolationError, GridFunction,
                            SafeRegionError, SolverDivergenceError,
                            centered_axis, constant_coefficients,
@@ -203,18 +203,17 @@ def _full_mask(f, cyl):
 
 
 def _standard_axes():
-    nx, nv, nt = STANDARD_GRID
-    b = STANDARD_BOX
+    nt, nx, nv = (STANDARD_CONFIG["grid"][k] for k in ("nt", "nx", "nv"))
+    b = Box(**STANDARD_CONFIG["box"])
     return (b.t0 + (b.t1 - b.t0) / nt * np.arange(nt + 1),
             centered_axis(b.x0, b.x1, nx), centered_axis(b.v0, b.v1, nv))
 
 
 _MASK_AXES = (harnack_observation_axes(), harnack_edge_axes(),
               _standard_axes())
-_KIND_PARAMS = [("centered", {}), ("past", {}), ("future", {}),
+_KIND_PARAMS = [("centered", {}), ("past", {}),
                 ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
-                ("covering", {}), ("covering", {"mate": True}),
-                ("nested", {"k": 1}), ("nested", {"k": 3})]
+                ("covering", {}), ("covering", {"mate": True})]
 
 
 @settings(max_examples=60, deadline=None)

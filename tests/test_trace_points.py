@@ -2,17 +2,19 @@
 
 perfbench/spans.py attributes time and counts to kfplab's layers by
 patching named attributes (GridFunction.mask, CoefficientField.source,
-the check_* names the CLI resolves, ...) from outside the package.  A
+the check_* names the member path resolves, ...) from outside the package.  A
 refactor that renames or bypasses one of them would silently zero a
 per-layer counter; these tests fail instead.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE = ROOT / "docs" / "example_config.json"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
@@ -42,7 +44,7 @@ def test_traced_patches_every_entry_point_and_restores_it():
                 (experiments, "convolve_representation"),
                 (kernel, "kolmogorov_g")}
     assert expected <= set(points)
-    checks = {name for owner, name in points if owner is cli}
+    checks = {name for owner, name in points if owner is experiments}
     assert {"check_energy_estimate", "check_gain_integrability",
             "check_sobolev_gain", "check_linfty_bound"} <= checks
 
@@ -79,3 +81,17 @@ def test_cell_sets_are_counted_through_the_traced_names():
     assert metrics["geometry.contains.calls"] == slices.stop - slices.start
     assert metrics["coefficients.calls"] == 1
     assert metrics["coefficients.points"] == f.cells(cyl).count
+
+
+def test_traced_cli_ensemble_records_its_march_and_every_check(tmp_path):
+    data = json.loads(EXAMPLE.read_text())
+    data["coefficients"]["seeds"] = [1]
+    grid = data["grid"]
+    rec = spans.Recorder()
+    with spans.traced(rec), rec.root("cli"):
+        cli.run(cli.ExperimentConfig.from_dict(data), out_dir=tmp_path)
+    marches = [s for s in rec.spans if s.name == "march"]
+    assert [s.counts["cell_steps"] for s in marches] == [
+        grid["nx"] * grid["nv"] * grid["nt"]]
+    metrics = spans.layer_metrics(rec.spans)
+    assert metrics["checks.calls"] == len(data["checks"])
