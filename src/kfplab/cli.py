@@ -22,6 +22,7 @@ import math
 import numbers
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -281,6 +282,11 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     elif config.kind == "ensemble" and not seeds:
         out.append(_violation("coefficients.seeds",
                               "nonempty seed list required for ensemble"))
+    elif len(set(seeds)) < len(seeds):
+        repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
+        out.append(_violation("coefficients.seeds",
+                              f"seeds {repeated} repeat; each seed is one "
+                              f"member"))
 
     pad_x, pad_v = get("pads.x"), get("pads.v")
     nt, nx, nv = get("grid.nt"), get("grid.nx"), get("grid.nv")

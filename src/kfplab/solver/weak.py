@@ -107,15 +107,33 @@ class HingeProfile:
     threshold: float
     width: float
 
+    def value_and_deriv(self, s):
+        """beta(s) and beta'(s) from one softplus term.
+
+        With z = (s - c) / eta and l = log(1 + exp(-|z|)), beta is
+        eta (max(z, 0) + l) and beta' is exp(min(z, 0) - l).  numpy's
+        logaddexp(0, y) evaluates exactly max(y, 0) + l (its y == 0
+        branch gives log 2 on both sides), so both are bitwise
+        eta logaddexp(0, z) and exp(-logaddexp(0, -z)).
+        """
+        # three buffers written in place; out= keeps 0-d input an array
+        shape = np.shape(s)
+        z = np.subtract(s, self.threshold, out=np.empty(shape))
+        z /= self.width
+        l = np.abs(z, out=np.empty(shape))
+        np.logaddexp(0.0, np.negative(l, out=l), out=l)
+        value = np.maximum(z, 0.0, out=np.empty(shape))
+        value += l
+        value *= self.width
+        deriv = np.minimum(z, 0.0, out=z)
+        deriv -= l
+        return value, np.exp(deriv, out=deriv)
+
     def value(self, s):
-        z = (np.asarray(s, float) - self.threshold) / self.width
-        return self.width * np.logaddexp(0.0, z)
+        return self.value_and_deriv(s)[0]
 
     def deriv(self, s):
-        z = (np.asarray(s, float) - self.threshold) / self.width
-        out = np.empty_like(z)
-        np.exp(-np.logaddexp(0.0, -z), out=out)
-        return out
+        return self.value_and_deriv(s)[1]
 
     def describe(self):
         return {"threshold": self.threshold, "width": self.width}
@@ -216,23 +234,27 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     cell center.  Positive residuals beyond the tolerance mean the
     inequality fails.
 
-    The hinges, their velocity gradient, the coefficients and the
-    bump-independent products -beta(f), A grad_v beta(f) and
-    B grad_v beta(f) + S beta'(f) are evaluated once per hinge, on the
-    bounding index window of the bump supports widened by one v cell
-    per side (clipped to the grid), where the gradient is the full
-    grid's at every cell a bump reads.  The integrand's products and
-    term order are fixed, so the residuals are bitwise those of a
-    per-bump evaluation on the full grid.
+    Each hinge's value and derivative come from one shared softplus
+    term (HingeProfile.value_and_deriv).  They, the velocity gradient,
+    the coefficients and the bump-independent products A grad_v beta(f)
+    and S beta'(f) + B grad_v beta(f) are evaluated once per hinge, on
+    the bounding index window of the bump supports widened by one v
+    cell per side (clipped to the grid), where the gradient is the full
+    grid's at every cell a bump reads; only that window of f is copied.
+    The integrand's products and term order are fixed (beta(f) times
+    the stored -T phi is the IEEE product -beta(f) T phi), so the
+    residuals are bitwise those of a per-bump evaluation on the full
+    grid.
     """
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
     sgn = 1.0 if direction == "sub" else -1.0
-    fv = sgn * f.values
 
     phis, windows = basis_windows(f, phis, region)
     if betas is None:
-        betas = default_hinges(float(fv.min()), float(fv.max()))
+        fmin, fmax = float(f.values.min()), float(f.values.max())
+        betas = default_hinges(*((fmin, fmax) if sgn > 0
+                                 else (-fmax, -fmin)))
     if len(betas) == 0:
         raise ValueError("betas is empty: no (beta, phi) pair to test")
     if tolerance is None:
@@ -250,28 +272,28 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     B = np.asarray(coef.drift(T, X, V), float)
     S = sgn * np.asarray(coef.source(T, X, V), float)
 
-    # each bump on open grids of its own window, at its offset in union
+    # each bump on open grids of its own window, at its offset in union;
+    # -T phi is stored so that beta(f) needs no negated copy per hinge
     phi_data = []
     for phi, w in zip(phis, windows):
         sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
         T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
-        phi_data.append((sl, phi.transport(T, X, V), phi.value(T, X, V),
+        phi_data.append((sl, -phi.transport(T, X, V), phi.value(T, X, V),
                          phi.grad_v(T, X, V)))
 
     rows = []
     worst = None
-    fu = fv[union]
+    fu = sgn * f.values[union]
     for beta in betas:
-        bf = beta.value(fu)
+        bf, dbf = beta.value_and_deriv(fu)
         gbf = velocity_gradient(bf, f.dv)
         # the bump-independent factors, once per hinge and in place:
-        # -beta(f), A grad_v beta(f) and B grad_v beta(f) + S beta'(f)
-        nbf = np.negative(bf, out=bf)
-        w = B * gbf
-        w += S * beta.deriv(fu)
+        # S beta'(f) + B grad_v beta(f) and A grad_v beta(f)
+        w = np.multiply(S, dbf, out=dbf)
+        w += B * gbf
         agbf = np.multiply(gbf, A, out=gbf)
-        for k, (sl, tphi, pval, gphi) in enumerate(phi_data):
-            r = measure * float(np.sum(nbf[sl] * tphi + agbf[sl] * gphi
+        for k, (sl, ntphi, pval, gphi) in enumerate(phi_data):
+            r = measure * float(np.sum(bf[sl] * ntphi + agbf[sl] * gphi
                                        - w[sl] * pval))
             rows.append({"beta": beta.describe(), "phi_index": k,
                          "residual": r})
@@ -296,13 +318,15 @@ def indicator_subsolution(c, a, times, xs, vs, pad_x=0.0,
     A weak sub-solution of the source-free equation whenever |c| is at
     least the sup of |v| over the region where it is tested, since its
     only distributional contribution is -(c + v) times a surface
-    measure on the discontinuity line.
+    measure on the discontinuity line.  The values do not depend on v:
+    they are a read-only broadcast view of one (nt, nx, 1) array.
     """
-    gf = sample_function(
-        lambda T, X, V: (X + c * T < a).astype(float) + 0.0 * V,
-        times, xs, vs, pad_x=pad_x, pad_v=pad_v,
+    times, xs, vs = (np.asarray(axis, dtype=float) for axis in (times, xs, vs))
+    tx = (xs[None, :, None] + c * times[:, None, None] < a).astype(float)
+    return GridFunction(
+        times, xs, vs, np.broadcast_to(tx, (times.size, xs.size, vs.size)),
+        pad_x=pad_x, pad_v=pad_v,
         meta={"scheme": "indicator", "speed": c, "offset": a})
-    return gf
 
 
 def translated_kernel_solution(z0, times, xs, vs, pad_x=0.0,

@@ -356,6 +356,30 @@ def test_mistyped_field_exits_2_naming_it(case, tmp_path, monkeypatch,
     assert field in {v["field"] for v in error["violations"]}
 
 
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_repeated_seed_exits_2_naming_it(form, tmp_path, monkeypatch,
+                                         capsys):
+    # each seed is one member; a repeat would be solved twice and listed
+    # once among the members
+    monkeypatch.delenv("KFPLAB_THREADS", raising=False)
+    data = example_dict()
+    argv = []
+    if form == "config":
+        data["coefficients"]["seeds"] = [2, 1, 2]
+    else:
+        argv = ["--seeds", "2,1,2"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = cli.main(["ensemble", "--config", str(path), "--out", str(out),
+                     *argv])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == ["coefficients.seeds"]
+    assert "[2]" in error["violations"][0]["reason"]
+    assert not (out / "reports.json").exists()
+
+
 class _FakeReport:
     def __init__(self, **fields):
         self.__dict__.update(fields)

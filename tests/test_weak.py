@@ -1,6 +1,7 @@
 """Weak sub/super-solution residual machinery."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,43 @@ def test_hinge_extreme_arguments_stable():
     assert vals[0] == 0.0 and der[0] == 0.0
     assert der[-1] == 1.0
     assert abs(vals[-1] - 1e5) < 1e-9
+
+
+def _literal_hinge(beta, s):
+    """The softplus hinge and its derivative as literal logaddexp forms."""
+    z = (np.asarray(s, float) - beta.threshold) / beta.width
+    return (beta.width * np.logaddexp(0.0, z),
+            np.exp(-np.logaddexp(0.0, -z)))
+
+
+def _bits(a):
+    return np.asarray(a, float).tobytes()
+
+
+def _hinge_sweep():
+    rng = np.random.default_rng(13)
+    draws = [scale * rng.standard_normal(100_000)
+             for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 800.0)]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 700.0, -700.0,
+             740.0, -740.0, 1e308, -1e308, np.inf, -np.inf]
+    return np.concatenate(draws + [np.array(edges)])
+
+
+@pytest.mark.parametrize("threshold, width", [(0.0, 1.0), (0.3, 0.05),
+                                              (-0.2, 0.011)])
+def test_hinge_bitwise_equals_literal_softplus(threshold, width):
+    # value and derivative share one softplus term; they must stay
+    # bitwise the literal forms, on arrays and on 0-d input alike
+    beta = HingeProfile(threshold, width)
+    with np.errstate(over="ignore"):  # 1e308 / width is inf on both sides
+        s = _hinge_sweep()
+        value, deriv = _literal_hinge(beta, s)
+        assert _bits(beta.value(s)) == _bits(value)
+        assert _bits(beta.deriv(s)) == _bits(deriv)
+        for x in (0.4, threshold, -0.0, 1e308, -np.inf):
+            value, deriv = _literal_hinge(beta, x)
+            assert _bits(beta.value(x)) == _bits(value)
+            assert _bits(beta.deriv(x)) == _bits(deriv)
 
 
 # ------------------------------------------------------------ test bumps
@@ -226,13 +264,34 @@ def test_custom_basis_and_report_roundtrip():
     assert len(back["residuals"]) == 1
 
 
+def test_weak_residual_copies_no_full_grid():
+    # small bumps on a large grid: only their window of f is copied, so
+    # neither direction allocates as much as the grid's values
+    times, xs, vs = _axes(-0.4, 0.0, 64, -1.0, 1.0, 128, -1.0, 1.0, 128)
+    f = translated_kernel_solution(PhasePoint(-1.0, 0.0, 0.0),
+                                   times, xs, vs)
+    coef = constant_coefficients(1.0, 0.0, 0.0)
+    phis = [TestBump((-0.2, 0.0, 0.0), (0.05, 0.1, 0.1)),
+            TestBump((-0.1, 0.2, -0.3), (0.03, 0.05, 0.08))]
+    tracemalloc.start()
+    try:
+        for direction in ("sub", "super"):
+            rep = weak_residual(f, coef, phis=phis, direction=direction)
+            assert rep.n_pairs == 15 * len(phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes, (peak, f.values.nbytes)
+
+
 # ------------------------------------------------- per-bump reference
 
 
 def _reference_weak_residual(f, coef, direction, betas=None, phis=None,
                              region=None):
-    """Hinges and their gradient on every stored cell, coefficients and
-    bumps on each bump's own meshgrid, one bump at a time."""
+    """Hinges (their literal logaddexp forms, not HingeProfile's) and
+    their gradient on every stored cell, coefficients and bumps on each
+    bump's own meshgrid, one bump at a time."""
     sgn = 1.0 if direction == "sub" else -1.0
     fv = sgn * f.values
     if region is None:
@@ -245,8 +304,7 @@ def _reference_weak_residual(f, coef, direction, betas=None, phis=None,
     tolerance = grid_tolerance(f.dt, f.dx, f.dv)
     rows = []
     for beta in betas:
-        bf = beta.value(fv)
-        bprime = beta.deriv(fv)
+        bf, bprime = _literal_hinge(beta, fv)
         gbf = velocity_gradient(bf, f.dv)
         for k, phi in enumerate(phis):
             sl = f.window(phi.support())
