@@ -31,7 +31,7 @@ import numpy as np
 from . import experiments
 from .calibration import grid_tolerance
 from .estimates.checks import STATEMENTS, Interval
-from .estimates.constants import explicit_constants
+from .estimates.constants import PRECISE_DIGITS, explicit_constants
 from .solver.grid import Box, GridFunction, InsufficientResolutionError
 # members solve and check through experiments.run_member, so solve and
 # the check_* names resolve in kfplab.experiments; this module keeps
@@ -152,9 +152,9 @@ _KIND_FIELDS = {
         "options.delta1": Interval(0.0, 1.0, default=0.5),
         "options.delta2": Interval(0.0, 1.0, default=0.5),
         "options.s_inf": Interval(0.0, lo_closed=True, default=0.0),
-        # as_tuple_str prints from a 60-digit working precision
-        "options.digits": Interval(1, 61, lo_closed=True, integer=True,
-                                   default=12),
+        # as_tuple_str prints from the precise strings
+        "options.digits": Interval(1, PRECISE_DIGITS + 1, lo_closed=True,
+                                   integer=True, default=12),
     },
     "convergence": {
         "options.levels": _Levels((1, 2, 4)),
@@ -211,7 +211,7 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
             out.append(_violation(f"{field}.name", f"unknown check {name!r}"))
             continue
         try:
-            cylinders = statement.cylinders(statement.parameters(entry))
+            cylinders = statement.cylinders(entry)
         except ValueError as exc:
             out.append(_violation(field, str(exc)))
             continue

@@ -7,15 +7,18 @@ pass verdicts compare the empirical ratio against a calibrated bound
 (see kfplab.calibration); checkers with an intrinsic constant (the
 intermediate-value and measure-to-pointwise statements) use bound 1.
 
-Checkers validate the cheap structural hypotheses themselves (cylinder
-nesting, sign conditions, sup bounds).  That the input is a weak
-sub/super-solution is the caller's contract, verified separately
-through kfplab.solver.weak_residual.
+Checkers validate the cheap structural hypotheses themselves (sign
+conditions, sup bounds).  That the input is a weak sub/super-solution
+is the caller's contract, verified separately through
+kfplab.solver.weak_residual.
 
 Each statement the CLI can run is declared once in STATEMENTS: the
 domains and defaults of its parameters and the cylinders it measures
-on.  The checkers reject parameters and build fixed cylinders through
-that declaration, and the CLI validates configs against it.
+on.  Its checker check_<name> takes exactly those parameters, none
+with a default, and validates them and builds its cylinders in one
+call on the declaration; the CLI validates configs against the same
+declaration, and kfplab.experiments.run_member calls check_<name> by
+name with the entry's parameters.
 """
 
 from __future__ import annotations
@@ -150,15 +153,10 @@ class Statement:
         return {name: dom.coerce(name, entry.get(name, dom.default))
                 for name, dom in self.params.items()}
 
-    def require(self, **values):
-        """Raise ValueError unless each value lies in its domain."""
-        for name, value in values.items():
-            self.params[name].coerce(name, value)
-
-    def cylinders(self, params=None) -> tuple:
-        full = {name: dom.default for name, dom in self.params.items()}
-        full.update(params or {})
-        return self.build(full)
+    def cylinders(self, entry: dict = None) -> tuple:
+        """The cylinders at parameters(entry), every default when entry
+        is None; ValueError as parameters and build raise it."""
+        return self.build(self.parameters(entry or {}))
 
 
 def pair_cylinders(params) -> tuple:
@@ -224,15 +222,6 @@ def _provenance(f: GridFunction, coef=None) -> dict:
     return prov
 
 
-def _require_nested(Qr: Cylinder, QR: Cylinder):
-    a, b = Qr.eff_center, QR.eff_center
-    same = (abs(a.t - b.t) < 1e-12
-            and abs(a.x - b.x) < 1e-12
-            and abs(a.v - b.v) < 1e-12)
-    if not same or not Qr.eff_radius < QR.eff_radius:
-        raise ValueError("cylinders must be nested around a common center")
-
-
 def _require_nonnegative(f: GridFunction, what: str):
     if float(f.values.min()) < -grid_tolerance(f.dt, f.dx, f.dv):
         raise ValueError("negative values beyond the grid tolerance: "
@@ -243,16 +232,15 @@ def _bound(statement_id: str, override):
     return _calibrated(statement_id) if override is None else override
 
 
-def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
-                          *, pass_bound=None) -> EstimateReport:
-    """Velocity-gradient energy on Qr against mass and source on QR."""
-    _require_nested(Qr, QR)
+def check_energy_estimate(f: GridFunction, coef, r: float, R: float, *,
+                          pass_bound=None) -> EstimateReport:
+    """Velocity-gradient energy on Q_r against mass and source on Q_R."""
+    Qr, QR = STATEMENTS["energy_estimate"].cylinders({"r": r, "R": R})
     grad = f.cells(Qr).grad_v()
     lhs = float((grad ** 2).sum() * f.cell_measure)
 
     vals_R = f.cells(QR).values
-    const = energy_constant(Qr.eff_radius, QR.eff_radius,
-                            abs(QR.eff_center.v))
+    const = energy_constant(r, R, abs(QR.eff_center.v))
     sq = float((vals_R ** 2).sum() * f.cell_measure)
     svals = f.cells(QR).source(coef)
     cross = float((np.abs(vals_R) * np.abs(svals)).sum() * f.cell_measure)
@@ -266,14 +254,12 @@ def check_energy_estimate(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
         provenance=_provenance(f, coef))
 
 
-def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
-                             QR: Cylinder, p: float, *,
-                             pass_bound=None) -> EstimateReport:
-    """L^p norm on Qr against L^2 data on QR, p below the critical 3."""
-    STATEMENTS["gain_integrability"].require(p=p)
-    _require_nested(Qr, QR)
-    const = gain_int_constant(Qr.eff_radius, QR.eff_radius,
-                              abs(QR.eff_center.v))
+def check_gain_integrability(f: GridFunction, coef, r: float, R: float,
+                             p: float, *, pass_bound=None) -> EstimateReport:
+    """L^p norm on Q_r against L^2 data on Q_R, p below the critical 3."""
+    Qr, QR = STATEMENTS["gain_integrability"].cylinders(
+        {"r": r, "R": R, "p": p})
+    const = gain_int_constant(r, R, abs(QR.eff_center.v))
     prefactor = const / (3.0 - p)
     lhs = lp_norm(f, Qr, p)
     sid = f"gain_integrability[p={p:g}]"
@@ -287,13 +273,12 @@ def check_gain_integrability(f: GridFunction, coef, Qr: Cylinder,
         provenance=_provenance(f, coef))
 
 
-def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
+def check_sobolev_gain(f: GridFunction, coef, r: float, R: float,
                        sigma: float, *, pass_bound=None) -> EstimateReport:
-    """Fractional x-regularity on Qr against L^2 data on QR."""
-    STATEMENTS["sobolev_gain"].require(sigma=sigma)
-    _require_nested(Qr, QR)
-    const = gain_reg_constant(Qr.eff_radius, QR.eff_radius,
-                              abs(QR.eff_center.v))
+    """Fractional x-regularity on Q_r against L^2 data on Q_R."""
+    Qr, QR = STATEMENTS["sobolev_gain"].cylinders(
+        {"r": r, "R": R, "sigma": sigma})
+    const = gain_reg_constant(r, R, abs(QR.eff_center.v))
     prefactor = const / (1.0 / 3.0 - sigma)
     semi = gagliardo_x_seminorm(f, Qr, sigma)
     l1 = lp_norm(f, Qr, 1.0)
@@ -310,12 +295,11 @@ def check_sobolev_gain(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
         provenance=_provenance(f, coef))
 
 
-def check_linfty_bound(f: GridFunction, coef, Qr: Cylinder, QR: Cylinder,
+def check_linfty_bound(f: GridFunction, coef, r: float, R: float,
                        zeta: float, *, pass_bound=None) -> EstimateReport:
-    """Sup bound on Qr from a small-exponent quasi-norm on QR."""
-    STATEMENTS["linfty_bound"].require(zeta=zeta)
-    _require_nested(Qr, QR)
-    r, R = Qr.eff_radius, QR.eff_radius
+    """Sup bound on Q_r from a small-exponent quasi-norm on Q_R."""
+    Qr, QR = STATEMENTS["linfty_bound"].cylinders(
+        {"r": r, "R": R, "zeta": zeta})
     v0 = abs(QR.eff_center.v)
     factor = ((1.0 + v0) / (r * r * (R - r) ** 3)) ** (5.0 / zeta)
     lhs = max(sup_on(f, Qr), 0.0)
@@ -352,8 +336,7 @@ def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
         provenance=_provenance(f))
 
 
-def check_weak_poincare(f: GridFunction, coef, eps: float,
-                        sigma: float = 0.25, *,
+def check_weak_poincare(f: GridFunction, coef, eps: float, sigma: float, *,
                         pass_bound=None) -> EstimateReport:
     """Positive-part Poincare inequality with a small L^2 error term.
 
@@ -361,9 +344,8 @@ def check_weak_poincare(f: GridFunction, coef, eps: float,
     on the past cylinder Q_1(-2,0,0), measured in L^1 on Q_1, against
     the velocity-gradient, L^2, and source terms on Q_5.
     """
-    statement = STATEMENTS["weak_poincare"]
-    statement.require(eps=eps, sigma=sigma)
-    q1, q1_past, q5 = statement.cylinders()
+    q1, q1_past, q5 = STATEMENTS["weak_poincare"].cylinders(
+        {"eps": eps, "sigma": sigma})
     avg = cylinder_average(f, q1_past)
     vals1 = f.cells(q1).values
     lhs = float(np.clip(vals1 - avg, 0.0, None).sum() * f.cell_measure)
@@ -435,8 +417,7 @@ def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
         provenance=_provenance(f, coef))
 
 
-def check_measure_to_pointwise(f: GridFunction, coef, delta: float,
-                               consts: ExplicitConstants = None, *,
+def check_measure_to_pointwise(f: GridFunction, coef, delta: float, *,
                                pass_bound=1.0) -> EstimateReport:
     """Cold measure on the early cylinder lowers the sup on Q_(r0/2).
 
@@ -446,9 +427,7 @@ def check_measure_to_pointwise(f: GridFunction, coef, delta: float,
     indistinguishable from sup <= 1 + tolerance; the high-precision mu
     is recorded for the report.
     """
-    source_free = coef.source_sup == 0.0
-    if consts is None:
-        consts = increase_constants(delta, source_free=source_free)
+    consts = increase_constants(delta, source_free=coef.source_sup == 0.0)
     if coef.source_sup > consts.mu:
         raise ValueError(
             "the source sup exceeds mu, the lemma does not apply")
@@ -481,21 +460,19 @@ def check_measure_to_pointwise(f: GridFunction, coef, delta: float,
 _LOG_DIAG_EXPONENT = 1.0 / (10 * 1 + 18)
 
 
-def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
+def check_weak_harnack(f: GridFunction, coef, zeta: float, *,
                        pass_bound=None) -> EstimateReport:
     """Quasi-norm on the shifted past cylinder against the later infimum.
 
     The left side is the un-normalized integral of f^zeta over the
     tilde past cylinder of radius r0/2, to the power 1/zeta; the right
     side is the infimum over the centered cylinder of radius r0/2 plus
-    the source sup on Q_1.  zeta defaults to a fixed moderate value so
-    the ratio is informative; the statement-traceable zeta derived from
-    WEAK_HARNACK_DELTA0 is recorded alongside.
+    the source sup on Q_1.  Its declared default zeta is a fixed
+    moderate value so the ratio is informative; the statement-traceable
+    zeta derived from WEAK_HARNACK_DELTA0 is recorded alongside.
     """
-    statement = STATEMENTS["weak_harnack"]
-    statement.require(zeta=zeta)
+    tilde, lower, early = STATEMENTS["weak_harnack"].cylinders({"zeta": zeta})
     _require_nonnegative(f, "super-solution")
-    tilde, lower, early = statement.cylinders()
     vals = np.clip(f.cells(tilde).values, 0.0, None)
     lhs = float((vals ** zeta).sum() * f.cell_measure) ** (1.0 / zeta)
     log_vals = np.log1p(np.clip(f.cells(early).values, 0.0, None))
@@ -516,8 +493,8 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float = 0.5, *,
 
 def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
     """Sup on the shifted past cylinder against the later infimum."""
+    upper, lower = STATEMENTS["harnack"].cylinders({})
     _require_nonnegative(f, "solution")
-    upper, lower = STATEMENTS["harnack"].cylinders()
     lhs = max(sup_on(f, upper), 0.0)
     sid = "harnack"
     return build_report(
@@ -530,8 +507,7 @@ def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
         provenance=_provenance(f, coef))
 
 
-def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
-                            centers=(ORIGIN,),
+def check_oscillation_decay(f: GridFunction, coef, levels: int, centers, *,
                             pass_bound=1.0) -> EstimateReport:
     """Oscillation contraction across the dyadic-in-scaling family.
 
@@ -544,7 +520,10 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
     statement's alpha.  Levels whose cylinder resolves into too few
     cells are truncated and noted.
     """
-    STATEMENTS["oscillation_decay"].require(levels=levels)
+    statement = STATEMENTS["oscillation_decay"]
+    # validates levels and centers; the loop rebuilds the declared
+    # levels 0 and 1 along with the deeper ones
+    statement.cylinders({"levels": levels, "centers": centers})
     source_free = coef.source_sup == 0.0
     consts = increase_constants(OSCILLATION_DELTA, source_free=source_free)
     tol = grid_tolerance(f.dt, f.dx, f.dv)
@@ -559,7 +538,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
         for n in range(levels + 1):
             cyl = _oscillation_level(z0, n)
             cells = f.cells(cyl, minimum=0)
-            if cells.count < STATEMENTS["oscillation_decay"].min_cells:
+            if cells.count < statement.min_cells:
                 # the first contraction must resolve; deeper levels may not
                 if n <= 1:
                     raise InsufficientResolutionError(
@@ -567,8 +546,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int = 1, *,
                         f"{cells.count} cells")
                 truncated = True
                 break
-            vals = cells.values
-            osc = float(vals.max() - vals.min())
+            osc = cells.max() - cells.min()
             if n >= 2 and osc < tol:
                 truncated = True
                 break

@@ -40,6 +40,7 @@ import dataclasses
 import mpmath as mp
 
 __all__ = [
+    "PRECISE_DIGITS",
     "ExplicitConstants",
     "explicit_constants",
     "increase_constants",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 _PRECISE_FIELDS = ("r0", "epsilon", "theta", "nu", "mu", "alpha", "zeta")
+# significant digits of each string in ExplicitConstants.precise
+PRECISE_DIGITS = 20
 
 
 def energy_constant(r: float, R: float, v0: float) -> float:
@@ -74,7 +77,7 @@ class ExplicitConstants:
     """Inputs and derived constants; see the module docstring.
 
     Float fields may underflow to 0.0; `precise` keeps every derived
-    value as a 20-digit decimal string.
+    value as a decimal string of PRECISE_DIGITS significant digits.
     """
 
     delta1: float
@@ -171,7 +174,8 @@ def explicit_constants(delta1: float = 0.5, delta2: float = 0.5,
 
         derived = {"r0": r0, "epsilon": epsilon, "theta": theta, "nu": nu,
                    "mu": mu, "alpha": alpha, "zeta": zeta}
-        precise = {k: mp.nstr(val, 20) for k, val in derived.items()}
+        precise = {k: mp.nstr(val, PRECISE_DIGITS)
+                   for k, val in derived.items()}
         floats = {k: float(val) for k, val in derived.items()}
 
     return ExplicitConstants(
@@ -181,8 +185,9 @@ def explicit_constants(delta1: float = 0.5, delta2: float = 0.5,
 
 
 def increase_constants(delta: float, source_free: bool = True,
-                       delta_prime: float = 0.5, **kwargs) -> ExplicitConstants:
-    """Constants for the measure-to-pointwise lemma at lowering fraction delta."""
-    return explicit_constants(delta1=delta, delta2=delta_prime,
+                       **kwargs) -> ExplicitConstants:
+    """Constants for the measure-to-pointwise lemma at lowering fraction
+    delta, with the universal fraction delta' = 1/2."""
+    return explicit_constants(delta1=delta, delta2=0.5,
                               variant="increase", source_free=source_free,
                               **kwargs)

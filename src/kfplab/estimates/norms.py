@@ -62,15 +62,14 @@ def level_set_fraction(f: GridFunction, cyl: Cylinder, relation: str,
     """Fraction of cylinder cells whose value satisfies the relation."""
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {sorted(_RELATIONS)}")
-    vals = f.cells(cyl).values
-    return float(np.mean(_RELATIONS[relation](vals, threshold)))
+    compare = _RELATIONS[relation]
+    return f.cells(cyl).fraction(lambda vals: compare(vals, threshold))
 
 
 def band_fraction(f: GridFunction, cyl: Cylinder, lo: float,
                   hi: float) -> float:
     """Fraction of cylinder cells with lo < value < hi (both strict)."""
-    vals = f.cells(cyl).values
-    return float(np.mean((vals > lo) & (vals < hi)))
+    return f.cells(cyl).fraction(lambda vals: (vals > lo) & (vals < hi))
 
 
 def cylinder_average(f: GridFunction, cyl: Cylinder) -> float:
@@ -79,11 +78,11 @@ def cylinder_average(f: GridFunction, cyl: Cylinder) -> float:
 
 
 def sup_on(f: GridFunction, cyl: Cylinder) -> float:
-    return float(np.max(f.cells(cyl).values))
+    return f.cells(cyl).max()
 
 
 def inf_on(f: GridFunction, cyl: Cylinder) -> float:
-    return float(np.min(f.cells(cyl).values))
+    return f.cells(cyl).min()
 
 
 def grad_v_l1(f: GridFunction, cyl: Cylinder) -> float:
@@ -126,13 +125,13 @@ def gagliardo_x_seminorm(f: GridFunction, cyl: Cylinder,
     return total * f.dx * f.dx * f.dv * f.dt
 
 
-def source_sup(coef, cyl: Cylinder, n: int = 12) -> float:
-    """Sup of |S| over an interior lattice of the cylinder.
+def source_sup(coef, cyl: Cylinder) -> float:
+    """Sup of |S| over the interior 12^3 lattice of the cylinder.
 
     Lattice sampling underestimates the true sup of a rough field, which
     only makes the estimates it enters harder to pass.
     """
-    t, x, v = cyl.sample_lattice(n)
+    t, x, v = cyl.sample_lattice(12)
     return float(np.max(np.abs(coef.source(t, x, v))))
 
 

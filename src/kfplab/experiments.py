@@ -39,7 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimates.checks import (
+# run_member resolves check_<name> among this module's names at call
+# time, so a wrapper set on one of them here sees every check a member
+# makes
+from .estimates.checks import (  # noqa: F401
     HARNACK_R0,
     STATEMENTS,
     check_energy_estimate,
@@ -53,7 +56,6 @@ from .estimates.checks import (
     check_sobolev_gain,
     check_weak_harnack,
     check_weak_poincare,
-    pair_cylinders,
 )
 from .estimates.constants import explicit_constants
 from .estimates.norms import inf_on, lp_norm, sup_on
@@ -122,20 +124,20 @@ POINCARE_EPS = (0.5, 0.25, 0.1)
 CONSTANT_LEVEL = 0.75
 
 
-def _half_offset_times(n, dt, top=0.0):
-    """n uniform slice times, the last half a step above top.
+def _half_offset_times(n, dt):
+    """n uniform slice times, the last half a step above 0.
 
-    Every integer multiple of dt at or below top then lies midway
-    between slices, so cylinder windows with such boundaries have exact
-    slice counts regardless of rounding.
+    Every integer multiple of dt at or below 0 then lies midway between
+    slices, so cylinder windows with such boundaries have exact slice
+    counts regardless of rounding.
     """
-    return top + dt * (np.arange(n) - (n - 1.5))
+    return dt * (np.arange(n) - (n - 1.5))
 
 
-def _constant_grid(times, xs, vs, value=CONSTANT_LEVEL):
+def _constant_grid(times, xs, vs):
     return sample_function(
-        lambda T, X, V: np.full(np.broadcast(T, X, V).shape, float(value)),
-        times, xs, vs, meta={"scheme": "constant", "value": float(value)})
+        lambda T, X, V: np.full(np.broadcast(T, X, V).shape, CONSTANT_LEVEL),
+        times, xs, vs, meta={"scheme": "constant", "value": CONSTANT_LEVEL})
 
 
 def lifted_copy(f: GridFunction, amount: float) -> GridFunction:
@@ -185,27 +187,6 @@ REFINEMENT_SEEDS = (1, 2, 3, 4, 5)
 BOUNDARY_SEEDS = (1, 7, 13)
 BOUNDARY_SCALE = 1.5
 
-# check name -> checker call on (f, coef, params), with params and
-# cylinders as declared in STATEMENTS.  The check_* names resolve in
-# this module at call time, so a wrapper set on them here sees every
-# check a member makes.
-_CHECKS = {
-    "energy_estimate": lambda f, coef, p: check_energy_estimate(
-        f, coef, *pair_cylinders(p)),
-    "gain_integrability": lambda f, coef, p: check_gain_integrability(
-        f, coef, *pair_cylinders(p), p["p"]),
-    "sobolev_gain": lambda f, coef, p: check_sobolev_gain(
-        f, coef, *pair_cylinders(p), p["sigma"]),
-    "linfty_bound": lambda f, coef, p: check_linfty_bound(
-        f, coef, *pair_cylinders(p), p["zeta"]),
-    "weak_poincare": lambda f, coef, p: check_weak_poincare(
-        f, coef, p["eps"], p["sigma"]),
-    "harnack": lambda f, coef, p: check_harnack(f, coef),
-    "weak_harnack": lambda f, coef, p: check_weak_harnack(f, coef, p["zeta"]),
-    "oscillation_decay": lambda f, coef, p: check_oscillation_decay(
-        f, coef, p["levels"], centers=p["centers"]),
-}
-
 
 def _datum(floor, amp, width):
     def datum(x, v):
@@ -220,7 +201,9 @@ def _error_text(exc: Exception) -> str:
 
 def run_member(config: dict, seed: int) -> dict:
     """Solve one member of a config and run its checks (STATEMENTS
-    entries): the datum is floor + amp exp(-(x^2 + v^2) / (2 width^2)).
+    entries, each through check_<name> of this module with the entry's
+    declared parameters): the datum is
+    floor + amp exp(-(x^2 + v^2) / (2 width^2)).
 
     The record holds the solution, the coefficient field and the
     reports in check order, a check that raised as {"check", "error"}
@@ -238,7 +221,8 @@ def run_member(config: dict, seed: int) -> dict:
     for entry in config["checks"]:
         name = entry["name"]
         try:
-            report = _CHECKS[name](f, coef, STATEMENTS[name].parameters(entry))
+            check = globals()[f"check_{name}"]
+            report = check(f, coef, **STATEMENTS[name].parameters(entry))
         except Exception as exc:  # one check's failure keeps the others
             reports.append({"check": name, "error": _error_text(exc)})
             continue
@@ -271,8 +255,8 @@ def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
     return {"seed": int(seed), "reports": record["reports"]}
 
 
-def run_standard_ensemble(seeds=ENSEMBLE_SEEDS) -> list:
-    return [run_standard_member(seed) for seed in seeds]
+def run_standard_ensemble() -> list:
+    return [run_standard_member(seed) for seed in ENSEMBLE_SEEDS]
 
 
 def _member_constants(seed, **kwargs) -> dict:
@@ -332,10 +316,16 @@ def poincare_instance() -> GridFunction:
                                       pad_x=1.0, pad_v=2.0)
 
 
-def run_poincare(eps_values=POINCARE_EPS) -> dict:
+def _poincare_parameters(eps) -> dict:
+    """eps with the statement's declared sigma."""
+    return STATEMENTS["weak_poincare"].parameters({"eps": eps})
+
+
+def run_poincare() -> dict:
     f = poincare_instance()
     coef = constant_coefficients(1.0, 0.0, 0.0)
-    reports = [check_weak_poincare(f, coef, eps) for eps in eps_values]
+    reports = [check_weak_poincare(f, coef, **_poincare_parameters(eps))
+               for eps in POINCARE_EPS]
     return {"reports": reports}
 
 
@@ -344,7 +334,8 @@ def run_poincare_constant() -> dict:
     the constant is dyadic so the cylinder average is exact.  The grid
     is only fine enough to resolve the unit balls inside the wide box."""
     f = _constant_grid(*_poincare_axes(56, 512, 32))
-    report = check_weak_poincare(f, constant_coefficients(1.0, 0.0, 0.0), 0.25)
+    report = check_weak_poincare(f, constant_coefficients(1.0, 0.0, 0.0),
+                                 **_poincare_parameters(0.25))
     return {"report": report, "lhs": report.lhs}
 
 
@@ -557,7 +548,8 @@ def _strong_ratio(f, cyls):
     return sup_on(f, upper) / inf_on(f, lower)
 
 
-def _weak_ratio(f, cyls, zeta=0.5, normalized=False):
+def _weak_ratio(f, cyls, normalized=False):
+    zeta = HARNACK_ZETAS[0]
     tilde, lower = cyls
     lhs = lp_norm(f, tilde, zeta)
     if normalized:
@@ -568,7 +560,7 @@ def _weak_ratio(f, cyls, zeta=0.5, normalized=False):
 INVARIANCE_POLE = (-0.9, -0.15, 0.3)
 
 
-def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
+def run_harnack_invariance() -> dict:
     """Harnack-type ratios of one kernel translate recomputed in moved
     frames.
 
@@ -584,6 +576,7 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
         by exact powers of two; the quasi-norm ratio is compared per
         unit cylinder volume, the scale-free form.
     """
+    pole = INVARIANCE_POLE
     dtt, dx, dv = HARNACK_DT, _OBS_DX, _OBS_DV
 
     times_a, xs_a, vs_a = harnack_observation_axes()
@@ -644,8 +637,8 @@ def run_harnack_invariance(pole=INVARIANCE_POLE) -> dict:
     }
 
 
-def run_harnack_suite(poles=HARNACK_POLES) -> dict:
-    members = [run_harnack_member(pole) for pole in poles]
+def run_harnack_suite() -> dict:
+    members = [run_harnack_member(pole) for pole in HARNACK_POLES]
     reports = []
     for m in members:
         reports.extend([m["harnack"], m["weak"]])
@@ -698,8 +691,8 @@ def run_oscillation_member(seed) -> dict:
     return {"seed": int(seed), "report": report}
 
 
-def run_oscillation_study(seeds=OSC_SEEDS) -> list:
-    return [run_oscillation_member(seed) for seed in seeds]
+def run_oscillation_study() -> list:
+    return [run_oscillation_member(seed) for seed in OSC_SEEDS]
 
 
 def pinned_constants_tuple(digits=12) -> str:

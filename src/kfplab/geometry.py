@@ -180,8 +180,7 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
       past        radius r, center shifted by -2 r^2 in time
       tilde_past  radius r/divisor (params divisor in {2, 4}),
                   center shifted by -19/8 r^2
-      covering    radius 2 r, center shifted by +2 r^2; with params
-                  {"mate": True} instead radius r shifted by +10 r^2
+      covering    radius 2 r, center shifted by +2 r^2
     """
     center = as_point(center)
     r = float(radius)
@@ -198,11 +197,7 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
             raise ValueError("tilde_past divisor must be 2 or 4")
         shift, rho = -19.0 / 8.0 * r * r, r / divisor
     elif kind == "covering":
-        mate = bool(params.setdefault("mate", False))
-        if mate:
-            shift, rho = 10.0 * r * r, r
-        else:
-            shift, rho = 2.0 * r * r, 2.0 * r
+        shift, rho = 2.0 * r * r, 2.0 * r
     else:
         raise ValueError(f"unknown cylinder kind {kind!r}")
     eff_center = compose(center, PhasePoint(shift, 0.0, 0.0))
@@ -239,20 +234,20 @@ class VitaliReport:
         return self.holds
 
 
-def vitali_inclusion_check(c1: Cylinder, c2: Cylinder, n: int = 17) -> VitaliReport:
+def vitali_inclusion_check(c1: Cylinder, c2: Cylinder) -> VitaliReport:
     """Check the covering engulfing property on a sampled lattice.
 
-    For plain covering cylinders the claim is: if the two cylinders
-    intersect and r1 <= 2 r2, then the first lies inside the fivefold
-    inflation of the second.  Intersection is detected by sampling each
-    cylinder's interior lattice against the other, and inclusion is
-    verified on the first cylinder's lattice.  A cheap necessary
+    For covering cylinders the claim is: if the two cylinders intersect
+    and r1 <= 2 r2, then the first lies inside the fivefold inflation
+    of the second.  Intersection is detected by sampling each
+    cylinder's interior 17^3 lattice against the other, and inclusion
+    is verified on the first cylinder's lattice.  A cheap necessary
     condition on the centers rules out far apart pairs without
     sampling.
     """
     for c in (c1, c2):
-        if c.kind != "covering" or c.params.get("mate"):
-            raise ValueError("vitali_inclusion_check expects plain covering cylinders")
+        if c.kind != "covering":
+            raise ValueError("vitali_inclusion_check expects covering cylinders")
     r1, r2 = c1.radius, c2.radius
     if r1 > 2.0 * r2:
         return VitaliReport(False, None, None, True, 0,
@@ -267,8 +262,8 @@ def vitali_inclusion_check(c1: Cylinder, c2: Cylinder, n: int = 17) -> VitaliRep
             or abs(z1.x - z2.x - dt * z2.v) >= 120.0 * r2 ** 3):
         return VitaliReport(True, False, None, True, 0,
                             "centers too far apart to intersect")
-    lat1 = c1.sample_lattice(n)
-    lat2 = c2.sample_lattice(n)
+    lat1 = c1.sample_lattice(17)
+    lat2 = c2.sample_lattice(17)
     hit = bool(np.any(c2.contains(*lat1))) or bool(np.any(c1.contains(*lat2)))
     if not hit:
         return VitaliReport(True, False, None, True, lat1[0].size + lat2[0].size,

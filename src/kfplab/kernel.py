@@ -101,8 +101,9 @@ def _sheared_grid(t, n, mult):
     return u, v, du, dv
 
 
-def kernel_mass(t, n=256, mult=8.0):
-    """Total integral of G(t, ., .) by sheared midpoint quadrature.
+def kernel_mass(t, mult=8.0):
+    """Total integral of G(t, ., .) by sheared midpoint quadrature on
+    256 x 256 points.
 
     The analytic truncation error of the domain |u| <= mult t^{3/2},
     |v| <= mult sqrt(t) is 1 - erf(mult sqrt(3)) erf(mult / 2); if that
@@ -115,7 +116,7 @@ def kernel_mass(t, n=256, mult=8.0):
     if truncation > 5e-7:
         raise QuadratureError(
             f"domain multiplier {mult} leaves truncation {truncation:.2e}")
-    u, v, du, dv = _sheared_grid(t, n, mult)
+    u, v, du, dv = _sheared_grid(t, 256, mult)
     U, V = np.meshgrid(u, v, indexing="ij")
     X = U + 0.5 * t * V
     vals = kolmogorov_g(t, X, V)
@@ -123,10 +124,10 @@ def kernel_mass(t, n=256, mult=8.0):
 
 
 def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-                        n=9, kernel=None):
+                        kernel=None):
     """Max centered-difference residual of dG/dt + v dG/dx - d2G/dv2.
 
-    Evaluated on an n^3 midpoint lattice of the region; the time range
+    Evaluated on a 9^3 midpoint lattice of the region; the time range
     must stay at least h away from 0.  Returns the max absolute
     residual, an O(h^2) quantity for the true kernel.
     """
@@ -135,7 +136,7 @@ def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
     (t0, t1), (x0, x1), (v0, v1) = region
     if t0 - h <= 0.0:
         raise ValueError("pde residual region must satisfy t0 > h")
-    frac = (np.arange(n) + 0.5) / n
+    frac = (np.arange(9) + 0.5) / 9
     T, X, V = np.meshgrid(t0 + (t1 - t0) * frac,
                           x0 + (x1 - x0) * frac,
                           v0 + (v1 - v0) * frac, indexing="ij")
@@ -146,15 +147,15 @@ def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
     return float(np.max(np.abs(dt + V * dx - dvv)))
 
 
-def semigroup_defect(t, s, points, n=400, mult=8.0):
+def semigroup_defect(t, s, points):
     """Max defect of G(t) = G(s) * G(t-s) over the given (x, v) points.
 
-    The inner convolution integral runs on the sheared midpoint grid of
-    the G(t - s) factor.
+    The inner convolution integral runs on the 400 x 400 sheared
+    midpoint grid of the G(t - s) factor, multiplier 8.
     """
     if not (0.0 < s < t):
         raise ValueError("semigroup_defect requires 0 < s < t")
-    u, vv, du, dv = _sheared_grid(t - s, n, mult)
+    u, vv, du, dv = _sheared_grid(t - s, 400, 8.0)
     U, V2 = np.meshgrid(u, vv, indexing="ij")
     X2 = U + 0.5 * (t - s) * V2
     inner = kolmogorov_g(t - s, X2, V2)
@@ -187,17 +188,18 @@ def smooth_step(s):
     return val
 
 
-def split_kernel_l1(eps, n=4096):
+def split_kernel_l1(eps):
     """Integral of |G_eps| over all of (0, infinity) x R^2, where
     G_eps(t, .) = smooth_step(t / eps) G(t, .) is the small-time part of
     G: supported in t <= 2 eps and equal to G for t <= eps.
 
     Since the mass of G(t, ., .) is identically 1 the integral reduces
     to eps * int_0^2 smooth_step; the value sits strictly between eps and
-    2 eps and scales linearly in eps.
+    2 eps and scales linearly in eps; the midpoint rule on 4096 panels
+    evaluates the last integral.
     """
-    s = (np.arange(n) + 0.5) * (2.0 / n)
-    return float(eps * np.sum(smooth_step(s)) * (2.0 / n))
+    s = (np.arange(4096) + 0.5) * (2.0 / 4096)
+    return float(eps * np.sum(smooth_step(s)) * (2.0 / 4096))
 
 
 def translated_kernel_values(z0, t, x, v):

@@ -208,8 +208,10 @@ class GridFunction:
 class CylinderCells:
     """The cells of a grid function whose centers lie in one cylinder:
     mask marks them in the grid block that window slices out, and
-    values, grad_v, centers and source list them in grid order.  Only
-    views of the grid's arrays are kept, so the memo forms no cycle."""
+    values, grad_v, centers and source list them in grid order, while
+    max, min and fraction reduce over the block under the mask without
+    copying it.  Only views of the grid's arrays are kept, so the memo
+    forms no cycle."""
 
     def __init__(self, f: GridFunction, window, mask):
         wt, wx, wv = self.window = window
@@ -221,8 +223,25 @@ class CylinderCells:
         self._sources = {}
 
     @property
+    def _block(self) -> np.ndarray:
+        return self._rows[..., self.window[2]]
+
+    @property
     def values(self) -> np.ndarray:
-        return self._rows[..., self.window[2]][self.mask]
+        return self._block[self.mask]
+
+    def max(self) -> float:
+        return float(np.max(self._block, where=self.mask, initial=-np.inf))
+
+    def min(self) -> float:
+        return float(np.min(self._block, where=self.mask, initial=np.inf))
+
+    def fraction(self, member) -> float:
+        """Share of the cells whose values member marks: member maps
+        the block to a new boolean array of its shape."""
+        hit = member(self._block)
+        hit &= self.mask
+        return np.count_nonzero(hit) / self.count
 
     def grad_v(self) -> np.ndarray:
         """The grid's velocity_gradient at the cells."""

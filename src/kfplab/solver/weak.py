@@ -173,21 +173,19 @@ class EmptyBumpError(InsufficientResolutionError):
         super().__init__(f"test bump {phi.support()} holds no cell center")
 
 
-def basis_windows(f: GridFunction, phis=None, region=None):
+def basis_windows(f: GridFunction, phis=None):
     """The test bumps and each one's index window on f's grid.
 
-    phis defaults to the basis tiling region, itself by default the
-    safe box over the stored slice times.  Raises ValueError when the
+    phis defaults to the basis tiling the safe box over the stored
+    slice times.  Raises ValueError when the
     basis is empty or a support leaves that safe box, and EmptyBumpError
     when a support holds no cell center on some axis.
     """
     safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
                                t1=float(f.times[-1]))
     if phis is None:
-        if region is None:
-            region = ((safe.t0, safe.t1), (safe.x0, safe.x1),
-                      (safe.v0, safe.v1))
-        phis = default_test_basis(region)
+        phis = default_test_basis(((safe.t0, safe.t1), (safe.x0, safe.x1),
+                                   (safe.v0, safe.v1)))
     if len(phis) == 0:
         raise ValueError("phis is empty: no (beta, phi) pair to test")
     windows = [f.window(phi.support()) for phi in phis]
@@ -201,12 +199,13 @@ def basis_windows(f: GridFunction, phis=None, region=None):
     return phis, windows
 
 
-def default_hinges(f_min, f_max, n_thresholds=5, rel_widths=(0.03, 0.1, 0.3)):
-    """Hinges whose thresholds span the observed range of f."""
+def default_hinges(f_min, f_max):
+    """Hinges whose 5 thresholds span the observed range of f, each at
+    widths 0.03, 0.1 and 0.3 of that range."""
     span = max(f_max - f_min, 1e-12)
-    thresholds = f_min + span * (np.arange(n_thresholds) + 0.5) / n_thresholds
+    thresholds = f_min + span * (np.arange(5) + 0.5) / 5
     return [HingeProfile(float(c), float(w * span))
-            for c in thresholds for w in rel_widths]
+            for c in thresholds for w in (0.03, 0.1, 0.3)]
 
 
 @dataclasses.dataclass
@@ -224,12 +223,12 @@ class WeakResidualReport:
 
 
 def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
-                  phis=None, tolerance=None, direction="sub",
-                  region=None) -> WeakResidualReport:
+                  phis=None, tolerance=None,
+                  direction="sub") -> WeakResidualReport:
     """Max weak residual of f over a (beta, phi) basis.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  phis and region are read by basis_windows, which
+    mirrored one.  phis is read by basis_windows, which
     rejects an empty basis and bumps outside the safe box or holding no
     cell center.  Positive residuals beyond the tolerance mean the
     inequality fails.
@@ -250,7 +249,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         raise ValueError("direction must be 'sub' or 'super'")
     sgn = 1.0 if direction == "sub" else -1.0
 
-    phis, windows = basis_windows(f, phis, region)
+    phis, windows = basis_windows(f, phis)
     if betas is None:
         fmin, fmax = float(f.values.min()), float(f.values.max())
         betas = default_hinges(*((fmin, fmax) if sgn > 0
@@ -311,8 +310,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     )
 
 
-def indicator_subsolution(c, a, times, xs, vs, pad_x=0.0,
-                          pad_v=0.0) -> GridFunction:
+def indicator_subsolution(c, a, times, xs, vs) -> GridFunction:
     """Sampled traveling half-space indicator 1_{x + c t < a}.
 
     A weak sub-solution of the source-free equation whenever |c| is at
@@ -325,7 +323,6 @@ def indicator_subsolution(c, a, times, xs, vs, pad_x=0.0,
     tx = (xs[None, :, None] + c * times[:, None, None] < a).astype(float)
     return GridFunction(
         times, xs, vs, np.broadcast_to(tx, (times.size, xs.size, vs.size)),
-        pad_x=pad_x, pad_v=pad_v,
         meta={"scheme": "indicator", "speed": c, "offset": a})
 
 

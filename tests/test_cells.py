@@ -8,22 +8,25 @@ member path (experiments.run_member) the CLI and the experiments share.
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kfplab import cli, experiments
-from kfplab.estimates import InsufficientResolutionError, lp_norm
+from kfplab.estimates import (InsufficientResolutionError, band_fraction,
+                              inf_on, level_set_fraction, lp_norm, sup_on)
 from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import CoefficientField
-from kfplab.solver.grid import GridFunction, SafeRegionError
+from kfplab.solver.grid import (GridFunction, SafeRegionError,
+                                sample_function)
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
 STANDARD_CHECKS = experiments.STANDARD_CONFIG["checks"]
 Q_BIG = STATEMENTS["energy_estimate"].cylinders()[1]
-LATTICE_POINTS = 12 ** 3  # source_sup's default lattice
+LATTICE_POINTS = 12 ** 3  # source_sup's lattice
 
 
 @pytest.fixture(scope="module")
@@ -149,4 +152,28 @@ def test_oscillation_resolution_message_unchanged(member):
     with pytest.raises(InsufficientResolutionError,
                        match="^oscillation cylinder at level 1 holds 0 "
                              "cells$"):
-        check_oscillation_decay(f, coef)
+        check_oscillation_decay(
+            f, coef, **STATEMENTS["oscillation_decay"].parameters({}))
+
+
+def test_extrema_and_fractions_copy_no_cell_values():
+    # sup, inf and the level-set fractions reduce over the window under
+    # the mask: together they allocate less than one float per cell
+    f = sample_function(lambda t, x, v: np.sin(3.0 * x) * v + 0.1 * t,
+                        np.linspace(-1.0, 0.0, 60), np.linspace(-1.2, 1.2, 400),
+                        np.linspace(-1.2, 1.2, 200))
+    cyl = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
+    cells = f.cells(cyl)
+    vals = cells.values
+    tracemalloc.start()
+    try:
+        got = (sup_on(f, cyl), inf_on(f, cyl),
+               level_set_fraction(f, cyl, "ge", 0.1),
+               band_fraction(f, cyl, -0.2, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cells.count * 8
+    assert got == (float(vals.max()), float(vals.min()),
+                   float(np.mean(vals >= 0.1)),
+                   float(np.mean((vals > -0.2) & (vals < 0.3))))

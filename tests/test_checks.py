@@ -17,7 +17,6 @@ from kfplab import experiments
 from kfplab.calibration import load_calibration, pass_bound as calibrated_bound
 from kfplab.estimates import (
     InsufficientResolutionError,
-    ORIGIN,
     check_energy_estimate,
     check_gain_integrability,
     check_harnack,
@@ -34,7 +33,6 @@ from kfplab.estimates import (
 )
 from kfplab.estimates import checks
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
-from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
@@ -73,8 +71,7 @@ def _ivl_grid(fn):
     return _grid(fn, 208, 0.26, 129, 0.13, 81, 0.52)
 
 
-QH = make_cylinder("centered", ORIGIN, 0.5)
-Q1 = make_cylinder("centered", ORIGIN, 1.0)
+CENTERS = ((0.0, 0.0, 0.0),)
 
 
 # -------------------------------------------------- L2-to-better family
@@ -82,7 +79,7 @@ Q1 = make_cylinder("centered", ORIGIN, 1.0)
 
 def test_energy_constant_field_passes():
     f = _mid_grid(lambda t, x, v: 3.0 + 0.0 * t)
-    rep = check_energy_estimate(f, COEF0, QH, Q1, pass_bound=1.0)
+    rep = check_energy_estimate(f, COEF0, 0.5, 1.0, pass_bound=1.0)
     assert rep.lhs == 0.0
     assert rep.empirical_constant == 0.0
     assert rep.passed is True
@@ -92,32 +89,16 @@ def test_energy_constant_field_passes():
 
 def test_energy_rejects_unnested():
     f = _mid_grid(lambda t, x, v: 0.0 * t)
-    off = make_cylinder("centered", (0.0, 0.2, 0.0), 0.5)
-    with pytest.raises(ValueError, match="nested"):
-        check_energy_estimate(f, COEF0, off, Q1)
-    with pytest.raises(ValueError, match="nested"):
-        check_energy_estimate(f, COEF0, Q1, Q1)
-    with pytest.raises(ValueError, match="nested"):
-        check_energy_estimate(f, COEF0, Q1, QH)
-
-
-@pytest.mark.parametrize("center,moved", [
-    ((0.0, 1.0, 0.0), (0.0, 1.0 + 5e-6, 0.0)),
-    ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0 + 5e-6)),
-])
-def test_nesting_compares_centers_absolutely(center, moved):
-    # a relative tolerance would call centers 5e-6 apart at |x| = 1 common
-    f = _grid(lambda t, x, v: 0.0 * t, 64, 1.1, 129, 2.5, 129, 2.5)
-    Qr = make_cylinder("centered", center, 0.5)
-    QR = make_cylinder("centered", moved, 1.0)
-    with pytest.raises(ValueError, match="nested"):
-        check_energy_estimate(f, COEF0, Qr, QR)
+    with pytest.raises(ValueError, match="r must be below R"):
+        check_energy_estimate(f, COEF0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="r must be below R"):
+        check_energy_estimate(f, COEF0, 1.0, 0.5)
 
 
 def test_energy_gradient_oracle():
     # f = v^2 / 2: grad_v f = v, LHS = int v^2 over Q_(1/2)
     f = _mid_grid(lambda t, x, v: 0.5 * v**2 + 0.0 * t)
-    rep = check_energy_estimate(f, COEF0, QH, Q1)
+    rep = check_energy_estimate(f, COEF0, 0.5, 1.0)
     r = 0.5
     exact = r**2 * 2.0 * r**3 * (2.0 * r**3 / 3.0)
     # the short time window quantizes to ~15 slices: coarse agreement
@@ -129,10 +110,11 @@ def test_energy_lhs_equals_full_grid_gradient_bitwise():
                   grid={"nt": 32, "nx": 64, "nv": 48})
     member = experiments.run_member(config, 3)
     f, coef = member["solution"], member["coefficients"]
-    qr, qR = STATEMENTS["energy_estimate"].cylinders()
+    params = STATEMENTS["energy_estimate"].parameters({})
+    qr, _ = STATEMENTS["energy_estimate"].cylinders(params)
     mask = _full_mask(f, qr)
     full = velocity_gradient(f.values, f.dv)[mask]
-    rep = check_energy_estimate(f, coef, qr, qR)
+    rep = check_energy_estimate(f, coef, **params)
     assert rep.lhs == float((full ** 2).sum() * f.cell_measure)
 
 
@@ -141,12 +123,12 @@ def test_gain_integrability_validates_p():
     f = _mid_grid(lambda t, x, v: 0.0 * t)
     for p in (1.9, 3.0, 3.2):
         with pytest.raises(ValueError, match="p must"):
-            check_gain_integrability(f, COEF0, QH, Q1, p)
+            check_gain_integrability(f, COEF0, 0.5, 1.0, p)
 
 
 def test_gain_integrability_constant_field():
     f = _mid_grid(lambda t, x, v: 2.0 + 0.0 * t)
-    rep = check_gain_integrability(f, COEF0, QH, Q1, 2.25, pass_bound=1.0)
+    rep = check_gain_integrability(f, COEF0, 0.5, 1.0, 2.25, pass_bound=1.0)
     # ||f||_p on the smaller cylinder vs a large prefactor times L2 norms
     assert rep.passed is True
     assert rep.extras["prefactor"] == pytest.approx(
@@ -158,12 +140,12 @@ def test_sobolev_gain_validates_sigma():
     f = _mid_grid(lambda t, x, v: 0.0 * t)
     for sigma in (0.0, 1.0 / 3.0, 0.4):
         with pytest.raises(ValueError, match="sigma"):
-            check_sobolev_gain(f, COEF0, QH, Q1, sigma)
+            check_sobolev_gain(f, COEF0, 0.5, 1.0, sigma)
 
 
 def test_sobolev_gain_itemizes_pieces():
     f = _mid_grid(lambda t, x, v: np.sin(2 * x) + 0.0 * t)
-    rep = check_sobolev_gain(f, COEF0, QH, Q1, 0.25)
+    rep = check_sobolev_gain(f, COEF0, 0.5, 1.0, 0.25)
     assert rep.lhs == pytest.approx(rep.extras["seminorm"] + rep.extras["l1"],
                                     rel=1e-12)
     assert rep.extras["seminorm"] > 0.0
@@ -173,13 +155,13 @@ def test_sobolev_gain_itemizes_pieces():
 def test_linfty_bound_validates_zeta():
     f = _mid_grid(lambda t, x, v: 0.0 * t)
     with pytest.raises(ValueError, match="zeta"):
-        check_linfty_bound(f, COEF0, QH, Q1, 0.0)
+        check_linfty_bound(f, COEF0, 0.5, 1.0, 0.0)
 
 
 def test_linfty_bound_negative_field_clamps():
     # sup of a negative subsolution clamps to zero: bound trivially holds
     f = _mid_grid(lambda t, x, v: -1.0 + 0.0 * t)
-    rep = check_linfty_bound(f, COEF0, QH, Q1, 0.5, pass_bound=1.0)
+    rep = check_linfty_bound(f, COEF0, 0.5, 1.0, 0.5, pass_bound=1.0)
     assert rep.lhs == 0.0
     assert rep.passed is True
 
@@ -207,7 +189,7 @@ def _poincare_grid(fn):
 
 def test_weak_poincare_constant_is_tight_zero():
     f = _poincare_grid(lambda t, x, v: 2.0 + 0.0 * t)
-    rep = check_weak_poincare(f, COEF0, 0.1)
+    rep = check_weak_poincare(f, COEF0, 0.1, 0.25)
     assert rep.lhs == 0.0
     assert rep.extras["past_average"] == pytest.approx(2.0)
     assert rep.statement_id == "weak_poincare"
@@ -216,9 +198,9 @@ def test_weak_poincare_constant_is_tight_zero():
 def test_weak_poincare_validates_args():
     f = _poincare_grid(lambda t, x, v: 0.0 * t)
     with pytest.raises(ValueError, match="eps"):
-        check_weak_poincare(f, COEF0, 0.0)
+        check_weak_poincare(f, COEF0, 0.0, 0.25)
     with pytest.raises(ValueError, match="eps"):
-        check_weak_poincare(f, COEF0, 1.0)
+        check_weak_poincare(f, COEF0, 1.0, 0.25)
     with pytest.raises(ValueError, match="sigma"):
         check_weak_poincare(f, COEF0, 0.1, sigma=0.5)
 
@@ -226,7 +208,7 @@ def test_weak_poincare_validates_args():
 def test_weak_poincare_excess_measured():
     # mean on the past cylinder is 0; positive part appears where v > 0
     f = _poincare_grid(lambda t, x, v: np.tanh(4.0 * v) + 0.0 * t)
-    rep = check_weak_poincare(f, COEF0, 0.2)
+    rep = check_weak_poincare(f, COEF0, 0.2, 0.25)
     assert rep.lhs > 0.0
     assert rep.rhs_terms["grad_v_l1"] > 0.0
 
@@ -333,7 +315,7 @@ def test_harnack_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         check_harnack(f, COEF0)
     with pytest.raises(ValueError, match="nonnegative"):
-        check_weak_harnack(f, COEF0)
+        check_weak_harnack(f, COEF0, 0.5)
 
 
 def test_harnack_pass_bound_override():
@@ -386,7 +368,7 @@ def test_harnack_source_term_included():
 
 def test_oscillation_constant_passes_rhs_zero():
     f = _mid_grid(lambda t, x, v: 4.0 + 0.0 * t)
-    rep = check_oscillation_decay(f, COEF0)
+    rep = check_oscillation_decay(f, COEF0, 1, CENTERS)
     assert rep.rhs_zero is True
     assert rep.passed is True
     assert rep.extras["alpha_hat"] is None
@@ -394,7 +376,7 @@ def test_oscillation_constant_passes_rhs_zero():
 
 def test_oscillation_linear_in_v():
     f = _mid_grid(lambda t, x, v: v + 0.0 * t)
-    rep = check_oscillation_decay(f, COEF0)
+    rep = check_oscillation_decay(f, COEF0, 1, CENTERS)
     assert rep.passed is True
     # Lipschitz in v: fitted decay exponent near 1 (v window quantized)
     assert 0.8 < rep.extras["alpha_hat"] < 1.3
@@ -405,7 +387,7 @@ def test_oscillation_linear_in_v():
 def test_oscillation_validates_levels():
     f = _mid_grid(lambda t, x, v: 0.0 * t)
     with pytest.raises(ValueError, match="levels"):
-        check_oscillation_decay(f, COEF0, levels=0)
+        check_oscillation_decay(f, COEF0, 0, CENTERS)
 
 
 def test_oscillation_unaligned_center_unresolved():
@@ -413,7 +395,7 @@ def test_oscillation_unaligned_center_unresolved():
     # x0 sits mid-gap between columns: the level-1 x window is empty
     x0 = float(f.xs[64]) + 0.004
     with pytest.raises(InsufficientResolutionError):
-        check_oscillation_decay(f, COEF0, centers=((0.0, x0, 0.0),))
+        check_oscillation_decay(f, COEF0, 1, ((0.0, x0, 0.0),))
 
 
 def test_oscillation_drifting_center():
@@ -422,8 +404,8 @@ def test_oscillation_drifting_center():
     x0 = float(f.xs[64])
     v0 = float(f.vs[70])
     t0 = float(f.times[-1])
-    rep = check_oscillation_decay(f, COEF0, centers=((t0, x0, v0),
-                                                     (t0, x0, 0.0)))
+    rep = check_oscillation_decay(f, COEF0, 1, ((t0, x0, v0),
+                                                (t0, x0, 0.0)))
     assert rep.passed is True
     assert len(rep.extras["per_center"]) == 2
     assert len(rep.extras["alpha_hats"]) == 2
@@ -435,8 +417,8 @@ def test_oscillation_drifting_center():
 def test_reports_serialize_strict_json():
     f = _mid_grid(lambda t, x, v: v + 0.0 * t)
     reps = [
-        check_energy_estimate(f, COEF0, QH, Q1),
-        check_oscillation_decay(f, COEF0),
+        check_energy_estimate(f, COEF0, 0.5, 1.0),
+        check_oscillation_decay(f, COEF0, 1, CENTERS),
     ]
     g = _ivl_grid(lambda t, x, v: 0.5 + 0.0 * t)
     reps.append(check_ivl(g, COEF0, 0.5, 0.5))
@@ -451,7 +433,7 @@ def test_reports_serialize_strict_json():
 def test_provenance_carries_coefficients():
     coef = make_rough_coefficients(9, s_amp=0.0, cell_size=0.04)
     f = _mid_grid(lambda t, x, v: 1.0 + 0.0 * t)
-    rep = check_energy_estimate(f, coef, QH, Q1)
+    rep = check_energy_estimate(f, coef, 0.5, 1.0)
     assert rep.provenance["coefficients"]["seed"] == 9
     assert rep.provenance["grid"]["nx"] == 129
 
@@ -472,9 +454,23 @@ _DECLARED_RUNS = [
 ]
 
 
+def _checker(name):
+    """The checker run_member calls for the statement name."""
+    return getattr(experiments, f"check_{name}")
+
+
 def test_every_declared_statement_has_a_cli_call():
-    assert set(experiments._CHECKS) == set(STATEMENTS)
+    assert all(callable(_checker(name)) for name in STATEMENTS)
     assert sorted(name for name, _, _ in _DECLARED_RUNS) == sorted(STATEMENTS)
+
+
+def test_checkers_take_exactly_their_declared_parameters():
+    for name, statement in STATEMENTS.items():
+        params = inspect.signature(_checker(name)).parameters
+        declared = [p for p in params if p not in ("f", "coef", "pass_bound")]
+        assert declared == list(statement.params), name
+        assert all(params[p].default is inspect.Parameter.empty
+                   for p in declared), name
 
 
 @pytest.mark.parametrize("name, params, grid", _DECLARED_RUNS,
@@ -483,7 +479,7 @@ def test_checker_measures_on_declared_cylinders(name, params, grid):
     statement = STATEMENTS[name]
     params = statement.parameters(params)
     f = grid(lambda t, x, v: 2.0 + 0.0 * t)
-    report = experiments._CHECKS[name](f, COEF0, params)
+    report = _checker(name)(f, COEF0, **params)
     declared = [cyl.describe() for cyl in statement.cylinders(params)]
     assert all(cyl in declared for cyl in report.cylinders)
 
@@ -506,12 +502,12 @@ def test_pass_bound_keys_parse_to_declared_statements():
             continue
         assert name in STATEMENTS, key
         assert set(params) <= set(STATEMENTS[name].params), key
-        STATEMENTS[name].require(**params)
+        for param, value in params.items():
+            STATEMENTS[name].params[param].coerce(param, value)
         keyed.add(name)
     # a checker whose pass_bound defaults to None reads the calibration
     calibrated = {name for name in STATEMENTS if inspect.signature(
-        getattr(checks, f"check_{name}")).parameters["pass_bound"].default
-        is None}
+        _checker(name)).parameters["pass_bound"].default is None}
     assert calibrated <= keyed
     # the one analytic bound: the oscillation contraction, pass_bound 1
     assert set(STATEMENTS) - calibrated == {"oscillation_decay"}

@@ -658,6 +658,21 @@ def test_constants_kind_prints_tuple(tmp_path):
     assert reports["values"][0] == "0.05"
 
 
+def test_constants_digits_end_at_the_precise_strings(tmp_path, capsys):
+    # the precise strings hold 20 significant digits
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"options": {"digits": 21}}))
+    assert cli.main(["constants", "--config", str(path),
+                     "--out", str(tmp_path / "refused")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert "options.digits" in {v["field"] for v in error["violations"]}
+    path.write_text(json.dumps({"options": {"digits": 20}}))
+    assert cli.main(["constants", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    reports = json.loads((tmp_path / "out" / "reports.json").read_text())
+    assert reports["digits"] == 20
+
+
 def test_convergence_kind_meets_order(tmp_path):
     out = tmp_path / "conv"
     proc = run_cli(["convergence", "--out", str(out)])

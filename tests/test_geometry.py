@@ -188,20 +188,6 @@ def test_covering_reduction():
     c = make_cylinder("covering", (0.0, 0.0, 0.0), r)
     assert c.eff_center.t == pytest.approx(2.0 * r * r, rel=1e-14)
     assert c.eff_radius == pytest.approx(2.0 * r, rel=1e-14)
-    mate = make_cylinder("covering", (0.0, 0.0, 0.0), r, {"mate": True})
-    assert mate.eff_center.t == pytest.approx(10.0 * r * r, rel=1e-14)
-    assert mate.eff_radius == pytest.approx(r, rel=1e-14)
-
-
-def test_covering_mate_sits_inside_triple_covering():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        z = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
-        r = rng.uniform(0.05, 0.5)
-        mate = make_cylinder("covering", z, r, {"mate": True})
-        triple = make_cylinder("covering", z, 3.0 * r)
-        t, x, v = mate.sample_lattice(9)
-        assert triple.contains(t, x, v).all()
 
 
 def test_unknown_kind_rejected():
@@ -231,7 +217,6 @@ def test_bbox_contains_lattice():
     ("tilde_past", {"divisor": 2}),
     ("tilde_past", {"divisor": 4}),
     ("covering", None),
-    ("covering", {"mate": True}),
 ])
 def test_membership_is_translation_covariant(kind, params):
     rng = np.random.default_rng(5)
@@ -344,9 +329,6 @@ def test_vitali_rejects_non_covering_input():
     c = make_cylinder("covering", (0.0, 0.0, 0.0), 0.2)
     with pytest.raises(ValueError):
         vitali_inclusion_check(q, c)
-    mate = make_cylinder("covering", (0.0, 0.0, 0.0), 0.2, {"mate": True})
-    with pytest.raises(ValueError):
-        vitali_inclusion_check(mate, c)
 
 
 def test_describe_round_trips_through_json():
@@ -415,7 +397,7 @@ def _norm_contains(cyl, t, x, v):
 
 _KINDS = [("centered", None), ("past", None),
           ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
-          ("covering", None), ("covering", {"mate": True})]
+          ("covering", None)]
 # unit offsets: inside, outside, on the boundary and next to it, and
 # tiny ones where the squared norm underflows
 _UNIT = st.one_of(st.floats(-2.0, 2.0),

@@ -213,7 +213,7 @@ _MASK_AXES = (harnack_observation_axes(), harnack_edge_axes(),
               _standard_axes())
 _KIND_PARAMS = [("centered", {}), ("past", {}),
                 ("tilde_past", {"divisor": 2}), ("tilde_past", {"divisor": 4}),
-                ("covering", {}), ("covering", {"mate": True})]
+                ("covering", {})]
 
 
 @settings(max_examples=60, deadline=None)

@@ -287,18 +287,16 @@ def test_weak_residual_copies_no_full_grid():
 # ------------------------------------------------- per-bump reference
 
 
-def _reference_weak_residual(f, coef, direction, betas=None, phis=None,
-                             region=None):
+def _reference_weak_residual(f, coef, direction, betas=None, phis=None):
     """Hinges (their literal logaddexp forms, not HingeProfile's) and
     their gradient on every stored cell, coefficients and bumps on each
     bump's own meshgrid, one bump at a time."""
     sgn = 1.0 if direction == "sub" else -1.0
     fv = sgn * f.values
-    if region is None:
+    if phis is None:
         safe = f.safe_box
-        region = ((float(f.times[0]), float(f.times[-1])),
-                  (safe.x0, safe.x1), (safe.v0, safe.v1))
-    phis = default_test_basis(region) if phis is None else phis
+        phis = default_test_basis(((float(f.times[0]), float(f.times[-1])),
+                                   (safe.x0, safe.x1), (safe.v0, safe.v1)))
     if betas is None:
         betas = default_hinges(float(fv.min()), float(fv.max()))
     tolerance = grid_tolerance(f.dt, f.dx, f.dv)
@@ -342,7 +340,8 @@ ROUGH = make_rough_coefficients(3, lam=0.25, Lam=1.0, cell_size=0.08,
     pytest.param(ROUGH, 0.5, {}, id="default-basis-with-pads"),
     pytest.param(ROUGH, 0.0, {}, id="window-clipped-at-both-v-walls"),
     pytest.param(ROUGH, 0.5,
-                 {"region": ((0.05, 0.25), (-0.5, 0.3), (-0.8, 0.9))},
+                 {"phis": default_test_basis(
+                     ((0.05, 0.25), (-0.5, 0.3), (-0.8, 0.9)))},
                  id="explicit-region"),
     pytest.param(ROUGH, 0.5,
                  {"phis": [TestBump((0.1, -0.4, -0.6), (0.05, 0.15, 0.3)),
