@@ -181,6 +181,9 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
       tilde_past  radius r/divisor (params divisor in {2, 4}),
                   center shifted by -19/8 r^2
       covering    radius 2 r, center shifted by +2 r^2
+
+    A params key the kind does not read is rejected, so a cylinder never
+    records a variant it was not built as.
     """
     center = as_point(center)
     r = float(radius)
@@ -200,6 +203,9 @@ def make_cylinder(kind: str, center, radius: float, params: Optional[dict] = Non
         shift, rho = 2.0 * r * r, 2.0 * r
     else:
         raise ValueError(f"unknown cylinder kind {kind!r}")
+    for key in params:
+        if key != "divisor" or kind != "tilde_past":
+            raise ValueError(f"a {kind} cylinder does not read params key {key!r}")
     eff_center = compose(center, PhasePoint(shift, 0.0, 0.0))
     return Cylinder(kind, center, r, params, eff_center, rho)
 

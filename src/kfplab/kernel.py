@@ -49,16 +49,30 @@ def _kernel(t, x, v, v_divisor):
     """Kernel body with velocity exponent v^2 / (v_divisor t), broadcast
     entrywise.  Each factor stays on the shape of the inputs it reads
     (0-d numpy arrays for a scalar t), so only the products are
-    full-size."""
+    full-size.
+
+    The full-size stages (u, u^2, the exponent, the masked exponent, the
+    exponential and the masked product) are computed in place in the one
+    array returned, beside one boolean mask.  Each is the same IEEE
+    operation on the same operands as the literal formula
+    pref * exp(-3 u^2 / t^3 - v^2 / (v_divisor t)), so the values are
+    bitwise those of a fresh array per stage.  The quadratures call this
+    once per point on the same grid; a fresh temporary per stage went
+    back to the OS and was faulted in again on every call."""
     t, x, v = np.asarray(t, float), np.asarray(x, float), np.asarray(v, float)
-    u = x - 0.5 * t * v
-    uu, vv = u * u, v * v
+    out = np.empty(np.broadcast_shapes(t.shape, x.shape, v.shape))
     pos = t > 0.0
     ts = np.where(pos, t, 1.0)
-    expo = -3.0 * uu / ts**3 - vv / (v_divisor * ts)
-    keep = pos & (expo >= EXP_FLOOR)
-    pref = (3.0 / (4.0 * math.pi**2)) ** 0.5 * ts ** -2.0
-    out = np.where(keep, pref * np.exp(np.where(keep, expo, 0.0)), 0.0)
+    np.subtract(x, 0.5 * t * v, out=out)                   # u
+    np.multiply(out, out, out=out)                         # u^2
+    np.multiply(-3.0, out, out=out)
+    np.divide(out, ts**3, out=out)
+    np.subtract(out, v * v / (v_divisor * ts), out=out)    # exponent
+    drop = ~(pos & (out >= EXP_FLOOR))
+    np.copyto(out, 0.0, where=drop)
+    np.exp(out, out=out)
+    np.multiply((3.0 / (4.0 * math.pi**2)) ** 0.5 * ts ** -2.0, out, out=out)
+    np.copyto(out, 0.0, where=drop)
     if out.ndim == 0:
         return float(out)
     return out
@@ -162,7 +176,7 @@ def semigroup_defect(t, s, points):
     worst = 0.0
     for (x, v) in points:
         outer = kolmogorov_g(s, x - X2 - s * V2, v - V2)
-        conv = float(np.sum(outer * inner) * du * dv)
+        conv = float(np.sum(np.multiply(outer, inner, out=outer)) * du * dv)
         worst = max(worst, abs(conv - kolmogorov_g(t, x, v)))
     return worst
 
@@ -222,7 +236,7 @@ def _slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
     """Integral of G(tau, x - x' - tau v', v - v') slab(x', v') dx' dv'."""
     V = vg[None, :]
     g = kolmogorov_g(tau, x - xg[:, None] - tau * V, v - V)
-    return float(np.sum(g * slab) * dx * dv)
+    return float(np.sum(np.multiply(g, slab, out=g)) * dx * dv)
 
 
 def convolve_representation(source, eval_points):

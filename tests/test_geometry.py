@@ -190,6 +190,17 @@ def test_covering_reduction():
     assert c.eff_radius == pytest.approx(2.0 * r, rel=1e-14)
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("covering", {"mate": True}, "mate"),
+    ("centered", {"divisor": 4}, "divisor"),
+    ("past", {"divisor": 2}, "divisor"),
+    ("tilde_past", {"divisor": 4, "junk": 1}, "junk"),
+])
+def test_params_the_kind_does_not_read_are_rejected(kind, params, key):
+    with pytest.raises(ValueError, match=f"does not read params key '{key}'"):
+        make_cylinder(kind, (0.0, 0.0, 0.0), 0.2, params)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_cylinder("sideways", (0.0, 0.0, 0.0), 1.0)

@@ -3,6 +3,7 @@ splitting, and the convolution representation."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,118 @@ def test_open_grids_match_full_arrays_bitwise(kernel):
         got = kernel(*args)
         assert type(got) is float
         assert got == _on_full_arrays(kernel, *args)
+
+
+def _literal_kernel(t, x, v, v_divisor):
+    """The kernel formula with one fresh array per stage, as
+    kfplab.kernel evaluated it before its stages moved into the output
+    array: the bitwise reference for the in-place evaluation."""
+    t, x, v = np.asarray(t, float), np.asarray(x, float), np.asarray(v, float)
+    u = x - 0.5 * t * v
+    uu, vv = u * u, v * v
+    pos = t > 0.0
+    ts = np.where(pos, t, 1.0)
+    expo = -3.0 * uu / ts**3 - vv / (v_divisor * ts)
+    keep = pos & (expo >= K.EXP_FLOOR)
+    pref = (3.0 / (4.0 * math.pi**2)) ** 0.5 * ts ** -2.0
+    out = np.where(keep, pref * np.exp(np.where(keep, expo, 0.0)), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _assert_bitwise(got, ref):
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
+    # the same bits, signed zeros included
+    assert np.array_equal(np.asarray(got).view(np.uint64),
+                          np.asarray(ref).view(np.uint64))
+
+
+def _floor_crossing_x(t, v, v_divisor, steps=64):
+    """x values whose exponent at (t, v) steps across EXP_FLOOR ulp by
+    ulp, from the exact crossing of the literal formula outward."""
+    vterm = v * v / (v_divisor * t)
+    x0 = math.sqrt((-K.EXP_FLOOR - vterm) * t**3 / 3.0) + 0.5 * t * v
+    return x0 + np.arange(-steps, steps + 1) * math.ulp(x0)
+
+
+@pytest.mark.parametrize("kernel, v_divisor", [(K.kolmogorov_g, 4.0),
+                                               (K.detuned_kernel, 2.0)])
+def test_in_place_kernel_equals_literal_formula_bitwise(kernel, v_divisor):
+    rng = np.random.default_rng(23)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5])
+    ts = np.array([-1.0, -0.0, 0.0, 1e-300, 1e-3, 0.05, 0.7, 3.0, np.inf,
+                   np.nan])
+    cases = [
+        # t <= 0, and NaN and +-inf in x and v, on a full 3-D broadcast
+        (ts[:, None, None], special[None, :, None], special[None, None, :]),
+        # full-size t, x and v
+        tuple(np.broadcast_arrays(ts[:, None], special[None, :],
+                                  special[::-1][None, :])),
+        # a scalar t over open (x, v) grids, as the slice quadrature calls
+        # it, plus the quadrature's own argument shapes
+        (0.37, rng.uniform(-3.0, 3.0, 256)[:, None],
+         rng.uniform(-3.0, 3.0, 128)[None, :]),
+        (np.float64(0.37), 0.2 - rng.uniform(-3.0, 3.0, 64)[:, None]
+         - 0.37 * np.linspace(-2.5, 2.5, 48)[None, :],
+         0.1 - np.linspace(-2.5, 2.5, 48)[None, :]),
+        (-0.2, rng.uniform(-3.0, 3.0, 16)[:, None], special[None, :]),
+        # 0-d input of every kind
+        (0.7, 0.2, -0.4),
+        (np.asarray(0.7), np.float64(0.2), np.asarray(-0.4)),
+        (-1.0, 0.0, 0.0),
+        (0.5, np.nan, 0.0),
+        (0.5, 0.0, np.inf),
+    ]
+    # exponents on both sides of EXP_FLOOR, ulp by ulp
+    for t, v in [(1.0, 0.0), (0.3, 1.1), (2.0, -3.0)]:
+        x = _floor_crossing_x(t, v, v_divisor)
+        cases.append((t, x, v))
+        with np.errstate(all="ignore"):
+            vals = _literal_kernel(t, x, v, v_divisor)
+        assert np.any(vals == 0.0) and np.any(vals > 0.0)
+    for t, x, v in cases:
+        with np.errstate(all="ignore"):
+            ref = _literal_kernel(t, x, v, v_divisor)
+            got = kernel(t, x, v)
+        _assert_bitwise(got, ref)
+
+
+def test_quadratures_equal_literal_kernel_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-2.0, 2.0, 64, endpoint=False) + 2.0 / 64
+    vs = np.linspace(-2.5, 2.5, 48, endpoint=False) + 2.5 / 48
+    slab = rng.uniform(0.0, 1.0, (xs.size, vs.size))
+    dx, dv = xs[1] - xs[0], vs[1] - vs[0]
+    for tau, x, v in [(0.4, 0.1, -0.2), (0.02, -0.5, 0.3), (1.5, 0.0, 0.0)]:
+        got = K._slice_quadrature(tau, xs, vs, slab, x, v, dx, dv)
+        V = vs[None, :]
+        g = _literal_kernel(tau, x - xs[:, None] - tau * V, v - V, 4.0)
+        assert got == float(np.sum(g * slab) * dx * dv)
+    pts = [(0.3, -0.2), (-1.0, 0.8)]
+    got = (K.semigroup_defect(1.0, 0.5, pts), K.kernel_mass(0.3))
+    monkeypatch.setattr(K, "_kernel", _literal_kernel)
+    assert got == (K.semigroup_defect(1.0, 0.5, pts), K.kernel_mass(0.3))
+
+
+def test_slice_quadrature_allocates_one_result_array():
+    # the oracle's slice grid; only the kernel's argument and its output
+    # (plus a boolean mask) may be live at once, not one array per stage
+    xs = np.linspace(-3.0, 3.0, 256, endpoint=False) + 3.0 / 256
+    vs = np.linspace(-3.5, 3.5, 128, endpoint=False) + 3.5 / 128
+    X, V = np.meshgrid(xs, vs, indexing="ij")
+    slab = np.exp(-(X**2 + V**2) / 0.18)
+    args = (0.2, xs, vs, slab, 0.1, -0.3, xs[1] - xs[0], vs[1] - vs[0])
+    assert K._slice_quadrature(*args) > 0.0
+    tracemalloc.start()
+    try:
+        K._slice_quadrature(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * slab.nbytes
 
 
 def _meshgrid_slice_quadrature(tau, xg, vg, slab, x, v, dx, dv):
