@@ -478,8 +478,8 @@ def _run_solve(config: ExperimentConfig, out: Path):
         "seed": seed,
         "container": container.name,
         "finite": finite,
-        "min": float(f.values.min()),
-        "max": float(f.values.max()),
+        "min": f.extrema[0],
+        "max": f.extrema[1],
         "final_mass": float(f.values[-1].sum() * f.dx * f.dv),
         "grid": {k: _field(config, f"grid.{k}") for k in ("nt", "nx", "nv")},
         "cfl": f.meta.get("cfl"),

@@ -45,11 +45,11 @@ from .constants import (
 from .norms import (
     GAGLIARDO_MIN_X_CELLS,
     InsufficientResolutionError,
+    _lp,
     band_fraction,
     cylinder_average,
     gagliardo_x_seminorm,
     grad_v_l1,
-    grid_lp_norm,
     inf_on,
     level_set_fraction,
     lp_norm,
@@ -212,8 +212,9 @@ STATEMENTS = {
 
 def _provenance(f: GridFunction, coef=None) -> dict:
     prov = {
-        "grid": {"nt": int(f.times.size), "nx": int(f.xs.size),
-                 "nv": int(f.vs.size), "dt": f.dt, "dx": f.dx, "dv": f.dv},
+        "grid": {"nt": int(f.times.size), "nx": int(f.whole_axes[0].size),
+                 "nv": int(f.whole_axes[1].size), "dt": f.dt, "dx": f.dx,
+                 "dv": f.dv},
         "scheme": f.meta.get("scheme"),
     }
     if coef is not None:
@@ -223,7 +224,7 @@ def _provenance(f: GridFunction, coef=None) -> dict:
 
 
 def _require_nonnegative(f: GridFunction, what: str):
-    if float(f.values.min()) < -grid_tolerance(f.dt, f.dx, f.dv):
+    if f.extrema[0] < -grid_tolerance(f.dt, f.dx, f.dv):
         raise ValueError("negative values beyond the grid tolerance: "
                          f"not a nonnegative {what}")
 
@@ -325,12 +326,12 @@ def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
     """
     _GAIN_P.coerce("p", p)
     prefactor = 1.0 / (3.0 - p)
-    lhs = grid_lp_norm(f, p)
+    lhs = _lp(f, f.values, p)
     sid = f"kolmogorov_representation[p={p:g}]"
     return build_report(
         sid, lhs,
-        {"gradient_data_l2": prefactor * grid_lp_norm(F1, 2.0),
-         "source_data_l2": prefactor * grid_lp_norm(F2, 2.0)},
+        {"gradient_data_l2": prefactor * _lp(F1, F1.values, 2.0),
+         "source_data_l2": prefactor * _lp(F2, F2.values, 2.0)},
         _bound(sid, pass_bound),
         extras={"p": p, "prefactor": prefactor},
         provenance=_provenance(f))

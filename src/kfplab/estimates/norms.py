@@ -17,7 +17,6 @@ from ..solver.grid import (GridFunction, InsufficientResolutionError,
 __all__ = [
     "InsufficientResolutionError",
     "lp_norm",
-    "grid_lp_norm",
     "level_set_fraction",
     "band_fraction",
     "cylinder_average",
@@ -50,11 +49,6 @@ def _lp(f: GridFunction, vals, p) -> float:
 def lp_norm(f: GridFunction, cyl: Cylinder, p) -> float:
     """L^p norm over the cylinder; quasi-norm for p < 1, sup for p = inf."""
     return _lp(f, f.cells(cyl).values, p)
-
-
-def grid_lp_norm(f: GridFunction, p) -> float:
-    """L^p norm over the whole stored box (no cylinder restriction)."""
-    return _lp(f, f.values, p)
 
 
 def level_set_fraction(f: GridFunction, cyl: Cylinder, relation: str,

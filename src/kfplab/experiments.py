@@ -76,7 +76,7 @@ from .kernel import (
 )
 from .solver.coefficients import constant_coefficients, make_rough_coefficients
 from .solver.grid import Box, GridFunction, centered_axis, sample_function
-from .solver.march import fit_order, solve
+from .solver.march import SolveAxes, fit_order, solve, solve_axes
 from .solver.weak import (
     indicator_subsolution,
     translated_kernel_solution,
@@ -199,22 +199,52 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _checked_window(checks, axes: SolveAxes):
+    """The (x, v) index window of solve's axes that holds every cell the
+    checks (STATEMENTS entries) read, for solve's window.
+
+    It is the union of GridFunction.window over the checks' declared
+    cylinders, v widened by one cell per side so velocity_gradient is
+    centred at each of those cells as on the whole grid, clipped to the
+    grid.  A check whose cylinders do not build is left out, since it
+    raises the same error before it reads a cell; None (the whole
+    grid) when no cylinder builds."""
+    grid = GridFunction(axes.times, axes.xs, axes.vs, np.broadcast_to(
+        0.0, (axes.times.size, axes.xs.size, axes.vs.size)))
+    windows = []
+    for entry in checks:
+        try:
+            cylinders = STATEMENTS[entry["name"]].cylinders(entry)
+        except Exception:  # the check reports it
+            continue
+        windows += [grid.window(cyl)[1:] for cyl in cylinders]
+    if not windows:
+        return None
+    lo = [min(w.start for w in axis) for axis in zip(*windows)]
+    hi = [max(w.stop for w in axis) for axis in zip(*windows)]
+    return slice(lo[0], hi[0]), slice(max(lo[1] - 1, 0), hi[1] + 1)
+
+
 def run_member(config: dict, seed: int) -> dict:
     """Solve one member of a config and run its checks (STATEMENTS
     entries, each through check_<name> of this module with the entry's
     declared parameters): the datum is
     floor + amp exp(-(x^2 + v^2) / (2 width^2)).
 
-    The record holds the solution, the coefficient field and the
-    reports in check order, a check that raised as {"check", "error"}
-    in its place; a solve that raised gives {"seed", "status": "error",
-    "error"} instead."""
+    The solve stores only the _checked_window of its checks, the whole
+    grid when there are none.  The record holds the solution, the
+    coefficient field and the reports in check order, a check that
+    raised as {"check", "error"} in its place; a solve that raised
+    gives {"seed", "status": "error", "error"} instead."""
     seed = int(seed)
-    pads = config["pads"]
+    pads, grid = config["pads"], config["grid"]
     try:
         coef = make_rough_coefficients(seed, **config["coefficients"])
-        f = solve(_datum(**config["datum"]), coef, Box(**config["box"]),
-                  **config["grid"], pad_x=pads["x"], pad_v=pads["v"])
+        box = Box(**config["box"])
+        window = _checked_window(config["checks"], solve_axes(
+            box, grid["nx"], grid["nv"], grid["nt"]))
+        f = solve(_datum(**config["datum"]), coef, box, **grid,
+                  pad_x=pads["x"], pad_v=pads["v"], window=window)
     except Exception as exc:  # the member fails, its caller decides
         return {"seed": seed, "status": "error", "error": _error_text(exc)}
     reports = []
@@ -672,22 +702,26 @@ def _snap(axis, target):
     return float(axis[int(np.argmin(np.abs(axis - target)))])
 
 
-def oscillation_centers(f: GridFunction):
+def oscillation_centers(axes: SolveAxes):
     """Zoom centers snapped to cell centers at the final time, so the
     innermost cylinder always catches its column of cells."""
-    t0 = float(f.times[-1])
-    return tuple((t0, _snap(f.xs, x0), _snap(f.vs, v0))
+    t0 = float(axes.times[-1])
+    return tuple((t0, _snap(axes.xs, x0), _snap(axes.vs, v0))
                  for x0, v0 in OSC_CENTER_TARGETS)
 
 
 def run_oscillation_member(seed) -> dict:
     coef = make_rough_coefficients(seed, **STANDARD_CONFIG["coefficients"])
     nx, nv, nt = OSC_GRID
+    axes = solve_axes(OSC_BOX, nx, nv, nt)
+    check = {"name": "oscillation_decay", "levels": 1,
+             "centers": oscillation_centers(axes)}
     f = solve(_datum(**STANDARD_CONFIG["datum"]), coef, OSC_BOX,
               nx=nx, nv=nv, nt=nt,
-              pad_x=OSC_PADS[0], pad_v=OSC_PADS[1], store_every=2)
+              pad_x=OSC_PADS[0], pad_v=OSC_PADS[1], store_every=2,
+              window=_checked_window([check], axes))
     report = check_oscillation_decay(f, coef, levels=1,
-                                     centers=oscillation_centers(f))
+                                     centers=check["centers"])
     return {"seed": int(seed), "report": report}
 
 

@@ -24,6 +24,8 @@ __all__ = ["Box", "CylinderCells", "GridFunction", "SafeRegionError",
 
 _MAGIC = b"KFPG"
 _VERSION = 1
+# cell centers per coef.source call of CylinderCells.source
+SOURCE_CHUNK = 1 << 16
 
 
 class SafeRegionError(ValueError):
@@ -80,6 +82,13 @@ class GridFunction:
     boundaries are considered contaminated (by the periodic wrap and
     the artificial zero-flux wall); solve_box records the domain the
     dynamics ran on.
+
+    The stored values may cover only an (x, v) window of the grid, as
+    solve stores for a member's checks: whole_axes then holds the
+    grid's whole x and v axes (None: xs and vs), from which dx, dv,
+    box and safe_box are read, and recorded_extrema the (min, max) of
+    the whole grid's values (None: scanned from values; see extrema).
+    Cell windows, masks and values index the stored axes.
     """
 
     times: np.ndarray
@@ -90,6 +99,8 @@ class GridFunction:
     pad_v: float = 0.0
     solve_box: Box = None
     meta: dict = dataclasses.field(default_factory=dict)
+    whole_axes: tuple = None
+    recorded_extrema: tuple = None
     _cells: dict = dataclasses.field(default_factory=dict, init=False,
                                      repr=False, compare=False)
 
@@ -102,6 +113,8 @@ class GridFunction:
         if self.values.shape != expected:
             raise ValueError(
                 f"values shape {self.values.shape} != axes {expected}")
+        if self.whole_axes is None:
+            self.whole_axes = (self.xs, self.vs)
 
     @property
     def dt(self) -> float:
@@ -109,23 +122,33 @@ class GridFunction:
 
     @property
     def dx(self) -> float:
-        return float(self.xs[1] - self.xs[0]) if self.xs.size > 1 else 0.0
+        xs = self.whole_axes[0]
+        return float(xs[1] - xs[0]) if xs.size > 1 else 0.0
 
     @property
     def dv(self) -> float:
-        return float(self.vs[1] - self.vs[0]) if self.vs.size > 1 else 0.0
+        vs = self.whole_axes[1]
+        return float(vs[1] - vs[0]) if vs.size > 1 else 0.0
 
     @property
     def box(self) -> Box:
-        """Extent of the stored cells (time cells end at slice times)."""
+        """Extent of the grid's cells (time cells end at slice times)."""
         dt, dx, dv = self.dt, self.dx, self.dv
+        xs, vs = self.whole_axes
         return Box(float(self.times[0]) - dt, float(self.times[-1]),
-                   float(self.xs[0]) - dx / 2, float(self.xs[-1]) + dx / 2,
-                   float(self.vs[0]) - dv / 2, float(self.vs[-1]) + dv / 2)
+                   float(xs[0]) - dx / 2, float(xs[-1]) + dx / 2,
+                   float(vs[0]) - dv / 2, float(vs[-1]) + dv / 2)
+
+    @property
+    def extrema(self) -> tuple:
+        """(min, max) of the whole grid's values."""
+        if self.recorded_extrema is not None:
+            return self.recorded_extrema
+        return float(self.values.min()), float(self.values.max())
 
     @property
     def safe_box(self) -> Box:
-        """Stored region minus the declared boundary padding."""
+        """Grid minus the declared boundary padding."""
         base = self.solve_box if self.solve_box is not None else self.box
         return base.shrink(self.pad_x, self.pad_v).intersect(self.box)
 
@@ -186,6 +209,8 @@ class GridFunction:
         return cells
 
     def to_binary(self, path):
+        if self.values.shape[1:] != tuple(a.size for a in self.whole_axes):
+            raise ValueError("only a whole grid has a container form")
         meta = dict(self.meta)
         meta["pad_x"] = self.pad_x
         meta["pad_v"] = self.pad_v
@@ -248,8 +273,13 @@ class CylinderCells:
         grad = velocity_gradient(self._rows, self._dv)
         return grad[..., self.window[2]][self.mask]
 
-    def centers(self) -> tuple:
-        return tuple(a[i] for a, i in zip(self._axes, np.nonzero(self.mask)))
+    def centers(self, flat=None) -> tuple:
+        """(t, x, v) of the cells, or of those at the given indices of
+        the flattened block."""
+        if flat is None:
+            flat = np.flatnonzero(self.mask)
+        index = np.unravel_index(flat, self.mask.shape)
+        return tuple(a[i] for a, i in zip(self._axes, index))
 
     def x_columns(self, minimum=0) -> list:
         """(it, x_ok) for each time slice it of the window that holds a
@@ -267,10 +297,19 @@ class CylinderCells:
         return [(it, x_ok[it]) for it in held]
 
     def source(self, coef) -> np.ndarray:
-        """coef.source at the cell centers, sampled once per field."""
+        """coef.source at the cell centers, sampled once per field.
+
+        The centers are gathered and go to coef.source SOURCE_CHUNK at
+        a time, which bounds the transient arrays; the hash is
+        elementwise, so the result is bitwise that of one call on every
+        center."""
         if coef not in self._sources:
-            self._sources[coef] = np.asarray(coef.source(*self.centers()),
-                                             float)
+            flat = np.flatnonzero(self.mask)
+            out = np.empty(self.count)
+            for lo in range(0, self.count, SOURCE_CHUNK):
+                part = slice(lo, lo + SOURCE_CHUNK)
+                out[part] = coef.source(*self.centers(flat[part]))
+            self._sources[coef] = out
         return self._sources[coef]
 
 

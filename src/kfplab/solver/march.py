@@ -206,8 +206,8 @@ def _v_solve(f, lower, denom, cp, ds):
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
-          pad_v=2.0, store_every=1, cfl_limit=CFL_LIMIT,
-          check_every=25) -> GridFunction:
+          pad_v=2.0, store_every=1, cfl_limit=CFL_LIMIT, check_every=25,
+          window=None) -> GridFunction:
     """March the kinetic equation on the box and return stored slices.
 
     f0 is an (nx, nv) array or a callable f0(x, v); store_every thins
@@ -216,6 +216,13 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     Steps whose advective CFL number exceeds cfl_limit are refused; the
     interpolation itself is stable at any CFL, the limit only guards
     accuracy.
+
+    window, an (x, v) pair of index slices of solve_axes' xs and vs,
+    stores only those cells of each slice (None: the whole grid).  The
+    march always runs on the whole grid, and the result reports the
+    whole grid's geometry and the extrema of all its stored values
+    (GridFunction.whole_axes, recorded_extrema), so any quantity on
+    cells inside the window is bitwise that of a whole-grid solve.
     """
     axes = solve_axes(box, nx, nv, nt)
     xs, vs, dt, dx, dv = axes.xs, axes.vs, axes.dt, axes.dx, axes.dv
@@ -240,8 +247,16 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     time_cell = getattr(coef, "time_cell", None)
     cell = factors = None
 
-    values = np.empty((nt // store_every + 1, nx, nv))
-    values[0] = f.T
+    wx, wv = window or (slice(None), slice(None))
+    values = np.empty((nt // store_every + 1, xs[wx].size, vs[wv].size))
+    lows = np.empty(values.shape[0])
+    highs = np.empty(values.shape[0])
+
+    def store(k, state):
+        values[k] = state[wv, wx].T
+        lows[k], highs[k] = state.min(), state.max()
+
+    store(0, f)
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
         key = None if time_cell is None else time_cell(t_mid)
@@ -255,7 +270,7 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
             if not np.all(np.isfinite(f)):
                 raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
         if (n + 1) % store_every == 0:
-            values[(n + 1) // store_every] = f.T
+            store((n + 1) // store_every, f)
 
     meta = {
         "scheme": "strang_semilag_backward_euler",
@@ -265,8 +280,11 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         "cfl": axes.cfl,
         "store_every": store_every,
     }
-    return GridFunction(axes.times[::store_every], xs, vs, values,
-                        pad_x=pad_x, pad_v=pad_v, solve_box=box, meta=meta)
+    return GridFunction(axes.times[::store_every], xs[wx], vs[wv], values,
+                        pad_x=pad_x, pad_v=pad_v, solve_box=box, meta=meta,
+                        whole_axes=(xs, vs),
+                        recorded_extrema=(float(lows.min()),
+                                          float(highs.max())))
 
 
 def fit_order(hs, errors):

@@ -251,7 +251,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
 
     phis, windows = basis_windows(f, phis)
     if betas is None:
-        fmin, fmax = float(f.values.min()), float(f.values.max())
+        fmin, fmax = f.extrema
         betas = default_hinges(*((fmin, fmax) if sgn > 0
                                  else (-fmax, -fmin)))
     if len(betas) == 0:

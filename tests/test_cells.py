@@ -19,8 +19,9 @@ from kfplab.estimates import (InsufficientResolutionError, band_fraction,
                               inf_on, level_set_fraction, lp_norm, sup_on)
 from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
-from kfplab.solver.coefficients import CoefficientField
-from kfplab.solver.grid import (GridFunction, SafeRegionError,
+from kfplab.solver.coefficients import (CoefficientField,
+                                        make_rough_coefficients)
+from kfplab.solver.grid import (SOURCE_CHUNK, GridFunction, SafeRegionError,
                                 sample_function)
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
@@ -177,3 +178,18 @@ def test_extrema_and_fractions_copy_no_cell_values():
     assert got == (float(vals.max()), float(vals.min()),
                    float(np.mean(vals >= 0.1)),
                    float(np.mean((vals > -0.2) & (vals < 0.3))))
+
+
+def test_source_chunks_equal_one_call_bitwise(calls):
+    f = sample_function(lambda t, x, v: 0.0 * t,
+                        np.linspace(-1.0, 0.0, 30), np.linspace(-1.2, 1.2, 100),
+                        np.linspace(-1.2, 1.2, 100))
+    coef = make_rough_coefficients(5, cell_size=0.05, s_amp=0.3)
+    cells = f.cells(make_cylinder("centered", (0.0, 0.0, 0.0), 1.0))
+    full, rest = divmod(cells.count, SOURCE_CHUNK)
+    assert full >= 2 and rest > 0
+    got = cells.source(coef)
+    assert calls["source"] == [SOURCE_CHUNK] * full + [rest]
+    whole = coef.source(*cells.centers())
+    assert got.dtype == whole.dtype
+    assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))

@@ -699,9 +699,14 @@ def test_solve_kind_writes_container(tmp_path):
 
     from kfplab.solver.grid import load_grid_function
     f = load_grid_function(container)
-    # the initial slice is stored ahead of the nt marched slices
+    # the initial slice is stored ahead of the nt marched slices, and a
+    # solve with no checks stores the whole grid
     assert f.values.shape == (data["grid"]["nt"] + 1, data["grid"]["nx"],
                               data["grid"]["nv"])
+    assert sorted(f.meta) == ["cfl", "coefficients", "dt", "dv", "dx", "nt",
+                              "nv", "nx", "scheme", "store_every"]
+    assert (reports["min"], reports["max"]) == (float(f.values.min()),
+                                                float(f.values.max()))
 
 
 def test_verify_kind_passes_residuals(tmp_path):

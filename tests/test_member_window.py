@@ -1,0 +1,144 @@
+"""A member stores only the (x, v) window of cells its checks read.
+
+run_member and run_oscillation_member pass solve the union window of
+their checks' declared cylinders.  Every report, error text included,
+must be byte-identical to the same checkers run on the whole-grid
+solve, whose geometry and extrema the cropped grid reports.
+"""
+
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kfplab import cli, experiments
+from kfplab.calibration import grid_tolerance
+from kfplab.solver.march import solve
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
+# the demo grid, 96 x 48 cells over the standard box: dx = 5/96 is not
+# dyadic, so a crop's own spacings drift from the whole grid's
+DEMO = cli._member_config(cli.ExperimentConfig.from_dict(
+    json.loads(EXAMPLE.read_text())))
+
+
+@pytest.fixture
+def member_pair(monkeypatch):
+    """run(call, *args): call(*args) with experiments' solves storing
+    the windows they are given, then storing the whole grid; returns
+    (the two results, the cropped grid, the whole grid)."""
+    def run(call, *args):
+        results, grids = [], []
+        for whole in (False, True):
+            def recorded(*a, window=None, **kw):
+                grids.append(solve(*a, window=None if whole else window,
+                                   **kw))
+                return grids[-1]
+
+            monkeypatch.setattr(experiments, "solve", recorded)
+            results.append(call(*args))
+        return (*results, *grids)
+
+    return run
+
+
+def _reports_json(record) -> str:
+    reports = record["reports"] if "reports" in record else [record["report"]]
+    return json.dumps([r if isinstance(r, dict) else r.to_json_dict()
+                       for r in reports], sort_keys=True)
+
+
+def _assert_cropped_from(cropped, whole):
+    """cropped stores a window of whole's cells and reports whole's
+    geometry and extrema; whole's extrema are its values' min and max."""
+    assert cropped.values.size < whole.values.size
+    assert whole.extrema == (float(whole.values.min()),
+                             float(whole.values.max()))
+    assert cropped.extrema == whole.extrema
+    for name in ("dt", "dx", "dv", "box", "safe_box", "cell_measure"):
+        assert getattr(cropped, name) == getattr(whole, name), name
+    assert all(np.array_equal(a, b)
+               for a, b in zip(cropped.whole_axes, (whole.xs, whole.vs)))
+    x0 = int(np.searchsorted(whole.xs, cropped.xs[0]))
+    v0 = int(np.searchsorted(whole.vs, cropped.vs[0]))
+    window = (slice(None), slice(x0, x0 + cropped.xs.size),
+              slice(v0, v0 + cropped.vs.size))
+    assert np.array_equal(cropped.xs, whole.xs[window[1]])
+    assert np.array_equal(cropped.vs, whole.vs[window[2]])
+    assert np.array_equal(cropped.values, whole.values[window])
+
+
+def test_standard_member_reports_equal_the_whole_grid(member_pair,
+                                                      tmp_path):
+    cropped, whole, fc, fw = member_pair(
+        experiments.run_member, experiments.STANDARD_CONFIG, 1)
+    assert _reports_json(cropped) == _reports_json(whole)
+    assert not any(isinstance(r, dict) for r in cropped["reports"])
+    _assert_cropped_from(fc, fw)
+    # the union window of the seven standard checks, v widened by one
+    # cell per side
+    assert (fc.xs.size, fc.vs.size) == (180 - 76, 84 - 44)
+    assert fc.values.nbytes < fw.values.nbytes / 7
+    with pytest.raises(ValueError, match="only a whole grid"):
+        fc.to_binary(tmp_path / "cropped.kfp")
+
+
+def test_oscillation_member_reports_equal_the_whole_grid(member_pair):
+    cropped, whole, fc, fw = member_pair(experiments.run_oscillation_member,
+                                         3)
+    assert _reports_json(cropped) == _reports_json(whole)
+    _assert_cropped_from(fc, fw)
+    # the axes are not dyadic: the crop's own spacings are not the grid's
+    assert np.any(np.diff(fc.xs) != fc.dx)
+    assert np.any(np.diff(fc.vs) != fc.dv)
+
+
+def test_failing_checks_raise_the_same_errors(member_pair):
+    checks = [
+        {"name": "energy_estimate"},
+        # Q_1.6 leaves the safe box, and the grid in t and x
+        {"name": "energy_estimate", "r": 0.5, "R": 1.6},
+        # its cylinders do not build
+        {"name": "linfty_bound", "r": 1.0, "R": 0.5, "zeta": 1.0},
+    ]
+    cropped, whole, fc, fw = member_pair(experiments.run_member,
+                                         dict(DEMO, checks=checks), 2)
+    assert _reports_json(cropped) == _reports_json(whole)
+    errors = [r["error"] for r in cropped["reports"][1:]]
+    assert errors[0].startswith("SafeRegionError: cylinder centered")
+    assert errors[1] == ("ValueError: r must be below R, got r=1.0, "
+                         "R=0.5")
+    _assert_cropped_from(fc, fw)
+    assert np.any(np.diff(fc.xs) != fc.dx)
+
+
+def test_negative_values_outside_the_window_still_raise(member_pair):
+    # a bump over a negative floor: the cells the Harnack checks read
+    # stay within the grid tolerance of nonnegative, the rest of the
+    # grid does not
+    config = dict(DEMO, datum=dict(DEMO["datum"], floor=-0.1),
+                  checks=[{"name": "harnack"}, {"name": "weak_harnack"}])
+    cropped, whole, fc, fw = member_pair(experiments.run_member, config, 1)
+    assert _reports_json(cropped) == _reports_json(whole)
+    assert [r["error"] for r in cropped["reports"]] == [
+        "ValueError: negative values beyond the grid tolerance: not a "
+        f"nonnegative {what}" for what in ("solution", "super-solution")]
+    tol = grid_tolerance(fc.dt, fc.dx, fc.dv)
+    assert fc.values.min() > -tol > fc.extrema[0]
+    _assert_cropped_from(fc, fw)
+
+
+def test_standard_member_peak_stays_below_one_whole_grid():
+    # a member that stores the whole 129 x 256 x 128 grid peaks at about
+    # twice its size (62.7 MiB); its checks' window is 4.1 MiB of it
+    whole_grid = 129 * 256 * 128 * 8
+    tracemalloc.start()
+    try:
+        record = experiments.run_member(experiments.STANDARD_CONFIG, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["status"] == "ok"
+    assert peak < whole_grid

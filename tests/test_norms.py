@@ -12,7 +12,6 @@ from kfplab.estimates import (
     cylinder_average,
     gagliardo_x_seminorm,
     grad_v_l1,
-    grid_lp_norm,
     inf_on,
     level_set_fraction,
     lp_norm,
@@ -110,13 +109,6 @@ def test_empty_cylinder_rejected():
     tiny = make_cylinder("centered", (-0.2, 0.11, 0.13), 1e-3)
     with pytest.raises(InsufficientResolutionError):
         lp_norm(f, tiny, 2.0)
-
-
-def test_grid_lp_norm_whole_box():
-    f = _grid(lambda t, x, v: 2.0 + 0.0 * t, 10, 0.5, 10, 0.3, 10, 0.6)
-    vol = f.values.size * f.cell_measure
-    assert grid_lp_norm(f, 2.0) == pytest.approx(2.0 * vol**0.5, rel=1e-12)
-    assert grid_lp_norm(f, math.inf) == 2.0
 
 
 @settings(max_examples=40, deadline=None)

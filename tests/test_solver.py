@@ -342,6 +342,9 @@ GRID = (48, 32, 16)  # nx, nv, nt
                  id="constant"),
     pytest.param(ROUGH_EIGHTH, BOX, GRID, {"store_every": 2},
                  id="thinned"),
+    pytest.param(ROUGH_EIGHTH, BOX, GRID,
+                 {"store_every": 2, "window": (slice(7, 30), slice(0, 19))},
+                 id="windowed"),
     pytest.param(_NoDrift(make_rough_coefficients(seed=6, lam=0.2, Lam=1.0,
                                                   cell_size=0.2)),
                  BOX, GRID, {}, id="duck-typed"),
@@ -357,9 +360,13 @@ GRID = (48, 32, 16)  # nx, nv, nt
 def test_solve_bitwise_equals_per_step_reference(coef, box, grid, kw):
     f0 = lambda x, v: np.exp(-2 * (x * x + v * v)) + 0.1 * np.sin(3 * x)
     gf = solve(f0, coef, box, *grid, **kw)
+    kw = dict(kw)
+    window = kw.pop("window", (slice(None), slice(None)))
     times, values = _reference_solve(f0, coef, box, *grid, **kw)
     assert np.array_equal(gf.times, times)
-    assert np.array_equal(gf.values, values)
+    assert np.array_equal(gf.values, values[(slice(None), *window)])
+    # the extrema of every stored cell, inside the window or not
+    assert gf.extrema == (float(values.min()), float(values.max()))
 
 
 class _CountingField:
