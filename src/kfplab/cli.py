@@ -32,11 +32,11 @@ from . import experiments
 from .calibration import grid_tolerance
 from .estimates.checks import STATEMENTS, Interval
 from .estimates.constants import PRECISE_DIGITS, explicit_constants
-from .solver.grid import Box, GridFunction, InsufficientResolutionError
+from .solver.grid import Box, InsufficientResolutionError
 # members solve and check through experiments.run_member, so solve and
 # the check_* names resolve in kfplab.experiments; this module keeps
 # solve because perfbench/spans.py wraps it here too
-from .solver.march import CFL_LIMIT, solve, solve_axes  # noqa: F401
+from .solver.march import CFL_LIMIT, solve, solve_axes, solve_grid  # noqa: F401
 from .solver.weak import EmptyBumpError, basis_windows, weak_residual
 
 __all__ = ["ExperimentConfig", "validate", "run", "main", "parse_seeds"]
@@ -235,14 +235,6 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
                         out.append(_violation(field, f"{label}: {exc}"))
 
 
-def _solve_grid(box: Box, nt, nx, nv, pad_x, pad_v) -> GridFunction:
-    """solve's axes, pads and box for these fields, over broadcast zeros."""
-    axes = solve_axes(box, nx, nv, nt)
-    return GridFunction(axes.times, axes.xs, axes.vs,
-                        np.broadcast_to(0.0, (nt + 1, nx, nv)),
-                        pad_x=pad_x, pad_v=pad_v, solve_box=box)
-
-
 def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     get = values.get
 
@@ -297,7 +289,7 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
         else:
             out.append(_violation("pads", "padding swallows the whole box"))
     if safe is not None and None not in (nt, nx, nv):
-        grid = _solve_grid(box, nt, nx, nv, pad_x, pad_v)
+        grid = solve_grid(box, nx, nv, nt, pad_x, pad_v)
         safe = grid.safe_box
     _validate_checks(config, safe, grid, out)
     if config.kind == "verify" and grid is not None:
@@ -357,7 +349,16 @@ def validate(config: ExperimentConfig) -> list:
         except ValueError as exc:
             out.append(_violation(name, str(exc)))
     if config.kind in _COMPUTE_KINDS:
-        _validate_compute(config, values, out)
+        try:
+            _validate_compute(config, values, out)
+        except (MemoryError, ValueError) as exc:
+            # numpy refused an array of the grid or of a cylinder's mask
+            if not isinstance(exc, MemoryError) and (
+                    "array is too big" not in str(exc)):
+                raise
+            out.append(_violation(
+                max(("grid.nt", "grid.nx", "grid.nv"), key=values.get),
+                f"grid too large to build: {type(exc).__name__}: {exc}"))
     return out
 
 
@@ -403,13 +404,6 @@ def _failed(kind, record, names):
 
 def _seed_list(config: ExperimentConfig) -> list:
     return [int(s) for s in config.coefficients.get("seeds") or [1]]
-
-
-def _summary_row(report) -> list:
-    row = report.summary_row()
-    return [row["statement_id"], row["seed"], row["lhs"], row["rhs"],
-            row["empirical_constant"], row.get("passed", ""),
-            row.get("hypotheses_met", "")]
 
 
 _SUMMARY_HEADER = ("statement_id", "seed", "lhs", "rhs",
@@ -539,7 +533,7 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
                 continue
             all_reports.append(r)
             member["reports"].append(r.to_json_dict())
-            rows.append(_summary_row(r))
+            rows.append([r.summary_row()[k] for k in _SUMMARY_HEADER])
         members.append(member)
 
     payload = {"kind": "ensemble", "seeds": seeds, "members": members}

@@ -76,7 +76,7 @@ from .kernel import (
 )
 from .solver.coefficients import constant_coefficients, make_rough_coefficients
 from .solver.grid import Box, GridFunction, centered_axis, sample_function
-from .solver.march import SolveAxes, fit_order, solve, solve_axes
+from .solver.march import fit_order, solve, solve_grid
 from .solver.weak import (
     indicator_subsolution,
     translated_kernel_solution,
@@ -199,39 +199,28 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _checked_window(checks, axes: SolveAxes):
-    """The (x, v) index window of solve's axes that holds every cell the
-    checks (STATEMENTS entries) read, for solve's window.
-
-    It is the union of GridFunction.window over the checks' declared
-    cylinders, v widened by one cell per side so velocity_gradient is
-    centred at each of those cells as on the whole grid, clipped to the
-    grid.  A check whose cylinders do not build is left out, since it
-    raises the same error before it reads a cell; None (the whole
-    grid) when no cylinder builds."""
-    grid = GridFunction(axes.times, axes.xs, axes.vs, np.broadcast_to(
-        0.0, (axes.times.size, axes.xs.size, axes.vs.size)))
-    windows = []
+def _checked_window(checks, grid: GridFunction):
+    """solve's window: the (x, v) part of the read_window of the checks'
+    declared cylinders (STATEMENTS entries) on the grid solve would
+    return (solve_grid).  A check whose cylinders do not build is left
+    out, since it raises the same error before it reads a cell; None
+    (the whole grid) when no cylinder builds."""
+    cylinders = []
     for entry in checks:
         try:
-            cylinders = STATEMENTS[entry["name"]].cylinders(entry)
+            cylinders += STATEMENTS[entry["name"]].cylinders(entry)
         except Exception:  # the check reports it
-            continue
-        windows += [grid.window(cyl)[1:] for cyl in cylinders]
-    if not windows:
-        return None
-    lo = [min(w.start for w in axis) for axis in zip(*windows)]
-    hi = [max(w.stop for w in axis) for axis in zip(*windows)]
-    return slice(lo[0], hi[0]), slice(max(lo[1] - 1, 0), hi[1] + 1)
+            pass
+    return grid.read_window(cylinders)[1:] if cylinders else None
 
 
 def run_member(config: dict, seed: int) -> dict:
     """Solve one member of a config and run its checks (STATEMENTS
     entries, each through check_<name> of this module with the entry's
-    declared parameters): the datum is
-    floor + amp exp(-(x^2 + v^2) / (2 width^2)).
+    declared parameters); datum floor + amp exp(-(x^2 + v^2) / (2 width^2)).
 
-    The solve stores only the _checked_window of its checks, the whole
+    solve takes the grid section as keywords (store_every too, where
+    given) and stores only the _checked_window of the checks, the whole
     grid when there are none.  The record holds the solution, the
     coefficient field and the reports in check order, a check that
     raised as {"check", "error"} in its place; a solve that raised
@@ -241,8 +230,8 @@ def run_member(config: dict, seed: int) -> dict:
     try:
         coef = make_rough_coefficients(seed, **config["coefficients"])
         box = Box(**config["box"])
-        window = _checked_window(config["checks"], solve_axes(
-            box, grid["nx"], grid["nv"], grid["nt"]))
+        window = _checked_window(config["checks"], solve_grid(
+            box, grid["nx"], grid["nv"], grid["nt"], pads["x"], pads["v"]))
         f = solve(_datum(**config["datum"]), coef, box, **grid,
                   pad_x=pads["x"], pad_v=pads["v"], window=window)
     except Exception as exc:  # the member fails, its caller decides
@@ -262,6 +251,18 @@ def run_member(config: dict, seed: int) -> dict:
             "coefficients": coef, "reports": reports}
 
 
+def _checked_member(instance, config, seed) -> dict:
+    """run_member's seed and reports; RuntimeError if a solve or check
+    raised, "<instance> member <seed>: " and the errors."""
+    record = run_member(config, seed)
+    errors = ([record["error"]] if record["status"] == "error" else
+              [f"{r['check']}: {r['error']}" for r in record["reports"]
+               if isinstance(r, dict)])
+    if errors:
+        raise RuntimeError(f"{instance} member {seed}: {'; '.join(errors)}")
+    return {"seed": record["seed"], "reports": record["reports"]}
+
+
 def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
     """The standard instance's checks on one seed; RuntimeError when its
     solve or a check raised.  refine multiplies every size; box_scale
@@ -269,20 +270,13 @@ def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
     cell centers coincide exactly (scale 1.5 shifts the axes by whole
     cells: 64 in x, 32 in v at the base resolution)."""
     g, b = STANDARD_CONFIG["grid"], STANDARD_CONFIG["box"]
-    record = run_member(dict(
+    return _checked_member("standard", dict(
         STANDARD_CONFIG,
         grid={"nt": g["nt"] * refine,
               "nx": int(round(g["nx"] * box_scale)) * refine,
               "nv": int(round(g["nv"] * box_scale)) * refine},
         box=dict(b, **{k: box_scale * b[k]
                        for k in ("x0", "x1", "v0", "v1")})), seed)
-    if record["status"] == "error":
-        raise RuntimeError(f"standard member {seed}: {record['error']}")
-    errors = [f"{r['check']}: {r['error']}" for r in record["reports"]
-              if isinstance(r, dict)]
-    if errors:
-        raise RuntimeError(f"standard member {seed}: {'; '.join(errors)}")
-    return {"seed": int(seed), "reports": record["reports"]}
 
 
 def run_standard_ensemble() -> list:
@@ -702,26 +696,23 @@ def _snap(axis, target):
     return float(axis[int(np.argmin(np.abs(axis - target)))])
 
 
-def oscillation_centers(axes: SolveAxes):
+def oscillation_centers(grid: GridFunction):
     """Zoom centers snapped to cell centers at the final time, so the
     innermost cylinder always catches its column of cells."""
-    t0 = float(axes.times[-1])
-    return tuple((t0, _snap(axes.xs, x0), _snap(axes.vs, v0))
+    t0 = float(grid.times[-1])
+    return tuple((t0, _snap(grid.xs, x0), _snap(grid.vs, v0))
                  for x0, v0 in OSC_CENTER_TARGETS)
 
 
 def run_oscillation_member(seed) -> dict:
-    coef = make_rough_coefficients(seed, **STANDARD_CONFIG["coefficients"])
     nx, nv, nt = OSC_GRID
-    axes = solve_axes(OSC_BOX, nx, nv, nt)
-    check = {"name": "oscillation_decay", "levels": 1,
-             "centers": oscillation_centers(axes)}
-    f = solve(_datum(**STANDARD_CONFIG["datum"]), coef, OSC_BOX,
-              nx=nx, nv=nv, nt=nt,
-              pad_x=OSC_PADS[0], pad_v=OSC_PADS[1], store_every=2,
-              window=_checked_window([check], axes))
-    report = check_oscillation_decay(f, coef, levels=1,
-                                     centers=check["centers"])
+    centers = oscillation_centers(solve_grid(OSC_BOX, nx, nv, nt, *OSC_PADS))
+    (report,) = _checked_member("oscillation", dict(
+        STANDARD_CONFIG,
+        grid={"nt": nt, "nx": nx, "nv": nv, "store_every": 2},
+        box=OSC_BOX.as_dict(), pads={"x": OSC_PADS[0], "v": OSC_PADS[1]},
+        checks=[{"name": "oscillation_decay", "levels": 1,
+                 "centers": centers}]), seed)["reports"]
     return {"seed": int(seed), "report": report}
 
 

@@ -179,6 +179,16 @@ class GridFunction:
                   int(np.searchsorted(axis, hi, side="right")))
             for axis, (lo, hi) in zip((self.times, self.xs, self.vs), bounds))
 
+    def read_window(self, regions) -> tuple:
+        """The union of window(r) over the regions, v widened by one cell
+        per side (the low end clipped at 0, a stop past the axis end by
+        slicing) so velocity_gradient there is the whole grid's."""
+        windows = [self.window(r) for r in regions]
+        lo = [min(w.start for w in axis) for axis in zip(*windows)]
+        hi = [max(w.stop for w in axis) for axis in zip(*windows)]
+        lo[2], hi[2] = max(lo[2] - 1, 0), hi[2] + 1
+        return tuple(map(slice, lo, hi))
+
     def mask(self, cyl: Cylinder) -> np.ndarray:
         """Membership of the cell centers of window(cyl), one slice at a
         time; f.values[window][mask] lists the cells in grid order."""

@@ -39,11 +39,12 @@ from .coefficients import CoefficientField
 from .grid import Box, GridFunction, centered_axis
 
 __all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
-           "SolveAxes", "solve_axes", "solve", "transport_weights",
-           "fit_order"]
+           "SolveAxes", "solve_axes", "solve_grid", "solve",
+           "transport_weights", "fit_order"]
 
-# default advective CFL allowance of solve
+# advective CFL allowance of solve, read at each call
 CFL_LIMIT = 4.0
+CHECK_EVERY = 25  # steps between solve's finiteness checks, and the last
 
 
 class SolveAxes(NamedTuple):
@@ -74,19 +75,27 @@ def solve_axes(box: Box, nx, nv, nt) -> SolveAxes:
                      max(abs(box.v0), abs(box.v1)))
 
 
-class CFLViolationError(ValueError):
-    """Requested step exceeds the configured advective CFL allowance."""
+def solve_grid(box: Box, nx, nv, nt, pad_x, pad_v) -> GridFunction:
+    """The grid solve would return (axes, pads, box), over broadcast zeros."""
+    axes = solve_axes(box, nx, nv, nt)
+    return GridFunction(axes.times, axes.xs, axes.vs,
+                        np.broadcast_to(0.0, (nt + 1, nx, nv)),
+                        pad_x=pad_x, pad_v=pad_v, solve_box=box)
 
-    def __init__(self, axes: SolveAxes, cfl_limit):
+
+class CFLViolationError(ValueError):
+    """Requested step exceeds the advective CFL allowance CFL_LIMIT."""
+
+    def __init__(self, axes: SolveAxes):
         dt, dx, v_max = axes.dt, axes.dx, axes.v_max
         self.payload = {
             "error": "cfl_violation",
             "dt": dt, "dx": dx, "v_max": v_max,
-            "cfl": axes.cfl, "cfl_limit": cfl_limit,
+            "cfl": axes.cfl, "cfl_limit": CFL_LIMIT,
         }
         super().__init__(
             f"dt {dt:.3e} gives CFL {axes.cfl:.2f} > limit "
-            f"{cfl_limit:.2f} (dx {dx:.3e}, v_max {v_max:.3f})")
+            f"{CFL_LIMIT:.2f} (dx {dx:.3e}, v_max {v_max:.3f})")
 
 
 class SolverDivergenceError(RuntimeError):
@@ -206,16 +215,15 @@ def _v_solve(f, lower, denom, cp, ds):
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
-          pad_v=2.0, store_every=1, cfl_limit=CFL_LIMIT, check_every=25,
-          window=None) -> GridFunction:
+          pad_v=2.0, store_every=1, window=None) -> GridFunction:
     """March the kinetic equation on the box and return stored slices.
 
     f0 is an (nx, nv) array or a callable f0(x, v); store_every thins
     the stored time slices (nt must be divisible by it).  The padding
     declares the boundary-contaminated strip recorded on the result.
-    Steps whose advective CFL number exceeds cfl_limit are refused; the
+    Steps whose advective CFL number exceeds CFL_LIMIT are refused; the
     interpolation itself is stable at any CFL, the limit only guards
-    accuracy.
+    accuracy.  A non-finite state raises SolverDivergenceError.
 
     window, an (x, v) pair of index slices of solve_axes' xs and vs,
     stores only those cells of each slice (None: the whole grid).  The
@@ -226,8 +234,8 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     """
     axes = solve_axes(box, nx, nv, nt)
     xs, vs, dt, dx, dv = axes.xs, axes.vs, axes.dt, axes.dx, axes.dv
-    if axes.cfl > cfl_limit:
-        raise CFLViolationError(axes, cfl_limit)
+    if axes.cfl > CFL_LIMIT:
+        raise CFLViolationError(axes)
     if nt % store_every != 0:
         raise ValueError("store_every must divide nt")
 
@@ -266,7 +274,7 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         f = transport(f)
         f = _v_solve(f, *factors)
         f = transport(f)
-        if (n + 1) % check_every == 0 or n + 1 == nt:
+        if (n + 1) % CHECK_EVERY == 0 or n + 1 == nt:
             if not np.all(np.isfinite(f)):
                 raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
         if (n + 1) % store_every == 0:

@@ -177,9 +177,9 @@ def basis_windows(f: GridFunction, phis=None):
     """The test bumps and each one's index window on f's grid.
 
     phis defaults to the basis tiling the safe box over the stored
-    slice times.  Raises ValueError when the
-    basis is empty or a support leaves that safe box, and EmptyBumpError
-    when a support holds no cell center on some axis.
+    slice times.  Raises ValueError when the basis is empty or a
+    support leaves that safe box, and EmptyBumpError when a support
+    holds no cell center on some axis.
     """
     safe = dataclasses.replace(f.safe_box, t0=float(f.times[0]),
                                t1=float(f.times[-1]))
@@ -228,18 +228,18 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     """Max weak residual of f over a (beta, phi) basis.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  phis is read by basis_windows, which
-    rejects an empty basis and bumps outside the safe box or holding no
-    cell center.  Positive residuals beyond the tolerance mean the
+    mirrored one.  phis is read by basis_windows, which rejects an
+    empty basis and bumps outside the safe box or holding no cell
+    center.  Positive residuals beyond the tolerance mean the
     inequality fails.
 
     Each hinge's value and derivative come from one shared softplus
     term (HingeProfile.value_and_deriv).  They, the velocity gradient,
     the coefficients and the bump-independent products A grad_v beta(f)
     and S beta'(f) + B grad_v beta(f) are evaluated once per hinge, on
-    the bounding index window of the bump supports widened by one v
-    cell per side (clipped to the grid), where the gradient is the full
-    grid's at every cell a bump reads; only that window of f is copied.
+    the read_window of the bump supports (GridFunction.read_window),
+    where the gradient is the whole grid's at every cell a bump reads;
+    only that window of f is copied.
     The integrand's products and term order are fixed (beta(f) times
     the stored -T phi is the IEEE product -beta(f) T phi), so the
     residuals are bitwise those of a per-bump evaluation on the full
@@ -261,11 +261,8 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     measure = f.cell_measure
-    # bumps' bounding window plus one v cell per side (slicing clips hi)
-    lo = [min(s.start for s in axis) for axis in zip(*windows)]
-    hi = [max(s.stop for s in axis) for axis in zip(*windows)]
-    lo[2], hi[2] = max(lo[2] - 1, 0), hi[2] + 1
-    union = tuple(map(slice, lo, hi))
+    union = f.read_window(phi.support() for phi in phis)
+    lo = [s.start for s in union]
     T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
     A = np.asarray(coef.diffusion(T, X, V), float)
     B = np.asarray(coef.drift(T, X, V), float)

@@ -23,6 +23,7 @@ from kfplab import cli, experiments
 from kfplab.cli import ExperimentConfig, parse_seeds, validate
 from kfplab.estimates.checks import STATEMENTS
 from kfplab.solver.grid import Box
+from kfplab.solver.march import solve_grid
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE = REPO / "docs" / "example_config.json"
@@ -178,13 +179,38 @@ def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
     assert words in error["violations"][0]["reason"]
 
 
+# Each would-be grid or cell mask asks for more than 2**47 bytes (the
+# x86-64 user address space) or more than numpy's size limit, so none
+# is allocated whatever the overcommit policy.
+@pytest.mark.parametrize("kind, grid, field", [
+    ("verify", {"nx": 2 ** 62}, "grid.nx"),
+    ("verify", {"nt": 2 ** 62}, "grid.nt"),
+    # the axes build; Q_1/2's cell mask would take 390 TiB
+    ("ensemble", {"nt": 2 ** 18, "nx": 2 ** 20, "nv": 2 ** 20}, "grid.nx"),
+], ids=["verify-nx", "verify-nt", "ensemble-mask"])
+def test_grid_too_large_to_build_exits_2_naming_it(kind, grid, field,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should not validate")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    data = dict(example_dict(), kind=kind)
+    data["grid"].update(grid)
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == [field]
+    assert error["violations"][0]["reason"].startswith(
+        "grid too large to build: ")
+
+
 def test_validation_counts_cells_on_the_axes_solve_stores():
     data = example_dict()
     config = ExperimentConfig.from_dict(data)
     f = experiments.run_member(cli._member_config(config), 1)["solution"]
     g = data["grid"]
-    grid = cli._solve_grid(Box(**data["box"]), g["nt"], g["nx"], g["nv"],
-                           data["pads"]["x"], data["pads"]["v"])
+    grid = solve_grid(Box(**data["box"]), g["nx"], g["nv"], g["nt"],
+                      data["pads"]["x"], data["pads"]["v"])
     for a, b in zip((grid.times, grid.xs, grid.vs), (f.times, f.xs, f.vs)):
         assert np.array_equal(a, b)
     assert grid.safe_box == f.safe_box
@@ -322,6 +348,10 @@ _MISTYPED = {
     # silently to a default
     "pads.vv": ("ensemble", "pads.vv",
                 lambda data, env: data["pads"].update(vv=2.0)),
+    # solve takes it, but a config's grid holds only the sizes
+    "grid.store_every": ("ensemble", "grid.store_every",
+                         lambda data, env: data["grid"].update(
+                             store_every=2)),
     "tolerances.kernel_mass": (
         "ensemble", "tolerances.kernel_mass",
         lambda data, env: data["tolerances"].update(kernel_mass=1e-6)),

@@ -1,9 +1,10 @@
 """A member stores only the (x, v) window of cells its checks read.
 
-run_member and run_oscillation_member pass solve the union window of
-their checks' declared cylinders.  Every report, error text included,
-must be byte-identical to the same checkers run on the whole-grid
-solve, whose geometry and extrema the cropped grid reports.
+run_member, which run_standard_member and run_oscillation_member call,
+passes solve the read_window of its checks' declared cylinders.  Every
+report, error text included, must be byte-identical to the same
+checkers run on the whole-grid solve, whose geometry and extrema the
+cropped grid reports.
 """
 
 import json
@@ -15,6 +16,8 @@ import pytest
 
 from kfplab import cli, experiments
 from kfplab.calibration import grid_tolerance
+from kfplab.geometry import make_cylinder
+from kfplab.solver.grid import centered_axis, sample_function
 from kfplab.solver.march import solve
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
@@ -142,3 +145,36 @@ def test_standard_member_peak_stays_below_one_whole_grid():
         tracemalloc.stop()
     assert record["status"] == "ok"
     assert peak < whole_grid
+
+
+def test_read_window_is_the_union_with_a_v_margin():
+    times = np.linspace(-1.0, 0.0, 9)
+    xs = centered_axis(-1.0, 1.0, 12)
+    vs = centered_axis(-2.0, 2.0, 20)
+    f = sample_function(lambda t, x, v: 0.0 * (t + x + v), times, xs, vs)
+    a = make_cylinder("centered", (0.0, -0.5, -0.4), 0.5)
+    b = make_cylinder("centered", (-0.5, 0.3, 0.5), 0.3)
+    assert f.window(a) == (slice(5, 9), slice(1, 5), slice(4, 11))
+    assert f.window(b) == (slice(3, 6), slice(6, 9), slice(10, 15))
+    # the union in t and x; in v widened by one cell per side
+    assert f.read_window([a, b]) == (slice(3, 9), slice(1, 9),
+                                     slice(3, 16))
+    whole_tx = ((-1.0, 0.0), (-1.0, 1.0))
+    # the low end is clipped at 0 ...
+    low = f.read_window([(*whole_tx, (-2.5, -1.5))])
+    assert low == (slice(0, 9), slice(0, 12), slice(0, 4))
+    # ... and a stop past the axis end is clipped by slicing
+    high = f.read_window([(*whole_tx, (1.5, 2.5))])
+    assert high == (slice(0, 9), slice(0, 12), slice(16, 21))
+    assert f.values[high].shape == (9, 12, 4)
+
+
+def test_oscillation_member_raises_naming_itself(monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise FloatingPointError("no solve here")
+
+    monkeypatch.setattr(experiments, "solve", failing_solve)
+    with pytest.raises(RuntimeError) as err:
+        experiments.run_oscillation_member(3)
+    assert str(err.value) == ("oscillation member 3: FloatingPointError: "
+                              "no solve here")
