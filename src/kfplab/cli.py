@@ -484,7 +484,8 @@ def _run_solve(config: ExperimentConfig, out: Path):
 
 def _run_verify(config: ExperimentConfig, out: Path):
     seed = _seed_list(config)[0]
-    record = experiments.run_member(_member_config(config), seed)
+    record = experiments.run_member(_member_config(config), seed,
+                                    weak_basis=True)
     if record["status"] == "error":
         return _failed("verify", record, ["residual_sub", "residual_super"])
     f = record["solution"]

@@ -78,6 +78,7 @@ from .solver.coefficients import constant_coefficients, make_rough_coefficients
 from .solver.grid import Box, GridFunction, centered_axis, sample_function
 from .solver.march import fit_order, solve, solve_grid
 from .solver.weak import (
+    basis_read_window,
     indicator_subsolution,
     translated_kernel_solution,
     weak_residual,
@@ -214,24 +215,29 @@ def _checked_window(checks, grid: GridFunction):
     return grid.read_window(cylinders)[1:] if cylinders else None
 
 
-def run_member(config: dict, seed: int) -> dict:
+def run_member(config: dict, seed: int, *, weak_basis=False) -> dict:
     """Solve one member of a config and run its checks (STATEMENTS
     entries, each through check_<name> of this module with the entry's
     declared parameters); datum floor + amp exp(-(x^2 + v^2) / (2 width^2)).
 
     solve takes the grid section as keywords (store_every too, where
     given) and stores only the _checked_window of the checks, the whole
-    grid when there are none.  The record holds the solution, the
-    coefficient field and the reports in check order, a check that
-    raised as {"check", "error"} in its place; a solve that raised
-    gives {"seed", "status": "error", "error"} instead."""
+    grid when there are none.  weak_basis, for a config without checks
+    whose solution goes to weak_residual with the default basis, stores
+    instead the (x, v) part of basis_read_window on the grid solve
+    would return.  The record holds the solution, the coefficient field
+    and the reports in check order, a check that raised as
+    {"check", "error"} in its place; a solve that raised gives
+    {"seed", "status": "error", "error"} instead."""
     seed = int(seed)
     pads, grid = config["pads"], config["grid"]
     try:
         coef = make_rough_coefficients(seed, **config["coefficients"])
         box = Box(**config["box"])
-        window = _checked_window(config["checks"], solve_grid(
-            box, grid["nx"], grid["nv"], grid["nt"], pads["x"], pads["v"]))
+        whole = solve_grid(box, grid["nx"], grid["nv"], grid["nt"],
+                           pads["x"], pads["v"])
+        window = (basis_read_window(whole)[1:] if weak_basis
+                  else _checked_window(config["checks"], whole))
         f = solve(_datum(**config["datum"]), coef, box, **grid,
                   pad_x=pads["x"], pad_v=pads["v"], window=window)
     except Exception as exc:  # the member fails, its caller decides
@@ -737,6 +743,7 @@ ORACLE_GRID = (256, 128, 128)  # nx, nv, nt
 ORACLE_WIDTH = 0.3
 ORACLE_CYLINDER_CENTER = (0.4, 0.0, 0.0)
 ORACLE_CYLINDER_RADIUS = 0.25
+ORACLE_PAD = 1.0  # in x and in v
 
 
 def oracle_datum(x, v):
@@ -746,18 +753,24 @@ def oracle_datum(x, v):
 def run_solver_oracle(refine=1) -> dict:
     """Constant-coefficient solve against the kernel convolution of the
     same initial datum, compared in sup norm on an interior cylinder
-    anchored at the final time."""
+    anchored at the final time.
+
+    The solve stores only the (x, v) read_window of that cylinder; the
+    datum is convolved over the whole grid's axes."""
     nx0, nv0, nt0 = ORACLE_GRID
     nx, nv, nt = nx0 * refine, nv0 * refine, nt0 * refine
     coef = constant_coefficients(1.0, 0.0, 0.0)
-    f = solve(oracle_datum, coef, ORACLE_BOX, nx=nx, nv=nv, nt=nt,
-              pad_x=1.0, pad_v=1.0)
     cyl = make_cylinder("centered", ORACLE_CYLINDER_CENTER,
                         ORACLE_CYLINDER_RADIUS)
+    window = solve_grid(ORACLE_BOX, nx, nv, nt, ORACLE_PAD,
+                        ORACLE_PAD).read_window([cyl])[1:]
+    f = solve(oracle_datum, coef, ORACLE_BOX, nx=nx, nv=nv, nt=nt,
+              pad_x=ORACLE_PAD, pad_v=ORACLE_PAD, window=window)
     cells = f.cells(cyl)
     numeric = cells.values
-    source = (np.array([0.0]), f.xs, f.vs,
-              oracle_datum(f.xs[:, None], f.vs[None, :])[None, :, :])
+    xs, vs = f.whole_axes
+    source = (np.array([0.0]), xs, vs,
+              oracle_datum(xs[:, None], vs[None, :])[None, :, :])
     oracle = convolve_representation(source, cells.centers())
     scale0 = float(np.max(np.abs(oracle)))
     err = float(np.max(np.abs(numeric - oracle))) / scale0
@@ -793,8 +806,9 @@ def transport_datum(x, v):
 
 def run_transport_convergence(levels=(1, 2, 4)) -> dict:
     """Free-streaming refinement ladder: diffusion is turned down to a
-    negligible level and the final slice is compared against the
-    shifted datum on the uncontaminated interior |x| <= 1."""
+    negligible level and the final slice, the only one each solve
+    stores past the datum, is compared against the shifted datum on the
+    uncontaminated interior |x| <= 1."""
     coef = constant_coefficients(1e-12, 0.0, 0.0)
     nx0, nv0, nt0 = TRANSPORT_GRID
     t_final = TRANSPORT_BOX.t1
@@ -802,7 +816,7 @@ def run_transport_convergence(levels=(1, 2, 4)) -> dict:
     for level in levels:
         nx, nv, nt = nx0 * level, nv0, nt0 * level
         f = solve(transport_datum, coef, TRANSPORT_BOX, nx=nx, nv=nv, nt=nt,
-                  pad_x=1.0, pad_v=0.25)
+                  pad_x=1.0, pad_v=0.25, store_every=nt)
         X = f.xs[:, None]
         V = f.vs[None, :]
         exact = transport_datum(X - t_final * V, V)

@@ -32,8 +32,8 @@ from .grid import (GridFunction, InsufficientResolutionError,
 
 __all__ = ["TestBump", "HingeProfile", "default_test_basis",
            "default_hinges", "EmptyBumpError", "basis_windows",
-           "weak_residual", "WeakResidualReport", "indicator_subsolution",
-           "translated_kernel_solution"]
+           "basis_read_window", "weak_residual", "WeakResidualReport",
+           "indicator_subsolution", "translated_kernel_solution"]
 
 
 def _profile(s):
@@ -199,6 +199,13 @@ def basis_windows(f: GridFunction, phis=None):
     return phis, windows
 
 
+def basis_read_window(f: GridFunction, phis=None) -> tuple:
+    """The cells of f weak_residual reads for basis_windows(f, phis)'s
+    bumps: the read_window of their supports."""
+    phis, _ = basis_windows(f, phis)
+    return f.read_window(phi.support() for phi in phis)
+
+
 def default_hinges(f_min, f_max):
     """Hinges whose 5 thresholds span the observed range of f, each at
     widths 0.03, 0.1 and 0.3 of that range."""
@@ -237,9 +244,10 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     term (HingeProfile.value_and_deriv).  They, the velocity gradient,
     the coefficients and the bump-independent products A grad_v beta(f)
     and S beta'(f) + B grad_v beta(f) are evaluated once per hinge, on
-    the read_window of the bump supports (GridFunction.read_window),
-    where the gradient is the whole grid's at every cell a bump reads;
-    only that window of f is copied.
+    basis_read_window (the read_window of the bump supports), where the
+    gradient is the whole grid's at every cell a bump reads; only that
+    window of f is copied, and f may store only its (x, v) part.  One
+    hinge's fields are freed before the next hinge's are allocated.
     The integrand's products and term order are fixed (beta(f) times
     the stored -T phi is the IEEE product -beta(f) T phi), so the
     residuals are bitwise those of a per-bump evaluation on the full
@@ -261,7 +269,7 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     measure = f.cell_measure
-    union = f.read_window(phi.support() for phi in phis)
+    union = basis_read_window(f, phis)
     lo = [s.start for s in union]
     T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
     A = np.asarray(coef.diffusion(T, X, V), float)
@@ -281,16 +289,9 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     worst = None
     fu = sgn * f.values[union]
     for beta in betas:
-        bf, dbf = beta.value_and_deriv(fu)
-        gbf = velocity_gradient(bf, f.dv)
-        # the bump-independent factors, once per hinge and in place:
-        # S beta'(f) + B grad_v beta(f) and A grad_v beta(f)
-        w = np.multiply(S, dbf, out=dbf)
-        w += B * gbf
-        agbf = np.multiply(gbf, A, out=gbf)
-        for k, (sl, ntphi, pval, gphi) in enumerate(phi_data):
-            r = measure * float(np.sum(bf[sl] * ntphi + agbf[sl] * gphi
-                                       - w[sl] * pval))
+        sums = _hinge_sums(beta, fu, f.dv, A, B, S, phi_data)
+        for k, total in enumerate(sums):
+            r = measure * total
             rows.append({"beta": beta.describe(), "phi_index": k,
                          "residual": r})
             if worst is None or r > worst["residual"]:
@@ -305,6 +306,23 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         n_pairs=len(rows),
         residuals=rows,
     )
+
+
+def _hinge_sums(beta, fu, dv, A, B, S, phi_data) -> list:
+    """The integral sums of one hinge against each bump of phi_data.
+
+    The hinge's fields are freed on return, before the next hinge
+    allocates its own.
+    """
+    bf, dbf = beta.value_and_deriv(fu)
+    gbf = velocity_gradient(bf, dv)
+    # the bump-independent factors, once per hinge and in place:
+    # S beta'(f) + B grad_v beta(f) and A grad_v beta(f)
+    w = np.multiply(S, dbf, out=dbf)
+    w += B * gbf
+    agbf = np.multiply(gbf, A, out=gbf)
+    return [float(np.sum(bf[sl] * ntphi + agbf[sl] * gphi - w[sl] * pval))
+            for sl, ntphi, pval, gphi in phi_data]
 
 
 def indicator_subsolution(c, a, times, xs, vs) -> GridFunction:

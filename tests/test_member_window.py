@@ -1,10 +1,11 @@
-"""A member stores only the (x, v) window of cells its checks read.
+"""A solve stores only the (x, v) window of cells its consumer reads.
 
 run_member, which run_standard_member and run_oscillation_member call,
-passes solve the read_window of its checks' declared cylinders.  Every
-report, error text included, must be byte-identical to the same
-checkers run on the whole-grid solve, whose geometry and extrema the
-cropped grid reports.
+passes solve the read_window of its checks' declared cylinders; for
+kfplab verify it passes the weak basis's read window instead, and
+run_solver_oracle the read_window of its cylinder.  Every report, error
+text included, must be byte-identical to the same computation on the
+whole-grid solve, whose geometry and extrema the cropped grid reports.
 """
 
 import json
@@ -19,12 +20,16 @@ from kfplab.calibration import grid_tolerance
 from kfplab.geometry import make_cylinder
 from kfplab.solver.grid import centered_axis, sample_function
 from kfplab.solver.march import solve
+from kfplab.solver.weak import basis_read_window
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
 # the demo grid, 96 x 48 cells over the standard box: dx = 5/96 is not
 # dyadic, so a crop's own spacings drift from the whole grid's
 DEMO = cli._member_config(cli.ExperimentConfig.from_dict(
     json.loads(EXAMPLE.read_text())))
+# one whole 129 x 256 x 128 grid, the standard instance's and the
+# oracle's at refine 1
+WHOLE_GRID_BYTES = 129 * 256 * 128 * 8
 
 
 @pytest.fixture
@@ -133,18 +138,70 @@ def test_negative_values_outside_the_window_still_raise(member_pair):
     _assert_cropped_from(fc, fw)
 
 
-def test_standard_member_peak_stays_below_one_whole_grid():
-    # a member that stores the whole 129 x 256 x 128 grid peaks at about
-    # twice its size (62.7 MiB); its checks' window is 4.1 MiB of it
-    whole_grid = 129 * 256 * 128 * 8
+def _traced_peak(call, *args):
+    """call(*args) and the tracemalloc peak of the call in bytes."""
     tracemalloc.start()
     try:
-        record = experiments.run_member(experiments.STANDARD_CONFIG, 1)
+        result = call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_standard_member_peak_stays_below_one_whole_grid():
+    # a member that stores the whole 129 x 256 x 128 grid peaks at about
+    # twice its size (62.7 MiB); its checks' window is 4.1 MiB of it
+    record, peak = _traced_peak(experiments.run_member,
+                                experiments.STANDARD_CONFIG, 1)
     assert record["status"] == "ok"
-    assert peak < whole_grid
+    assert peak < WHOLE_GRID_BYTES
+
+
+def test_verify_payload_equals_the_whole_grid(member_pair, tmp_path):
+    config = cli.ExperimentConfig.from_dict(
+        dict(json.loads(EXAMPLE.read_text()), kind="verify"))
+    cropped, whole, fc, fw = member_pair(cli._run_verify, config, tmp_path)
+    assert json.dumps(cropped, sort_keys=True) == json.dumps(
+        whole, sort_keys=True)
+    assert cropped[0] == 0
+    _assert_cropped_from(fc, fw)
+    # the stored cells are the weak basis's (x, v) read window, at every
+    # slice
+    window = (slice(None), *basis_read_window(fw)[1:])
+    assert fc.values.shape == fw.values[window].shape == (51, 58, 22)
+    assert np.any(np.diff(fc.xs) != fc.dx)
+
+
+def test_oracle_result_equals_the_whole_grid(member_pair):
+    cropped, whole, fc, fw = member_pair(experiments.run_solver_oracle, 1)
+    assert cropped == whole
+    _assert_cropped_from(fc, fw)
+    assert fc.values.size < fw.values.size / 100
+
+
+def test_oracle_peak_stays_below_one_whole_grid():
+    # a whole-grid oracle solve peaks above the 129 x 256 x 128 grid it
+    # stores (35.3 MiB); its cylinder's window is 0.06 MiB of it
+    result, peak = _traced_peak(experiments.run_solver_oracle, 1)
+    assert result["n_points"] == 480
+    assert peak < WHOLE_GRID_BYTES
+
+
+def test_transport_ladder_stores_the_datum_and_the_last_slice(monkeypatch):
+    # the ladder's solves as it calls them, then storing every slice
+    results, grids = [], []
+    for every in (None, 1):
+        def recorded(*a, store_every=1, **kw):
+            grids.append(solve(*a, store_every=every or store_every, **kw))
+            return grids[-1]
+
+        monkeypatch.setattr(experiments, "solve", recorded)
+        results.append(experiments.run_transport_convergence())
+    assert results[0] == results[1]
+    assert [g.times.size for g in grids[:3]] == [2, 2, 2]
+    assert [g.times.size for g in grids[3:]] == [
+        g.meta["nt"] + 1 for g in grids[3:]]
 
 
 def test_read_window_is_the_union_with_a_v_margin():
