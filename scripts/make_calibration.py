@@ -20,6 +20,9 @@ from pathlib import Path
 from kfplab import experiments
 from kfplab.calibration import load_calibration, worst_constants
 
+# pass bound = MARGIN * worst observed
+MARGIN = 2.0
+
 
 def collect_constants() -> dict:
     """Worst observed empirical constant per statement id."""
@@ -51,17 +54,15 @@ def main(argv=None) -> int:
         default=str(Path(__file__).resolve().parents[1]
                     / "src" / "kfplab" / "data" / "calibration.json"),
         help="output path for the calibration JSON")
-    parser.add_argument("--margin", type=float, default=2.0,
-                        help="pass bound = margin * worst observed")
     args = parser.parse_args(argv)
 
     worst = collect_constants()
-    bounds = {sid: args.margin * c for sid, c in sorted(worst.items())}
+    bounds = {sid: MARGIN * c for sid, c in sorted(worst.items())}
 
     previous = load_calibration()
     payload = {
         "c_tol": previous.get("c_tol", 1.0),
-        "margin": args.margin,
+        "margin": MARGIN,
         "pass_bounds": bounds,
         "worst_observed": {sid: worst[sid] for sid in sorted(worst)},
     }

@@ -4,8 +4,10 @@ Every checker measures the two sides of one inequality on gridded data
 and returns an EstimateReport with the right hand side itemized.  The
 "less than up to a constant" statements carry no numeric constant, so
 pass verdicts compare the empirical ratio against a calibrated bound
-(see kfplab.calibration); checkers with an intrinsic constant (the
-intermediate-value and measure-to-pointwise statements) use bound 1.
+(see kfplab.calibration), and each such checker reads its statement's
+bound there; the intermediate-value, measure-to-pointwise and
+oscillation-decay statements carry their constant in the inequality
+itself and pass bound 1.
 
 Checkers validate the cheap structural hypotheses themselves (sign
 conditions, sup bounds).  That the input is a weak sub/super-solution
@@ -30,12 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..calibration import grid_tolerance, pass_bound as _calibrated
+from ..calibration import grid_tolerance, pass_bound
 from ..geometry import Cylinder, as_point, make_cylinder
 from ..reports import EstimateReport, build_report
 from ..solver.grid import GridFunction
 from .constants import (
-    ExplicitConstants,
+    DELTA0,
+    ZETA,
     energy_constant,
     explicit_constants,
     gain_int_constant,
@@ -80,8 +83,6 @@ __all__ = [
 ORIGIN = as_point((0.0, 0.0, 0.0))
 HARNACK_R0 = 1.0 / 20.0
 OSCILLATION_R0 = 1.0 / 40.0
-# delta0 of the weak Harnack statement, which traces its zeta
-WEAK_HARNACK_DELTA0 = 0.01
 # lowering fraction of the measure-to-pointwise step in oscillation decay
 OSCILLATION_DELTA = 0.5
 Q1 = make_cylinder("centered", ORIGIN, 1.0)
@@ -229,12 +230,8 @@ def _require_nonnegative(f: GridFunction, what: str):
                          f"not a nonnegative {what}")
 
 
-def _bound(statement_id: str, override):
-    return _calibrated(statement_id) if override is None else override
-
-
-def check_energy_estimate(f: GridFunction, coef, r: float, R: float, *,
-                          pass_bound=None) -> EstimateReport:
+def check_energy_estimate(f: GridFunction, coef, r: float,
+                          R: float) -> EstimateReport:
     """Velocity-gradient energy on Q_r against mass and source on Q_R."""
     Qr, QR = STATEMENTS["energy_estimate"].cylinders({"r": r, "R": R})
     grad = f.cells(Qr).grad_v()
@@ -249,14 +246,14 @@ def check_energy_estimate(f: GridFunction, coef, r: float, R: float, *,
     return build_report(
         sid, lhs,
         {"mass": const * sq, "source_coupling": const * cross},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(Qr, QR),
         extras={"geometric_constant": const},
         provenance=_provenance(f, coef))
 
 
 def check_gain_integrability(f: GridFunction, coef, r: float, R: float,
-                             p: float, *, pass_bound=None) -> EstimateReport:
+                             p: float) -> EstimateReport:
     """L^p norm on Q_r against L^2 data on Q_R, p below the critical 3."""
     Qr, QR = STATEMENTS["gain_integrability"].cylinders(
         {"r": r, "R": R, "p": p})
@@ -268,14 +265,14 @@ def check_gain_integrability(f: GridFunction, coef, r: float, R: float,
         sid, lhs,
         {"f_l2": prefactor * lp_norm(f, QR, 2.0),
          "source_l2": prefactor * source_l2(coef, f, QR)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(Qr, QR),
         extras={"p": p, "prefactor": prefactor},
         provenance=_provenance(f, coef))
 
 
 def check_sobolev_gain(f: GridFunction, coef, r: float, R: float,
-                       sigma: float, *, pass_bound=None) -> EstimateReport:
+                       sigma: float) -> EstimateReport:
     """Fractional x-regularity on Q_r against L^2 data on Q_R."""
     Qr, QR = STATEMENTS["sobolev_gain"].cylinders(
         {"r": r, "R": R, "sigma": sigma})
@@ -289,7 +286,7 @@ def check_sobolev_gain(f: GridFunction, coef, r: float, R: float,
         sid, lhs,
         {"f_l2": prefactor * lp_norm(f, QR, 2.0),
          "source_l2": prefactor * source_l2(coef, f, QR)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(Qr, QR),
         extras={"sigma": sigma, "seminorm": semi, "l1": l1,
                 "prefactor": prefactor},
@@ -297,7 +294,7 @@ def check_sobolev_gain(f: GridFunction, coef, r: float, R: float,
 
 
 def check_linfty_bound(f: GridFunction, coef, r: float, R: float,
-                       zeta: float, *, pass_bound=None) -> EstimateReport:
+                       zeta: float) -> EstimateReport:
     """Sup bound on Q_r from a small-exponent quasi-norm on Q_R."""
     Qr, QR = STATEMENTS["linfty_bound"].cylinders(
         {"r": r, "R": R, "zeta": zeta})
@@ -309,14 +306,14 @@ def check_linfty_bound(f: GridFunction, coef, r: float, R: float,
         sid, lhs,
         {"f_lzeta": factor * lp_norm(f, QR, zeta),
          "source_sup": factor * source_sup(coef, QR)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(Qr, QR),
         extras={"zeta": zeta, "factor": factor},
         provenance=_provenance(f, coef))
 
 
 def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
-                        f: GridFunction, *, pass_bound=None) -> EstimateReport:
+                        f: GridFunction) -> EstimateReport:
     """Integrability of a kernel representation against its L^2 data.
 
     f is expected to be the convolution representation built from the
@@ -332,13 +329,13 @@ def check_kolm_lp_bound(F1: GridFunction, F2: GridFunction, p: float,
         sid, lhs,
         {"gradient_data_l2": prefactor * _lp(F1, F1.values, 2.0),
          "source_data_l2": prefactor * _lp(F2, F2.values, 2.0)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         extras={"p": p, "prefactor": prefactor},
         provenance=_provenance(f))
 
 
-def check_weak_poincare(f: GridFunction, coef, eps: float, sigma: float, *,
-                        pass_bound=None) -> EstimateReport:
+def check_weak_poincare(f: GridFunction, coef, eps: float,
+                        sigma: float) -> EstimateReport:
     """Positive-part Poincare inequality with a small L^2 error term.
 
     Cylinders are fixed at the origin: the excess of f over its average
@@ -356,15 +353,14 @@ def check_weak_poincare(f: GridFunction, coef, eps: float, sigma: float, *,
         {"grad_v_l1": eps ** -3 * grad_v_l1(f, q5),
          "f_l2": eps ** sigma / (1.0 / 3.0 - sigma) * lp_norm(f, q5, 2.0),
          "source_l2": source_l2(coef, f, q5)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(q1, q1_past, q5),
         extras={"eps": eps, "sigma": sigma, "past_average": avg},
         provenance=_provenance(f, coef))
 
 
-def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
-              consts: ExplicitConstants = None, *, time_gap: bool = True,
-              scale_factor: float = 1.0, pass_bound=1.0) -> EstimateReport:
+def check_ivl(f: GridFunction, coef, delta1: float, delta2: float, *,
+              time_gap: bool = True) -> EstimateReport:
     """Intermediate-value occupation on the half cylinder.
 
     Hypotheses: f at most 1 on the half cylinder, value at most 0 on a
@@ -373,23 +369,16 @@ def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
     band (0, 1 - theta) fills at least a nu fraction of the half
     cylinder.  time_gap=False replaces the early cylinder by one
     adjacent to the late cylinder (removing the mandatory gap), the
-    variant the traveling-indicator counterexample defeats.  All
-    fractions are dilation invariant, so scale_factor only selects the
-    physical scale of the test geometry.
+    variant the traveling-indicator counterexample defeats.
     """
-    if consts is None:
-        consts = explicit_constants(delta1=delta1, delta2=delta2,
-                                    s_inf=coef.source_sup)
-    sf = float(scale_factor)
-    if sf <= 0:
-        raise ValueError("scale_factor must be positive")
-    rho = consts.r0 * sf
+    consts = explicit_constants(delta1, delta2, coef.source_sup)
+    rho = consts.r0
     late = make_cylinder("centered", ORIGIN, rho)
     if time_gap:
         early = make_cylinder("past", ORIGIN, rho)
     else:
         early = make_cylinder("centered", (-rho * rho, 0.0, 0.0), rho)
-    half = make_cylinder("centered", ORIGIN, 0.5 * sf)
+    half = make_cylinder("centered", ORIGIN, 0.5)
 
     tol = grid_tolerance(f.dt, f.dx, f.dv)
     theta = consts.theta
@@ -402,7 +391,7 @@ def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
     return build_report(
         "intermediate_value", consts.nu,
         {"intermediate_fraction": frac_mid},
-        pass_bound,
+        1.0,
         cylinders=(early, late, half),
         hypotheses_met=hyp,
         extras={
@@ -413,13 +402,13 @@ def check_ivl(f: GridFunction, coef, delta1: float, delta2: float,
             "theta": theta, "theta_precise": consts.precise["theta"],
             "nu": consts.nu, "nu_precise": consts.precise["nu"],
             "r0": consts.r0, "time_gap": bool(time_gap),
-            "scale_factor": sf, "grid_tolerance": tol,
+            "scale_factor": 1.0, "grid_tolerance": tol,
         },
         provenance=_provenance(f, coef))
 
 
-def check_measure_to_pointwise(f: GridFunction, coef, delta: float, *,
-                               pass_bound=1.0) -> EstimateReport:
+def check_measure_to_pointwise(f: GridFunction, coef,
+                               delta: float) -> EstimateReport:
     """Cold measure on the early cylinder lowers the sup on Q_(r0/2).
 
     The lemma needs the source sup at most mu, and mu is far below
@@ -444,7 +433,7 @@ def check_measure_to_pointwise(f: GridFunction, coef, delta: float, *,
     return build_report(
         "measure_to_pointwise", lhs,
         {"lowered_bound": 1.0 - consts.mu + tol},
-        pass_bound,
+        1.0,
         cylinders=(early, half, goal),
         hypotheses_met=hyp,
         extras={
@@ -461,8 +450,8 @@ def check_measure_to_pointwise(f: GridFunction, coef, delta: float, *,
 _LOG_DIAG_EXPONENT = 1.0 / (10 * 1 + 18)
 
 
-def check_weak_harnack(f: GridFunction, coef, zeta: float, *,
-                       pass_bound=None) -> EstimateReport:
+def check_weak_harnack(f: GridFunction, coef,
+                       zeta: float) -> EstimateReport:
     """Quasi-norm on the shifted past cylinder against the later infimum.
 
     The left side is the un-normalized integral of f^zeta over the
@@ -470,7 +459,7 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float, *,
     side is the infimum over the centered cylinder of radius r0/2 plus
     the source sup on Q_1.  Its declared default zeta is a fixed
     moderate value so the ratio is informative; the statement-traceable
-    zeta derived from WEAK_HARNACK_DELTA0 is recorded alongside.
+    zeta traced from the constants' DELTA0 is recorded alongside.
     """
     tilde, lower, early = STATEMENTS["weak_harnack"].cylinders({"zeta": zeta})
     _require_nonnegative(f, "super-solution")
@@ -483,16 +472,15 @@ def check_weak_harnack(f: GridFunction, coef, zeta: float, *,
         sid, lhs,
         {"infimum": max(inf_on(f, lower), 0.0),
          "source_sup": source_sup(coef, Q1)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(tilde, lower),
         extras={"zeta_measure": zeta,
-                "zeta_statement": WEAK_HARNACK_DELTA0 ** 27,
-                "delta0": WEAK_HARNACK_DELTA0, "r0": HARNACK_R0,
+                "zeta_statement": ZETA, "delta0": DELTA0, "r0": HARNACK_R0,
                 "log_integral_diagnostic": log_diag},
         provenance=_provenance(f, coef))
 
 
-def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
+def check_harnack(f: GridFunction, coef) -> EstimateReport:
     """Sup on the shifted past cylinder against the later infimum."""
     upper, lower = STATEMENTS["harnack"].cylinders({})
     _require_nonnegative(f, "solution")
@@ -502,14 +490,14 @@ def check_harnack(f: GridFunction, coef, *, pass_bound=None) -> EstimateReport:
         sid, lhs,
         {"infimum": max(inf_on(f, lower), 0.0),
          "source_sup": source_sup(coef, Q1)},
-        _bound(sid, pass_bound),
+        pass_bound(sid),
         cylinders=(upper, lower),
         extras={"r0": HARNACK_R0},
         provenance=_provenance(f, coef))
 
 
-def check_oscillation_decay(f: GridFunction, coef, levels: int, centers, *,
-                            pass_bound=1.0) -> EstimateReport:
+def check_oscillation_decay(f: GridFunction, coef, levels: int,
+                            centers) -> EstimateReport:
     """Oscillation contraction across the dyadic-in-scaling family.
 
     For each center z0 the oscillation of f over Q_(r0^n)(z0) is
@@ -568,7 +556,7 @@ def check_oscillation_decay(f: GridFunction, coef, levels: int, centers, *,
     return build_report(
         "oscillation_decay", lhs,
         {"contracted_oscillation": contraction * rhs_osc},
-        pass_bound,
+        1.0,
         extras={
             "alpha_hat": min(alpha_hats) if alpha_hats else None,
             "alpha_hats": alpha_hats,

@@ -407,12 +407,11 @@ def mixing_instance() -> GridFunction:
 def run_mixing_instance() -> dict:
     coef = mixing_coefficients()
     f = mixing_instance()
-    d1, d2 = MIXING_DELTAS
-    consts = explicit_constants(delta1=d1, delta2=d2, s_inf=0.0)
+    ivl = check_ivl(f, coef, *MIXING_DELTAS)
     return {
-        "ivl": check_ivl(f, coef, d1, d2, consts),
+        "ivl": ivl,
         "measure_to_pointwise": check_measure_to_pointwise(f, coef, 0.25),
-        "nu": consts.nu,
+        "nu": ivl.extras["nu"],
         "residual_sub": weak_residual(f, coef, direction="sub"),
     }
 
@@ -468,17 +467,15 @@ def run_counterexample() -> dict:
     the super direction is the negative control.
     """
     coef = constant_coefficients(1.0, 0.0, 0.0)
-    d1, d2 = CE_DELTAS
-    consts = explicit_constants(delta1=d1, delta2=d2, s_inf=0.0)
     f = counterexample_instance()
-    gap_removed = check_ivl(f, coef, d1, d2, consts, time_gap=False)
-    with_gap = check_ivl(f, coef, d1, d2, consts, time_gap=True)
+    gap_removed = check_ivl(f, coef, *CE_DELTAS, time_gap=False)
+    with_gap = check_ivl(f, coef, *CE_DELTAS, time_gap=True)
     g = counterexample_companion()
     return {
         "gap_removed": gap_removed,
         "with_gap": with_gap,
         "intermediate_fraction": gap_removed.extras["fraction_intermediate"],
-        "nu": consts.nu,
+        "nu": gap_removed.extras["nu"],
         "residual_sub": weak_residual(g, coef, direction="sub"),
         "residual_super": weak_residual(g, coef, direction="super"),
     }
@@ -730,8 +727,7 @@ def pinned_constants_tuple(digits=12) -> str:
     """The (r0, eps, theta, nu, mu, alpha) tuple of the source-free
     constants pipeline at delta1 = delta2 = 1/2, printed to the given
     significant digits from the high-precision evaluation."""
-    consts = explicit_constants(delta1=0.5, delta2=0.5, s_inf=0.0)
-    return consts.as_tuple_str(digits)
+    return explicit_constants(0.5, 0.5, 0.0).as_tuple_str(digits)
 
 
 # ------------------------------------------------------------------

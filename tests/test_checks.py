@@ -33,6 +33,7 @@ from kfplab.estimates import (
 )
 from kfplab.estimates import checks
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
+from kfplab.reports import build_report
 from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
@@ -79,7 +80,7 @@ CENTERS = ((0.0, 0.0, 0.0),)
 
 def test_energy_constant_field_passes():
     f = _mid_grid(lambda t, x, v: 3.0 + 0.0 * t)
-    rep = check_energy_estimate(f, COEF0, 0.5, 1.0, pass_bound=1.0)
+    rep = check_energy_estimate(f, COEF0, 0.5, 1.0)
     assert rep.lhs == 0.0
     assert rep.empirical_constant == 0.0
     assert rep.passed is True
@@ -128,11 +129,14 @@ def test_gain_integrability_validates_p():
 
 def test_gain_integrability_constant_field():
     f = _mid_grid(lambda t, x, v: 2.0 + 0.0 * t)
-    rep = check_gain_integrability(f, COEF0, 0.5, 1.0, 2.25, pass_bound=1.0)
-    # ||f||_p on the smaller cylinder vs a large prefactor times L2 norms
-    assert rep.passed is True
-    assert rep.extras["prefactor"] == pytest.approx(
-        rep.extras["prefactor"])
+    rep = check_gain_integrability(f, COEF0, 0.5, 1.0, 2.25)
+    # ||f||_p on the smaller cylinder vs a large prefactor times L2 norms;
+    # p = 2.25 is not calibrated, so the report has no bound and no verdict
+    assert 0.0 < rep.empirical_constant < 1.0
+    assert rep.pass_bound is None
+    assert rep.passed is None
+    # (1 + 1/(R - r)) times the energy constant 17, over 3 - p
+    assert rep.extras["prefactor"] == pytest.approx(3.0 * 17.0 / 0.75)
     assert rep.statement_id == "gain_integrability[p=2.25]"
 
 
@@ -161,7 +165,7 @@ def test_linfty_bound_validates_zeta():
 def test_linfty_bound_negative_field_clamps():
     # sup of a negative subsolution clamps to zero: bound trivially holds
     f = _mid_grid(lambda t, x, v: -1.0 + 0.0 * t)
-    rep = check_linfty_bound(f, COEF0, 0.5, 1.0, 0.5, pass_bound=1.0)
+    rep = check_linfty_bound(f, COEF0, 0.5, 1.0, 0.5)
     assert rep.lhs == 0.0
     assert rep.passed is True
 
@@ -175,9 +179,12 @@ def test_kolm_lp_bound_validates_p():
 def test_kolm_lp_bound_reports():
     f1 = _mid_grid(lambda t, x, v: 1.0 + 0.0 * t)
     f2 = _mid_grid(lambda t, x, v: 0.5 + 0.0 * t)
-    rep = check_kolm_lp_bound(f1, f2, 2.25, f2, pass_bound=1.0)
+    rep = check_kolm_lp_bound(f1, f2, 2.25, f2)
     assert set(rep.rhs_terms) == {"gradient_data_l2", "source_data_l2"}
-    assert rep.passed is True
+    # p = 2.25 is not calibrated: no bound, no verdict
+    assert 0.0 < rep.empirical_constant < 1.0
+    assert rep.pass_bound is None
+    assert rep.passed is None
 
 
 # -------------------------------------------------------- weak Poincare
@@ -256,19 +263,10 @@ def test_ivl_constant_misses_hypotheses():
     assert rep.extras["fraction_cold"] == 0.0
 
 
-def test_ivl_scale_factor():
-    # 0.6 keeps every shrunken window boundary interior to grid cells
-    f = _ivl_grid(lambda t, x, v: 0.5 + 0.0 * t)
-    rep = check_ivl(f, COEF0, 0.5, 0.5, scale_factor=0.6)
-    assert rep.extras["scale_factor"] == 0.6
-    with pytest.raises(ValueError, match="scale_factor"):
-        check_ivl(f, COEF0, 0.5, 0.5, scale_factor=0.0)
-
-
 def test_ivl_lhs_is_nu():
     f = _ivl_grid(lambda t, x, v: 0.5 + 0.0 * t)
-    consts = explicit_constants(delta1=0.3, delta2=0.4, s_inf=0.0)
-    rep = check_ivl(f, COEF0, 0.3, 0.4, consts=consts)
+    rep = check_ivl(f, COEF0, 0.3, 0.4)
+    consts = explicit_constants(0.3, 0.4, 0.0)
     assert rep.lhs == consts.nu
     assert rep.extras["nu_precise"] == consts.precise["nu"]
 
@@ -318,10 +316,25 @@ def test_harnack_rejects_negative():
         check_weak_harnack(f, COEF0, 0.5)
 
 
-def test_harnack_pass_bound_override():
-    f = _harnack_grid(lambda t, x, v: 3.0 + 0.0 * t)
-    assert check_harnack(f, COEF0, pass_bound=2.0).passed is True
-    assert check_harnack(f, COEF0, pass_bound=0.5).passed is False
+@pytest.mark.parametrize("lhs, rhs_terms, bound, hypotheses, passed", [
+    (1.0, {"a": 1.0}, 2.0, False, None),   # hypotheses unmet
+    (0.0, {"a": 0.0}, 2.0, True, True),    # RHS = 0 and LHS = 0
+    (1.0, {"a": 0.0}, 2.0, True, False),   # RHS = 0 and LHS > 0
+    (1.0, {"a": 1.0}, None, True, None),   # no bound
+    (3.0, {"a": 1.0, "b": 1.0}, 2.0, True, True),
+    (5.0, {"a": 1.0, "b": 1.0}, 2.0, True, False),
+], ids=["hypotheses-unmet", "rhs-zero-pass", "rhs-zero-fail", "no-bound",
+        "pass", "fail"])
+def test_build_report_verdict_branches(lhs, rhs_terms, bound, hypotheses,
+                                       passed):
+    rep = build_report("s", lhs, rhs_terms, bound,
+                       hypotheses_met=hypotheses)
+    assert rep.passed is passed
+    assert rep.rhs == sum(rhs_terms.values())
+    assert rep.rhs_zero is (rep.rhs == 0.0)
+    assert rep.empirical_constant == (None if rep.rhs_zero
+                                      else lhs / rep.rhs)
+    assert rep.pass_bound == bound
 
 
 def test_harnack_default_bound_resolution():
@@ -467,7 +480,7 @@ def test_every_declared_statement_has_a_cli_call():
 def test_checkers_take_exactly_their_declared_parameters():
     for name, statement in STATEMENTS.items():
         params = inspect.signature(_checker(name)).parameters
-        declared = [p for p in params if p not in ("f", "coef", "pass_bound")]
+        declared = [p for p in params if p not in ("f", "coef")]
         assert declared == list(statement.params), name
         assert all(params[p].default is inspect.Parameter.empty
                    for p in declared), name
@@ -484,11 +497,20 @@ def test_checker_measures_on_declared_cylinders(name, params, grid):
     assert all(cyl in declared for cyl in report.cylinders)
 
 
+def _run_declared(name, params):
+    """The checker's report on a constant field, at its declared run's
+    parameters updated by params."""
+    base, grid = {n: (p, g) for n, p, g in _DECLARED_RUNS}[name]
+    params = STATEMENTS[name].parameters({**base, **params})
+    return _checker(name)(grid(lambda t, x, v: 2.0 + 0.0 * t), COEF0,
+                          **params)
+
+
 def test_pass_bound_keys_parse_to_declared_statements():
     # a key is `name` or `name[param=value]`, value as the checkers
     # format it with :g
     keyed = set()
-    for key in load_calibration()["pass_bounds"]:
+    for key, bound in load_calibration()["pass_bounds"].items():
         match = re.fullmatch(r"(\w+)(?:\[(\w+)=([^\]]+)\])?", key)
         assert match, key
         name, param, value = match.groups()
@@ -504,10 +526,18 @@ def test_pass_bound_keys_parse_to_declared_statements():
         assert set(params) <= set(STATEMENTS[name].params), key
         for param, value in params.items():
             STATEMENTS[name].params[param].coerce(param, value)
+        # run at the key's parameters, the checker reports the key and
+        # its bound
+        report = _run_declared(name, params)
+        assert report.statement_id == key
+        assert report.pass_bound == bound
         keyed.add(name)
-    # a checker whose pass_bound defaults to None reads the calibration
-    calibrated = {name for name in STATEMENTS if inspect.signature(
-        _checker(name)).parameters["pass_bound"].default is None}
-    assert calibrated <= keyed
-    # the one analytic bound: the oscillation contraction, pass_bound 1
-    assert set(STATEMENTS) - calibrated == {"oscillation_decay"}
+    # a checker reads the calibration when its report carries the
+    # calibrated bound of its statement id, None for an id without one
+    analytic = {name for name, _, _ in _DECLARED_RUNS
+                if (rep := _run_declared(name, {})).pass_bound
+                != calibrated_bound(rep.statement_id)}
+    assert set(STATEMENTS) - analytic <= keyed
+    # the one analytic bound: the oscillation contraction, pass bound 1
+    assert analytic == {"oscillation_decay"}
+    assert _run_declared("oscillation_decay", {}).pass_bound == 1.0

@@ -10,6 +10,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -701,6 +702,21 @@ def test_constants_digits_end_at_the_precise_strings(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 0
     reports = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert reports["digits"] == 20
+
+
+def test_constants_kind_runs_at_the_smallest_fractions(tmp_path, capsys):
+    # mu's decimal exponent has about 16 900 digits here, past the
+    # 4 300 digits str() converts
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"options": {"delta1": 5e-324,
+                                            "delta2": 5e-324}}))
+    assert cli.main(["constants", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    reports = json.loads((tmp_path / "out" / "reports.json").read_text())
+    mu, alpha = reports["values"][4:]
+    assert re.fullmatch(r"\d\.\d{1,11}e-\d{16000,17000}", mu)
+    assert re.fullmatch(r"\d\.\d{1,11}e-\d{16000,17000}", alpha)
 
 
 def test_convergence_kind_meets_order(tmp_path):
