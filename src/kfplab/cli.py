@@ -23,7 +23,6 @@ import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -507,20 +506,14 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
     seeds = _seed_list(config)
     sections = _member_config(config, config.checks)
 
-    def run_seed(seed):
-        record = experiments.run_member(sections, seed)
-        record.pop("solution", None)  # free the grid before the next seed
-        return record
-
-    with ThreadPoolExecutor(max_workers=int(config.threads)) as pool:
-        futures = {seed: pool.submit(run_seed, seed) for seed in seeds}
-        records = {seed: fut.result() for seed, fut in futures.items()}
+    records = experiments.run_members(
+        [(sections, seed) for seed in sorted(seeds)], int(config.threads))
 
     members = []
     rows = []
     all_reports = []
-    for seed in sorted(records):  # aggregation ordered by seed
-        record = records[seed]
+    for record in records:  # aggregation ordered by seed
+        seed = record["seed"]
         if record["status"] == "error":
             members.append(record)
             rows += [_error_row(entry["name"], seed)
@@ -666,7 +659,9 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="per-seed solver failures fail the run")
     parser.add_argument("--threads", type=int,
-                        help="worker pool size (overrides KFPLAB_THREADS)")
+                        help="member workers: this process and forked "
+                        "ones; 1 runs every member here "
+                        "(overrides KFPLAB_THREADS)")
     args = parser.parse_args(argv)
 
     data = {}

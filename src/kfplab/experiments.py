@@ -8,7 +8,8 @@ identical floating-point output.  The families:
     interior estimates (energy, integrability and regularity gains,
     sup bounds), plus refinement and enlarged-box variants.  The
     standard instance is one config, STANDARD_CONFIG, and its members
-    run through run_member, the member path the CLI shares;
+    run through run_member, the member path the CLI shares, the
+    ensemble's on one worker per available core (run_members);
   * poincare instance: an exact kernel translate whose mass sweeps
     across the unit cylinder;
   * mixing instance: a solver-generated field cold and hot on
@@ -36,6 +37,8 @@ closed window boundary compares exactly.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -91,6 +94,7 @@ __all__ = [
     "BOUNDARY_SEEDS",
     "STANDARD_CONFIG",
     "run_member",
+    "run_members",
     "run_standard_member",
     "run_standard_ensemble",
     "run_refinement_pair",
@@ -187,6 +191,12 @@ ENSEMBLE_SEEDS = tuple(range(1, 21))
 REFINEMENT_SEEDS = (1, 2, 3, 4, 5)
 BOUNDARY_SEEDS = (1, 7, 13)
 BOUNDARY_SCALE = 1.5
+# The studies' members run at most this many at once.  Each worker adds
+# its member's memory: the oscillation members, the largest, peak at a
+# summed Pss of 94, 160, 219 and 291 MiB at 1 to 4 workers; the standard
+# members at 50, 73, 88 and 113 MiB.  The cap also holds where a CPU
+# quota, which the core count does not see, leaves fewer cores.
+STUDY_WORKERS = 4
 
 
 def _datum(floor, amp, width):
@@ -257,36 +267,92 @@ def run_member(config: dict, seed: int, *, weak_basis=False) -> dict:
             "coefficients": coef, "reports": reports}
 
 
-def _checked_member(instance, config, seed) -> dict:
-    """run_member's seed and reports; RuntimeError if a solve or check
-    raised, "<instance> member <seed>: " and the errors."""
-    record = run_member(config, seed)
+def _member_record(job) -> dict:
+    """run_member's record of one (config, seed) job, without its
+    solution."""
+    record = run_member(*job)
+    record.pop("solution", None)
+    return record
+
+
+def run_members(jobs, workers: int) -> list:
+    """run_member's records of the (config, seed) jobs in job order, each
+    without its solution, spread over n = min(workers, len(jobs))
+    workers.  This process is one of them: it runs every n-th job,
+    starting with the first, while a pool of n - 1 processes forked from
+    it runs the others, so n = 1 runs every job here and builds no pool.
+    Forked workers start with this process's imported modules, and any
+    attribute a caller set on them, already in place.  No other thread
+    of the caller may run while the pool forks; where the platform
+    cannot fork, every job runs here."""
+    jobs = list(jobs)
+    n = min(workers, len(jobs)) if hasattr(os, "fork") else 1
+    if n <= 1:
+        return [_member_record(job) for job in jobs]
+    # imported here, since they add about 20 ms to the start of every
+    # process that imports this module, and only a pool needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    records = [None] * len(jobs)
+    pooled = [i for i in range(len(jobs)) if i % n]
+    with ProcessPoolExecutor(n - 1, mp_context=fork) as pool:
+        results = pool.map(_member_record, [jobs[i] for i in pooled])
+        for i in range(0, len(jobs), n):
+            records[i] = _member_record(jobs[i])
+        for i, record in zip(pooled, results):
+            records[i] = record
+    return records
+
+
+def _checked(instance, record) -> dict:
+    """A run_member record's seed and reports; RuntimeError if its solve
+    or a check raised, "<instance> member <seed>: " and the errors."""
     errors = ([record["error"]] if record["status"] == "error" else
               [f"{r['check']}: {r['error']}" for r in record["reports"]
                if isinstance(r, dict)])
     if errors:
-        raise RuntimeError(f"{instance} member {seed}: {'; '.join(errors)}")
+        raise RuntimeError(
+            f"{instance} member {record['seed']}: {'; '.join(errors)}")
     return {"seed": record["seed"], "reports": record["reports"]}
 
 
-def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
-    """The standard instance's checks on one seed; RuntimeError when its
-    solve or a check raised.  refine multiplies every size; box_scale
+def _checked_members(instance, config, seeds) -> list:
+    """_checked of each seed's member of config, the members spread over
+    one worker per core this process may run on, at most STUDY_WORKERS;
+    one where the platform does not say which cores those are."""
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    records = run_members([(config, seed) for seed in seeds],
+                          min(cores, STUDY_WORKERS))
+    return [_checked(instance, record) for record in records]
+
+
+def _standard_config(refine=1, box_scale=1.0) -> dict:
+    """The standard instance; refine multiplies every size; box_scale
     widens the x and v extents at the same spacings, so overlapping
     cell centers coincide exactly (scale 1.5 shifts the axes by whole
     cells: 64 in x, 32 in v at the base resolution)."""
     g, b = STANDARD_CONFIG["grid"], STANDARD_CONFIG["box"]
-    return _checked_member("standard", dict(
+    return dict(
         STANDARD_CONFIG,
         grid={"nt": g["nt"] * refine,
               "nx": int(round(g["nx"] * box_scale)) * refine,
               "nv": int(round(g["nv"] * box_scale)) * refine},
         box=dict(b, **{k: box_scale * b[k]
-                       for k in ("x0", "x1", "v0", "v1")})), seed)
+                       for k in ("x0", "x1", "v0", "v1")}))
+
+
+def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
+    """The standard instance's checks on one seed (_standard_config);
+    RuntimeError when its solve or a check raised."""
+    return _checked("standard", run_member(
+        _standard_config(refine, box_scale), seed))
 
 
 def run_standard_ensemble() -> list:
-    return [run_standard_member(seed) for seed in ENSEMBLE_SEEDS]
+    return _checked_members("standard", _standard_config(), ENSEMBLE_SEEDS)
 
 
 def _member_constants(seed, **kwargs) -> dict:
@@ -707,20 +773,30 @@ def oscillation_centers(grid: GridFunction):
                  for x0, v0 in OSC_CENTER_TARGETS)
 
 
-def run_oscillation_member(seed) -> dict:
+def _oscillation_config() -> dict:
     nx, nv, nt = OSC_GRID
     centers = oscillation_centers(solve_grid(OSC_BOX, nx, nv, nt, *OSC_PADS))
-    (report,) = _checked_member("oscillation", dict(
+    return dict(
         STANDARD_CONFIG,
         grid={"nt": nt, "nx": nx, "nv": nv, "store_every": 2},
         box=OSC_BOX.as_dict(), pads={"x": OSC_PADS[0], "v": OSC_PADS[1]},
         checks=[{"name": "oscillation_decay", "levels": 1,
-                 "centers": centers}]), seed)["reports"]
-    return {"seed": int(seed), "report": report}
+                 "centers": centers}])
+
+
+def _oscillation_member(member) -> dict:
+    (report,) = member["reports"]
+    return {"seed": member["seed"], "report": report}
+
+
+def run_oscillation_member(seed) -> dict:
+    return _oscillation_member(_checked("oscillation", run_member(
+        _oscillation_config(), seed)))
 
 
 def run_oscillation_study() -> list:
-    return [run_oscillation_member(seed) for seed in OSC_SEEDS]
+    return [_oscillation_member(member) for member in _checked_members(
+        "oscillation", _oscillation_config(), OSC_SEEDS)]
 
 
 def pinned_constants_tuple(digits=12) -> str:

@@ -5,6 +5,7 @@ contract (flags, env overrides, exit codes, report files) goes through
 subprocesses on the shipped demo config.
 """
 
+import concurrent.futures
 import copy
 import importlib
 import json
@@ -458,33 +459,39 @@ def _fail_solves(monkeypatch, fail_seeds):
 
 
 def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
-    data = example_dict()
-    data["coefficients"]["seeds"] = [1, 2]
-    data["threads"] = 1
+    # at threads 2 seed 2 runs in a forked process, which inherits the
+    # patch; its error record crosses the pool unchanged
     _fail_solves(monkeypatch, {2})
+    for threads in (1, 2):
+        data = example_dict()
+        data["coefficients"]["seeds"] = [1, 2]
+        data["threads"] = threads
+        out = tmp_path / f"threads{threads}"
 
-    config = ExperimentConfig.from_dict(data)
-    assert cli.run(config, out_dir=tmp_path / "lax") == 0
+        config = ExperimentConfig.from_dict(data)
+        assert cli.run(config, out_dir=out / "lax") == 0
 
-    data_strict = copy.deepcopy(data)
-    data_strict["strict"] = True
-    config = ExperimentConfig.from_dict(data_strict)
-    assert cli.run(config, out_dir=tmp_path / "strict") == 1
+        data_strict = copy.deepcopy(data)
+        data_strict["strict"] = True
+        config = ExperimentConfig.from_dict(data_strict)
+        assert cli.run(config, out_dir=out / "strict") == 1
 
-    # failed seeds still occupy their summary rows
-    rows = (tmp_path / "strict" / "summary.csv").read_text().strip()
-    lines = rows.split("\n")[1:]
-    assert len(lines) == len(data["checks"]) * 2
-    assert sum("error" in line for line in lines) == len(data["checks"])
+        # failed seeds still occupy their summary rows
+        rows = (out / "strict" / "summary.csv").read_text().strip()
+        lines = rows.split("\n")[1:]
+        assert len(lines) == len(data["checks"]) * 2
+        assert sum("error" in line for line in lines) == len(data["checks"])
 
-    reports = json.loads((tmp_path / "strict" / "reports.json").read_text())
-    by_seed = {m["seed"]: m["status"] for m in reports["members"]}
-    assert by_seed == {1: "ok", 2: "error"}
+        reports = json.loads((out / "strict" / "reports.json").read_text())
+        by_seed = {m["seed"]: m["status"] for m in reports["members"]}
+        assert by_seed == {1: "ok", 2: "error"}
+        assert reports["members"][1]["error"] == (
+            "RuntimeError: synthetic solver failure")
 
 
 def test_standard_member_raises_on_a_failed_solve_or_check(monkeypatch):
-    # calibration and the acceptance fixtures read run_standard_member,
-    # which must not skip a member or a check that raised
+    # the refinement and boundary pairs read run_standard_member, which
+    # must not skip a member or a check that raised
     _fail_solves(monkeypatch, {1})
     with pytest.raises(RuntimeError, match="^standard member 1: "
                        "RuntimeError: synthetic solver failure$"):
@@ -499,6 +506,38 @@ def test_standard_member_raises_on_a_failed_solve_or_check(monkeypatch):
                        "linfty_bound: ValueError: synthetic checker "
                        "failure; linfty_bound: "):
         experiments.run_standard_member(2)
+
+
+def _fail_linfty_checks(monkeypatch, fail_seeds):
+    """experiments.check_linfty_bound raises for the coefficient seeds
+    listed."""
+    check = experiments.check_linfty_bound
+
+    def patched(f, coef, *args, **kwargs):
+        if coef.seed in fail_seeds:
+            raise ValueError("synthetic checker failure")
+        return check(f, coef, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "check_linfty_bound", patched)
+
+
+@pytest.mark.parametrize("sabotage, error", [
+    (_fail_solves, "RuntimeError: synthetic solver failure"),
+    (_fail_linfty_checks, "linfty_bound: ValueError: synthetic checker "
+     "failure; linfty_bound: ValueError: synthetic checker failure")],
+    ids=["solve", "check"])
+def test_pooled_study_raises_the_in_process_error(sabotage, error,
+                                                  monkeypatch):
+    # on two cores this process runs seeds 1 and 3 and a forked one, which
+    # inherits the patches, runs seed 2; the first failed member in job
+    # order raises
+    monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2, 3))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    sabotage(monkeypatch, {2, 3})
+    with pytest.raises(RuntimeError, match=f"^standard member 2: "
+                       f"{re.escape(error)}$"):
+        experiments.run_standard_ensemble()
 
 
 def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
@@ -538,24 +577,27 @@ def test_raising_check_keeps_the_seeds_other_reports(tmp_path,
         raise RuntimeError("synthetic checker failure")
 
     monkeypatch.setattr(experiments, "check_sobolev_gain", boom)
-    data = example_dict()
-    data["coefficients"]["seeds"] = [1]
-    data["threads"] = 1
-    data["checks"] = [{"name": "energy_estimate"},
-                      {"name": "sobolev_gain", "sigma": 0.25}]
-    # the check was not evaluated, so the run fails even without --strict
-    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 1
+    for threads in (1, 2):  # in-process, then in a forked process
+        data = example_dict()
+        data["coefficients"]["seeds"] = [1]
+        data["threads"] = threads
+        data["checks"] = [{"name": "energy_estimate"},
+                          {"name": "sobolev_gain", "sigma": 0.25}]
+        out = tmp_path / f"threads{threads}"
+        # the check was not evaluated, so the run fails even without
+        # --strict
+        assert cli.run(ExperimentConfig.from_dict(data), out_dir=out) == 1
 
-    member, = json.loads((tmp_path / "reports.json").read_text())["members"]
-    assert member["status"] == "ok"
-    assert [r["statement_id"] for r in member["reports"]] == [
-        "energy_estimate"]
-    assert member["errors"] == [{"check": "sobolev_gain",
-                                 "error": "RuntimeError: synthetic "
-                                          "checker failure"}]
-    rows = (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]
-    assert rows[0].startswith("energy_estimate,1,")
-    assert rows[1] == "sobolev_gain,1,,,,error,"
+        member, = json.loads((out / "reports.json").read_text())["members"]
+        assert member["status"] == "ok"
+        assert [r["statement_id"] for r in member["reports"]] == [
+            "energy_estimate"]
+        assert member["errors"] == [{"check": "sobolev_gain",
+                                     "error": "RuntimeError: synthetic "
+                                              "checker failure"}]
+        rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+        assert rows[0].startswith("energy_estimate,1,")
+        assert rows[1] == "sobolev_gain,1,,,,error,"
 
 
 def test_checks_resolve_through_experiments_module_names(tmp_path,
@@ -590,6 +632,118 @@ def test_verify_resolves_weak_residual_through_cli(tmp_path, monkeypatch):
     data["kind"] = "verify"
     assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
     assert directions == ["sub", "super"]
+
+
+# ---------------------------------------------------------------------------
+# member processes
+
+
+def _recording_pool(monkeypatch, pools):
+    """ProcessPoolExecutor becomes a stand-in that starts no process: it
+    runs its jobs here and records, per pool, the size asked for and the
+    seeds handed to it."""
+    class Pool:
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
+            self.record = {"size": max_workers}
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.record["seeds"] = [seed for _, seed in jobs]
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+
+
+def test_member_pool_never_outnumbers_the_members(tmp_path, monkeypatch):
+    # this process is one of the workers, so the pool holds one process
+    # fewer than there are workers and runs the jobs this one skips
+    pools = []
+    _recording_pool(monkeypatch, pools)
+    data = example_dict()
+    data["coefficients"]["seeds"] = [2, 1]
+    data["threads"] = 10**6
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    assert pools == [{"size": 1, "seeds": [2]}]
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert [m["seed"] for m in reports["members"]] == [1, 2]
+
+    jobs = [(cli._member_config(ExperimentConfig.from_dict(data)), seed)
+            for seed in (1, 2, 3, 4, 5)]
+    records = experiments.run_members(jobs, 2)
+    assert pools[1:] == [{"size": 1, "seeds": [2, 4]}]
+    assert [r["seed"] for r in records] == [1, 2, 3, 4, 5]
+    assert all("solution" not in r for r in records)
+    experiments.run_members(jobs[:3], 10**6)
+    assert pools[2:] == [{"size": 2, "seeds": [2, 3]}]
+
+
+def test_one_worker_builds_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("built a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    data = example_dict()
+    data["threads"] = 1
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+
+    # a platform that cannot fork, or does not say which cores this
+    # process may use, runs every member here
+    jobs = [(cli._member_config(ExperimentConfig.from_dict(data)), seed)
+            for seed in (1, 2)]
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        assert [r["seed"] for r in experiments.run_members(jobs, 2)] == [1, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2))
+    assert [m["seed"] for m in experiments.run_standard_ensemble()] == [1, 2]
+
+
+# Small grids that resolve the statements the demo config leaves out;
+# with the demo config they run every statement the CLI accepts.
+_POOLED_CONFIGS = {
+    "demo": {},
+    "harnack": {
+        "grid": {"nt": 5, "nx": 21, "nv": 21},
+        "box": {"t0": -0.03, "t1": 0.0, "x0": -1.05, "x1": 1.05,
+                "v0": -1.05, "v1": 1.05},
+        "pads": {"x": 0.5, "v": 0.5},
+        "checks": [{"name": "harnack"}, {"name": "weak_harnack"}]},
+    "oscillation": {
+        "grid": {"nt": 40, "nx": 21, "nv": 168},
+        "box": {"t0": -1.2, "t1": 0.0, "x0": -2.1, "x1": 2.1,
+                "v0": -2.0, "v1": 2.0},
+        "pads": {"x": 0.5, "v": 0.5},
+        "checks": [{"name": "oscillation_decay"}]},
+    "weak_poincare": {
+        "grid": {"nt": 40, "nx": 41, "nv": 21},
+        "box": {"t0": -26.0, "t1": 0.0, "x0": -130.0, "x1": 130.0,
+                "v0": -6.0, "v1": 6.0},
+        "pads": {"x": 1.0, "v": 1.0},
+        "checks": [{"name": "weak_poincare", "eps": 0.5}]},
+}
+
+
+@pytest.mark.parametrize("name", list(_POOLED_CONFIGS))
+def test_member_processes_write_the_in_process_bytes(name, tmp_path):
+    data = example_dict()
+    data.update(_POOLED_CONFIGS[name])
+    assert validate(ExperimentConfig.from_dict(data)) == []
+    runs = []
+    for threads in (1, 2, 3):
+        data["threads"] = threads
+        out = tmp_path / f"threads{threads}"
+        code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
+        runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "metadata.json"}))
+    assert "constants_by_seed.csv" in runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 # ---------------------------------------------------------------------------
