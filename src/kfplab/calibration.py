@@ -4,8 +4,8 @@ The packaged data/calibration.json is produced by
 scripts/make_calibration.py from a fixed ensemble of rough-coefficient
 runs; checkers compare empirical constants against these bounds (which
 were set at twice the worst calibrated value, worst_constants of the
-calibration workloads' reports).  Loading falls back to conservative
-defaults when a key is absent.
+calibration workloads' reports).  A missing file raises: without it
+no calibrated statement would have a bound to fail against.
 """
 
 from __future__ import annotations
@@ -17,23 +17,14 @@ from functools import lru_cache
 __all__ = ["load_calibration", "grid_tolerance", "pass_bound",
            "worst_constants"]
 
-_DEFAULTS = {
-    "c_tol": 1.0,
-    "pass_bounds": {},
-}
-
 
 @lru_cache(maxsize=1)
 def load_calibration() -> dict:
-    try:
-        path = importlib.resources.files("kfplab").joinpath(
-            "data/calibration.json")
-        data = json.loads(path.read_text())
-    except (FileNotFoundError, ModuleNotFoundError):
-        data = {}
-    merged = dict(_DEFAULTS)
-    merged.update(data)
-    return merged
+    """The packaged data/calibration.json; FileNotFoundError when it is
+    missing."""
+    path = importlib.resources.files("kfplab").joinpath(
+        "data/calibration.json")
+    return json.loads(path.read_text())
 
 
 def grid_tolerance(dt, dx, dv) -> float:

@@ -54,7 +54,6 @@ class ExperimentConfig:
     checks: list = dataclasses.field(default_factory=list)
     pads: dict = dataclasses.field(default_factory=dict)
     datum: dict = dataclasses.field(default_factory=dict)
-    tolerances: dict = dataclasses.field(default_factory=dict)
     options: dict = dataclasses.field(default_factory=dict)
     strict: bool = False
     threads: int = 1
@@ -100,26 +99,6 @@ class _Flag:
         return value
 
 
-@dataclasses.dataclass(frozen=True)
-class _Levels:
-    """Domain of a refinement ladder: integers >= 1, at least two of
-    them distinct, so an order can be fitted."""
-
-    default: tuple
-
-    def coerce(self, name, value):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name} must be a list of integers, "
-                             f"got {value!r}")
-        level = Interval(1, lo_closed=True, integer=True)
-        levels = tuple(level.coerce(f"{name}[{i}]", k)
-                       for i, k in enumerate(value))
-        if len(set(levels)) < 2:
-            raise ValueError(f"{name} needs two distinct levels, "
-                             f"got {value!r}")
-        return levels
-
-
 _STANDARD = experiments.STANDARD_CONFIG
 # numeric fields of the compute kinds -> domain; default None: required,
 # other defaults are the standard instance's
@@ -137,16 +116,9 @@ _COMPUTE_FIELDS = {
     "datum.amp": Interval(-math.inf, default=_STANDARD["datum"]["amp"]),
     "datum.width": Interval(0.0, default=_STANDARD["datum"]["width"]),
 }
-# kernel-check tolerances -> default; each is a number >= 0
-_KERNEL_TOLERANCES = {"kernel_mass": 1e-6, "residual_ratio_low": 3.2,
-                      "residual_ratio_high": 4.8, "control_factor_min": 10.0,
-                      "semigroup_defect": 1e-8}
 # fields each kind reads -> domain
 _KIND_FIELDS = {
     **dict.fromkeys(_COMPUTE_KINDS, _COMPUTE_FIELDS),
-    "kernel-check": {f"tolerances.{k}": Interval(0.0, lo_closed=True,
-                                                 default=d)
-                     for k, d in _KERNEL_TOLERANCES.items()},
     "constants": {
         "options.delta1": Interval(0.0, 1.0, default=0.5),
         "options.delta2": Interval(0.0, 1.0, default=0.5),
@@ -154,10 +126,6 @@ _KIND_FIELDS = {
         # as_tuple_str prints from the precise strings
         "options.digits": Interval(1, PRECISE_DIGITS + 1, lo_closed=True,
                                    integer=True, default=12),
-    },
-    "convergence": {
-        "options.levels": _Levels((1, 2, 4)),
-        "options.min_order": Interval(-math.inf, default=1.8),
     },
 }
 _FIELDS = {name: domain for fields in _KIND_FIELDS.values()
@@ -422,22 +390,31 @@ def _osc_plot_rows(reports) -> list:
     return rows
 
 
+# kernel-check's pass bounds: the kernel's mass error at each time, the
+# range of the PDE residual's refinement ratio, the least factor by
+# which the detuned control's residual exceeds it, the semigroup defect
+_KERNEL_MASS_TOL = 1e-6
+_RESIDUAL_RATIO = (3.2, 4.8)
+_CONTROL_FACTOR_MIN = 10.0
+_SEMIGROUP_DEFECT_TOL = 1e-8
+# convergence's least fitted transport order
+_MIN_TRANSPORT_ORDER = 1.8
+
+
 # ---------------------------------------------------------------------------
 # per-kind runners on (config, output directory); each returns
 # (exit_code, reports_payload, csv_rows, plot_files) where plot_files
 # maps filename -> (header, rows)
 
 def _run_kernel_check(config: ExperimentConfig, out: Path):
-    mass_tol, ratio_lo, ratio_hi, control_min, semigroup_tol = (
-        _field(config, f"tolerances.{k}") for k in _KERNEL_TOLERANCES)
-
     suite = experiments.run_kernel_suite()
     rep_report = suite["representation"]["report"]
     checks = {
-        "mass": max(suite["mass_errors"].values()) <= mass_tol,
-        "residual_ratio": ratio_lo <= suite["residual_ratio"] <= ratio_hi,
-        "negative_control": suite["control_factor"] >= control_min,
-        "semigroup": suite["semigroup_defect"] <= semigroup_tol,
+        "mass": max(suite["mass_errors"].values()) <= _KERNEL_MASS_TOL,
+        "residual_ratio": (_RESIDUAL_RATIO[0] <= suite["residual_ratio"]
+                           <= _RESIDUAL_RATIO[1]),
+        "negative_control": suite["control_factor"] >= _CONTROL_FACTOR_MIN,
+        "semigroup": suite["semigroup_defect"] <= _SEMIGROUP_DEFECT_TOL,
         "representation": _passes(rep_report),
     }
     payload = {
@@ -591,19 +568,18 @@ def _run_counterexample(config: ExperimentConfig, out: Path):
 
 
 def _run_convergence(config: ExperimentConfig, out: Path):
-    levels = _field(config, "options.levels")
-    min_order = _field(config, "options.min_order")
-    ladder = experiments.run_transport_convergence(levels)
-    ok = ladder["order"] >= min_order
+    ladder = experiments.run_transport_convergence()
+    ok = ladder["order"] >= _MIN_TRANSPORT_ORDER
     payload = {
         "kind": "convergence",
-        "levels": list(levels),
+        "levels": list(experiments.TRANSPORT_LEVELS),
         "hs": ladder["hs"],
         "errors": ladder["errors"],
         "order": ladder["order"],
-        "min_order": min_order,
+        "min_order": _MIN_TRANSPORT_ORDER,
     }
-    rows = [["transport_order", "", ladder["order"], min_order, "", ok, ""]]
+    rows = [["transport_order", "", ladder["order"], _MIN_TRANSPORT_ORDER,
+             "", ok, ""]]
     plots = {"error_vs_h.csv": (("h", "error"),
                                 list(zip(ladder["hs"], ladder["errors"])))}
     return (0 if ok else 1), payload, rows, plots

@@ -35,7 +35,7 @@ import numpy as np
 from ..calibration import grid_tolerance, pass_bound
 from ..geometry import Cylinder, as_point, make_cylinder
 from ..reports import EstimateReport, build_report
-from ..solver.grid import GridFunction
+from ..solver.grid import GridFunction, InsufficientResolutionError
 from .constants import (
     DELTA0,
     ZETA,
@@ -47,7 +47,6 @@ from .constants import (
 )
 from .norms import (
     GAGLIARDO_MIN_X_CELLS,
-    InsufficientResolutionError,
     _lp,
     band_fraction,
     cylinder_average,

@@ -11,18 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Cylinder
-from ..solver.grid import (GridFunction, InsufficientResolutionError,
-                           velocity_gradient)
+from ..solver.grid import GridFunction
 
 __all__ = [
-    "InsufficientResolutionError",
     "lp_norm",
     "level_set_fraction",
     "band_fraction",
     "cylinder_average",
     "sup_on",
     "inf_on",
-    "velocity_gradient",
     "grad_v_l1",
     "gagliardo_x_seminorm",
     "source_sup",

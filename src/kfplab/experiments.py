@@ -6,10 +6,11 @@ identical floating-point output.  The families:
 
   * standard ensemble: rough-coefficient solves for the calibrated
     interior estimates (energy, integrability and regularity gains,
-    sup bounds), plus refinement and enlarged-box variants.  The
-    standard instance is one config, STANDARD_CONFIG, and its members
-    run through run_member, the member path the CLI shares, the
-    ensemble's on one worker per available core (run_members);
+    sup bounds), plus refinement and enlarged-box variants, each paired
+    with the ensemble's member of its seed.  The standard instance is
+    one config, STANDARD_CONFIG, and its members run through
+    run_member, the member path the CLI shares, on one worker per
+    available core (run_members);
   * poincare instance: an exact kernel translate whose mass sweeps
     across the unit cylinder;
   * mixing instance: a solver-generated field cold and hot on
@@ -95,10 +96,9 @@ __all__ = [
     "STANDARD_CONFIG",
     "run_member",
     "run_members",
-    "run_standard_member",
     "run_standard_ensemble",
-    "run_refinement_pair",
-    "run_boundary_pair",
+    "run_refinement_pairs",
+    "run_boundary_pairs",
     "run_poincare",
     "run_poincare_constant",
     "run_mixing_instance",
@@ -192,10 +192,12 @@ REFINEMENT_SEEDS = (1, 2, 3, 4, 5)
 BOUNDARY_SEEDS = (1, 7, 13)
 BOUNDARY_SCALE = 1.5
 # The studies' members run at most this many at once.  Each worker adds
-# its member's memory: the oscillation members, the largest, peak at a
-# summed Pss of 94, 160, 219 and 291 MiB at 1 to 4 workers; the standard
-# members at 50, 73, 88 and 113 MiB.  The cap also holds where a CPU
-# quota, which the core count does not see, leaves fewer cores.
+# its member's memory: the five refine-2 members of the refinement
+# pairs, the largest, peak at a summed Pss of 167, 268-308, 366-421 and
+# 549-566 MiB at 1 to 4 workers; oscillation members at 94, 160, 219
+# and 291 MiB; standard members at 50, 73, 88 and 113 MiB.  The cap also
+# holds where a CPU quota, which the core count does not see, leaves
+# fewer cores.
 STUDY_WORKERS = 4
 
 
@@ -344,44 +346,43 @@ def _standard_config(refine=1, box_scale=1.0) -> dict:
                        for k in ("x0", "x1", "v0", "v1")}))
 
 
-def run_standard_member(seed, *, refine=1, box_scale=1.0) -> dict:
-    """The standard instance's checks on one seed (_standard_config);
-    RuntimeError when its solve or a check raised."""
-    return _checked("standard", run_member(
-        _standard_config(refine, box_scale), seed))
-
-
 def run_standard_ensemble() -> list:
     return _checked_members("standard", _standard_config(), ENSEMBLE_SEEDS)
 
 
-def _member_constants(seed, **kwargs) -> dict:
-    reports = run_standard_member(seed, **kwargs)["reports"]
-    return {r.statement_id: r.empirical_constant for r in reports}
+def _variant_pairs(ensemble, config, seeds) -> list:
+    """(seed, base, variant) empirical constants by statement id of each
+    seed: base from the ensemble's member of that seed, variant from
+    config's member, the variants run as the ensemble's members are."""
+    def constants(member):
+        return {r.statement_id: r.empirical_constant
+                for r in member["reports"]}
+
+    base = {member["seed"]: constants(member) for member in ensemble}
+    return [(member["seed"], base[member["seed"]], constants(member))
+            for member in _checked_members("standard", config, seeds)]
 
 
-def run_refinement_pair(seed) -> dict:
-    """Empirical constants at the base grid and one refinement."""
-    cb, cf = _member_constants(seed), _member_constants(seed, refine=2)
-    return {
-        "seed": int(seed),
-        "base": cb,
-        "fine": cf,
-        "ratios": {sid: cf[sid] / cb[sid] for sid in cb},
-    }
+def run_refinement_pairs(ensemble) -> list:
+    """Empirical constants of each REFINEMENT_SEEDS member at the base
+    grid, read from the ensemble (run_standard_ensemble), and at one
+    refinement."""
+    return [{"seed": seed, "base": cb, "fine": cf,
+             "ratios": {sid: cf[sid] / cb[sid] for sid in cb}}
+            for seed, cb, cf in _variant_pairs(
+                ensemble, _standard_config(refine=2), REFINEMENT_SEEDS)]
 
 
-def run_boundary_pair(seed) -> dict:
-    """Relative shift of every constant when the solve box x and v
-    extents grow by half while the cylinders stay put."""
-    cb = _member_constants(seed)
-    cw = _member_constants(seed, box_scale=BOUNDARY_SCALE)
-    return {
-        "seed": int(seed),
-        "base": cb,
-        "wide": cw,
-        "shifts": {sid: abs(cw[sid] / cb[sid] - 1.0) for sid in cb},
-    }
+def run_boundary_pairs(ensemble) -> list:
+    """Relative shift of every constant of each BOUNDARY_SEEDS member,
+    its base read from the ensemble (run_standard_ensemble), when the
+    solve box x and v extents grow by half while the cylinders stay
+    put."""
+    return [{"seed": seed, "base": cb, "wide": cw,
+             "shifts": {sid: abs(cw[sid] / cb[sid] - 1.0) for sid in cb}}
+            for seed, cb, cw in _variant_pairs(
+                ensemble, _standard_config(box_scale=BOUNDARY_SCALE),
+                BOUNDARY_SEEDS)]
 
 
 # ------------------------------------------------------------------
@@ -870,13 +871,14 @@ def run_solver_oracle_study() -> dict:
 
 TRANSPORT_BOX = Box(0.0, 0.5, -2.0, 2.0, -1.5, 1.5)
 TRANSPORT_GRID = (96, 24, 32)  # nx, nv, nt at the base level
+TRANSPORT_LEVELS = (1, 2, 4)  # refinements of nx and nt
 
 
 def transport_datum(x, v):
     return np.exp(-x * x / 0.18) * np.exp(-v * v / 0.32)
 
 
-def run_transport_convergence(levels=(1, 2, 4)) -> dict:
+def run_transport_convergence() -> dict:
     """Free-streaming refinement ladder: diffusion is turned down to a
     negligible level and the final slice, the only one each solve
     stores past the datum, is compared against the shifted datum on the
@@ -885,7 +887,7 @@ def run_transport_convergence(levels=(1, 2, 4)) -> dict:
     nx0, nv0, nt0 = TRANSPORT_GRID
     t_final = TRANSPORT_BOX.t1
     hs, errors = [], []
-    for level in levels:
+    for level in TRANSPORT_LEVELS:
         nx, nv, nt = nx0 * level, nv0, nt0 * level
         f = solve(transport_datum, coef, TRANSPORT_BOX, nx=nx, nv=nv, nt=nt,
                   pad_x=1.0, pad_v=0.25, store_every=nt)

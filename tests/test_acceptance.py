@@ -67,9 +67,8 @@ def ensemble():
 
 
 @pytest.fixture(scope="module")
-def refinement_pairs():
-    return [experiments.run_refinement_pair(seed)
-            for seed in experiments.REFINEMENT_SEEDS]
+def refinement_pairs(ensemble):
+    return experiments.run_refinement_pairs(ensemble)
 
 
 @pytest.fixture(scope="module")
@@ -248,9 +247,9 @@ def test_criterion_10_holder_decay(oscillation_study):
     assert experiments.pinned_constants_tuple(12) == PINNED_TUPLE
 
 
-def test_criterion_11_boundary_noncontamination():
-    for seed in experiments.BOUNDARY_SEEDS:
-        pair = experiments.run_boundary_pair(seed)
+def test_criterion_11_boundary_noncontamination(ensemble):
+    for pair in experiments.run_boundary_pairs(ensemble):
+        seed = pair["seed"]
         for sid, shift in pair["shifts"].items():
             assert shift < 0.02, (seed, sid, shift)
 

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from kfplab import cli, experiments
-from kfplab.estimates import (InsufficientResolutionError, band_fraction,
-                              inf_on, level_set_fraction, lp_norm, sup_on)
+from kfplab.estimates import (band_fraction, inf_on, level_set_fraction,
+                              lp_norm, sup_on)
 from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import (CoefficientField,
                                         make_rough_coefficients)
-from kfplab.solver.grid import (SOURCE_CHUNK, GridFunction, SafeRegionError,
+from kfplab.solver.grid import (SOURCE_CHUNK, GridFunction,
+                                InsufficientResolutionError, SafeRegionError,
                                 sample_function)
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"

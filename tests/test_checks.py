@@ -16,7 +16,6 @@ import pytest
 from kfplab import experiments
 from kfplab.calibration import load_calibration, pass_bound as calibrated_bound
 from kfplab.estimates import (
-    InsufficientResolutionError,
     check_energy_estimate,
     check_gain_integrability,
     check_harnack,
@@ -29,7 +28,6 @@ from kfplab.estimates import (
     check_weak_harnack,
     check_weak_poincare,
     explicit_constants,
-    velocity_gradient,
 )
 from kfplab.estimates import checks
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
@@ -38,7 +36,12 @@ from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
 )
-from kfplab.solver.grid import centered_axis, sample_function
+from kfplab.solver.grid import (
+    InsufficientResolutionError,
+    centered_axis,
+    sample_function,
+    velocity_gradient,
+)
 
 COEF0 = constant_coefficients(1.0, 0.0, 0.0)
 

@@ -8,6 +8,7 @@ subprocesses on the shipped demo config.
 import concurrent.futures
 import copy
 import importlib
+import importlib.resources
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kfplab import cli, experiments
+from kfplab.calibration import load_calibration
 from kfplab.cli import ExperimentConfig, parse_seeds, validate
 from kfplab.estimates.checks import STATEMENTS
 from kfplab.solver.grid import Box
@@ -337,26 +339,27 @@ _MISTYPED = {
                               lambda data, env: data.update(options=[1])),
     "constants:out=5": ("constants", "out",
                         lambda data, env: data.update(out=5)),
-    "convergence:levels=ab": ("convergence", "options.levels",
-                              _options(levels="ab")),
-    "convergence:levels=[0]": ("convergence", "options.levels",
-                               _options(levels=[0])),
-    "kernel-check:kernel_mass=a": (
-        "kernel-check", "tolerances.kernel_mass",
-        lambda data, env: data.update(tolerances={"kernel_mass": "a"})),
     "counterexample:verify=no": ("counterexample", "options.verify",
                                  _options(verify="no")),
     # keys the kind does not read, which would otherwise fall back
     # silently to a default
+    "convergence:levels=ab": ("convergence", "options.levels",
+                              _options(levels="ab")),
+    "convergence:levels=[0]": ("convergence", "options.levels",
+                               _options(levels=[0])),
     "pads.vv": ("ensemble", "pads.vv",
                 lambda data, env: data["pads"].update(vv=2.0)),
     # solve takes it, but a config's grid holds only the sizes
     "grid.store_every": ("ensemble", "grid.store_every",
                          lambda data, env: data["grid"].update(
                              store_every=2)),
+    # no kind reads a tolerances section
+    "kernel-check:kernel_mass=a": (
+        "kernel-check", "tolerances",
+        lambda data, env: data.update(tolerances={"kernel_mass": "a"})),
     "tolerances.kernel_mass": (
-        "ensemble", "tolerances.kernel_mass",
-        lambda data, env: data["tolerances"].update(kernel_mass=1e-6)),
+        "ensemble", "tolerances",
+        lambda data, env: data.update(tolerances={"kernel_mass": 1e-6})),
     "constants:digit=5": ("constants", "options.digit", _options(digit=5)),
     "constants:seeds": ("constants", "coefficients.seeds",
                         lambda data, env: data.update(
@@ -489,25 +492,6 @@ def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
             "RuntimeError: synthetic solver failure")
 
 
-def test_standard_member_raises_on_a_failed_solve_or_check(monkeypatch):
-    # the refinement and boundary pairs read run_standard_member, which
-    # must not skip a member or a check that raised
-    _fail_solves(monkeypatch, {1})
-    with pytest.raises(RuntimeError, match="^standard member 1: "
-                       "RuntimeError: synthetic solver failure$"):
-        experiments.run_standard_member(1)
-    monkeypatch.undo()
-
-    def boom(*args, **kwargs):
-        raise ValueError("synthetic checker failure")
-
-    monkeypatch.setattr(experiments, "check_linfty_bound", boom)
-    with pytest.raises(RuntimeError, match="^standard member 2: "
-                       "linfty_bound: ValueError: synthetic checker "
-                       "failure; linfty_bound: "):
-        experiments.run_standard_member(2)
-
-
 def _fail_linfty_checks(monkeypatch, fail_seeds):
     """experiments.check_linfty_bound raises for the coefficient seeds
     listed."""
@@ -550,6 +534,28 @@ def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
     assert cli.run(config, out_dir=tmp_path) == 1
     reports = json.loads((tmp_path / "reports.json").read_text())
     assert {m["status"] for m in reports["members"]} == {"error"}
+
+
+def test_missing_calibration_fails_the_run(tmp_path, monkeypatch):
+    # without the calibration file no calibrated check has a bound to
+    # fail against, which must not read as a pass
+    monkeypatch.setattr(importlib.resources, "files",
+                        lambda package: tmp_path)
+    load_calibration.cache_clear()
+    try:
+        with pytest.raises(FileNotFoundError):
+            load_calibration()
+        data = example_dict()
+        data["threads"] = 1
+        out = tmp_path / "out"
+        assert cli.run(ExperimentConfig.from_dict(data), out_dir=out) == 1
+    finally:
+        load_calibration.cache_clear()
+    reports = json.loads((out / "reports.json").read_text())
+    errors = [e["error"] for m in reports["members"] for e in m["errors"]]
+    assert len(errors) == len(data["checks"]) * len(
+        data["coefficients"]["seeds"])
+    assert all(e.startswith("FileNotFoundError") for e in errors), errors
 
 
 @pytest.mark.parametrize("kind, grid, rows", [
@@ -703,6 +709,63 @@ def test_one_worker_builds_no_pool(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2))
     assert [m["seed"] for m in experiments.run_standard_ensemble()] == [1, 2]
+
+
+def test_pairs_solve_only_their_variant_members(monkeypatch):
+    # the pairs read their base constants from the ensemble, so each
+    # standard member is solved once; the demo grid keeps the solves small
+    calls = []
+    run_members = experiments.run_members
+
+    def recorder(jobs, workers):
+        calls.append((list(jobs), workers))
+        return run_members(jobs, workers)
+
+    demo = cli._member_config(ExperimentConfig.from_dict(example_dict()),
+                              [{"name": "energy_estimate"}])
+    monkeypatch.setattr(experiments, "run_members", recorder)
+    monkeypatch.setattr(experiments, "STANDARD_CONFIG", demo)
+    monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2, 3, 4, 5, 7, 13))
+    ensemble = experiments.run_standard_ensemble()
+    refinement = experiments.run_refinement_pairs(ensemble)
+    boundary = experiments.run_boundary_pairs(ensemble)
+
+    fine = dict(demo, grid={k: 2 * n for k, n in demo["grid"].items()})
+    wide = experiments._standard_config(box_scale=1.5)
+    assert wide["grid"] == dict(demo["grid"], nx=144, nv=72)
+    assert wide["box"] == dict(demo["box"], x0=-3.75, x1=3.75,
+                               v0=-5.25, v1=5.25)
+    assert [jobs for jobs, _ in calls] == [
+        [(demo, seed) for seed in (1, 2, 3, 4, 5, 7, 13)],
+        [(fine, seed) for seed in (1, 2, 3, 4, 5)],
+        [(wide, seed) for seed in (1, 7, 13)]]
+    assert len({workers for _, workers in calls}) == 1
+    assert [pair["seed"] for pair in refinement] == [1, 2, 3, 4, 5]
+    assert [pair["seed"] for pair in boundary] == [1, 7, 13]
+    base = {member["seed"]: {r.statement_id: r.empirical_constant
+                             for r in member["reports"]}
+            for member in ensemble}
+    assert all(pair["base"] == base[pair["seed"]]
+               for pair in refinement + boundary)
+
+
+def test_boundary_pair_equals_its_two_members(monkeypatch):
+    monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1,))
+    monkeypatch.setattr(experiments, "BOUNDARY_SEEDS", (1,))
+    pairs = experiments.run_boundary_pairs(
+        experiments.run_standard_ensemble())
+
+    def constants(**variant):
+        record = experiments.run_member(
+            experiments._standard_config(**variant), 1)
+        return {r.statement_id: r.empirical_constant
+                for r in record["reports"]}
+
+    base, wide = constants(), constants(box_scale=experiments.BOUNDARY_SCALE)
+    assert len(base) == len(experiments.STANDARD_CONFIG["checks"])
+    assert pairs == [{"seed": 1, "base": base, "wide": wide,
+                      "shifts": {sid: abs(wide[sid] / base[sid] - 1.0)
+                                 for sid in base}}]
 
 
 # Small grids that resolve the statements the demo config leaves out;

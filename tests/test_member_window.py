@@ -1,7 +1,7 @@
 """A solve stores only the (x, v) window of cells its consumer reads.
 
-run_member, which run_standard_member and run_oscillation_member call,
-passes solve the read_window of its checks' declared cylinders; for
+run_member, through which the standard ensemble, its refined and
+widened variants and the oscillation members run, passes solve the read_window of its checks' declared cylinders; for
 kfplab verify it passes the weak basis's read window instead, and
 run_solver_oracle the read_window of its cylinder.  Every report, error
 text included, must be byte-identical to the same computation on the

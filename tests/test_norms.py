@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfplab.estimates import (
-    InsufficientResolutionError,
     band_fraction,
     cylinder_average,
     gagliardo_x_seminorm,
@@ -18,14 +17,19 @@ from kfplab.estimates import (
     source_l2,
     source_sup,
     sup_on,
-    velocity_gradient,
 )
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import (
     constant_coefficients,
     make_rough_coefficients,
 )
-from kfplab.solver.grid import SafeRegionError, centered_axis, sample_function
+from kfplab.solver.grid import (
+    InsufficientResolutionError,
+    SafeRegionError,
+    centered_axis,
+    sample_function,
+    velocity_gradient,
+)
 
 ORIGIN = (0.0, 0.0, 0.0)
 
