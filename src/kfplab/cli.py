@@ -36,7 +36,8 @@ from .solver.grid import Box, InsufficientResolutionError
 # the check_* names resolve in kfplab.experiments; this module keeps
 # solve because perfbench/spans.py wraps it here too
 from .solver.march import CFL_LIMIT, solve, solve_axes, solve_grid  # noqa: F401
-from .solver.weak import EmptyBumpError, basis_windows, weak_residual
+from .solver.weak import (EmptyBumpError, basis_windows, weak_basis,
+                          weak_residual)
 
 __all__ = ["ExperimentConfig", "validate", "run", "main", "parse_seeds"]
 
@@ -343,11 +344,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _passes(report) -> bool:
-    # no calibrated bound means nothing to fail against
-    return report.passed is not False
-
-
 def _member_config(config: ExperimentConfig, checks=()) -> dict:
     """The compute fields of a valid config, defaults filled in, in the
     sections experiments.run_member reads, with the given checks."""
@@ -415,7 +411,7 @@ def _run_kernel_check(config: ExperimentConfig, out: Path):
                            <= _RESIDUAL_RATIO[1]),
         "negative_control": suite["control_factor"] >= _CONTROL_FACTOR_MIN,
         "semigroup": suite["semigroup_defect"] <= _SEMIGROUP_DEFECT_TOL,
-        "representation": _passes(rep_report),
+        "representation": rep_report.passed is True,
     }
     payload = {
         "kind": "kernel-check",
@@ -464,8 +460,9 @@ def _run_verify(config: ExperimentConfig, out: Path):
                                     weak_basis=True)
     if record["status"] == "error":
         return _failed("verify", record, ["residual_sub", "residual_super"])
-    f = record["solution"]
-    residuals = {d: weak_residual(f, record["coefficients"], direction=d)
+    f, coef = record["solution"], record["coefficients"]
+    basis = weak_basis(f, coef)
+    residuals = {d: weak_residual(f, coef, direction=d, basis=basis)
                  for d in ("sub", "super")}
     payload = {
         "kind": "verify",
@@ -517,9 +514,11 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
     if osc_rows:
         plots["osc_vs_radius.csv"] = (
             ("seed", "center_t", "radius", "oscillation"), osc_rows)
-    # a run that evaluated no check, or a check that raised, fails
-    # whatever the policy
-    failed = (not all_reports or not all(map(_passes, all_reports))
+    # a run in which no report has a verdict (no check was evaluated,
+    # or none had a bound to fail against), or a check raised, fails
+    # whatever the policy; a report without a verdict fails nothing
+    verdicts = [r.passed for r in all_reports if r.passed is not None]
+    failed = (not verdicts or not all(verdicts)
               or any("errors" in m for m in members)
               or (config.strict and any(m["status"] == "error"
                                         for m in members)))

@@ -85,6 +85,7 @@ from .solver.weak import (
     basis_read_window,
     indicator_subsolution,
     translated_kernel_solution,
+    weak_basis,
     weak_residual,
 )
 
@@ -538,13 +539,16 @@ def run_counterexample() -> dict:
     gap_removed = check_ivl(f, coef, *CE_DELTAS, time_gap=False)
     with_gap = check_ivl(f, coef, *CE_DELTAS, time_gap=True)
     g = counterexample_companion()
+    basis = weak_basis(g, coef)
     return {
         "gap_removed": gap_removed,
         "with_gap": with_gap,
         "intermediate_fraction": gap_removed.extras["fraction_intermediate"],
         "nu": gap_removed.extras["nu"],
-        "residual_sub": weak_residual(g, coef, direction="sub"),
-        "residual_super": weak_residual(g, coef, direction="super"),
+        "residual_sub": weak_residual(g, coef, direction="sub",
+                                      basis=basis),
+        "residual_super": weak_residual(g, coef, direction="super",
+                                        basis=basis),
     }
 
 

@@ -8,7 +8,7 @@ from .march import (CFLViolationError, SolverDivergenceError, fit_order,
                     solve, transport_weights)
 from .weak import (HingeProfile, TestBump, WeakResidualReport,
                    default_hinges, default_test_basis, indicator_subsolution,
-                   translated_kernel_solution, weak_residual)
+                   translated_kernel_solution, weak_basis, weak_residual)
 
 __all__ = [
     "CoefficientField", "constant_coefficients", "make_rough_coefficients",
@@ -18,5 +18,5 @@ __all__ = [
     "transport_weights",
     "HingeProfile", "TestBump", "WeakResidualReport", "default_hinges",
     "default_test_basis", "indicator_subsolution",
-    "translated_kernel_solution", "weak_residual",
+    "translated_kernel_solution", "weak_basis", "weak_residual",
 ]

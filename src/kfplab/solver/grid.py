@@ -350,10 +350,15 @@ def load_grid_function(path) -> GridFunction:
                         solve_box=solve_box, meta=meta)
 
 
-def velocity_gradient(values: np.ndarray, dv: float) -> np.ndarray:
-    """d/dv along the last axis: centered inside, one-sided at walls."""
-    g = np.empty_like(values)
-    g[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dv)
+def velocity_gradient(values: np.ndarray, dv: float,
+                      out=None) -> np.ndarray:
+    """d/dv along the last axis: centered inside, one-sided at walls.
+
+    Written to out (an array of values' shape, not values itself) when
+    given, else to a new array, and returned."""
+    g = np.empty_like(values) if out is None else out
+    inner = np.subtract(values[..., 2:], values[..., :-2], out=g[..., 1:-1])
+    inner /= 2.0 * dv
     g[..., 0] = (values[..., 1] - values[..., 0]) / dv
     g[..., -1] = (values[..., -1] - values[..., -2]) / dv
     return g

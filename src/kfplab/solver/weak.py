@@ -16,6 +16,13 @@ smooth sub-solutions; the discrete residual is compared against a
 grid-scaled tolerance.  Super-solutions are verified through the
 mirror identity: f is a super-solution iff -f is a sub-solution for
 the source -S.
+
+What does not depend on beta or the direction is built once by
+weak_basis and shared by both directions: f's view on the bumps' read
+window, the coefficients once per coefficient time cell, and each
+bump's -T phi, grad_v phi and the two factors of phi.  weak_residual
+forms the rest per hinge in three window-sized buffers and per pair in
+two bump-sized ones.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from .grid import (GridFunction, InsufficientResolutionError,
 
 __all__ = ["TestBump", "HingeProfile", "default_test_basis",
            "default_hinges", "EmptyBumpError", "basis_windows",
-           "basis_read_window", "weak_residual", "WeakResidualReport",
+           "basis_read_window", "WeakBasis", "weak_basis", "weak_residual",
+           "WeakResidualReport",
            "indicator_subsolution", "translated_kernel_solution"]
 
 
@@ -71,9 +79,15 @@ class TestBump:
         (wt, wx, wv) = self.widths
         return (T - tc) / wt, (X - xc) / wx, (V - vc) / wv
 
-    def value(self, T, X, V):
+    def value_factors(self, T, X, V):
+        """(pt px, pv), whose product is value: a caller may form it in
+        a buffer of its own."""
         st, sx, sv = self._s(T, X, V)
-        return _profile(st) * _profile(sx) * _profile(sv)
+        return _profile(st) * _profile(sx), _profile(sv)
+
+    def value(self, T, X, V):
+        tx, pv = self.value_factors(T, X, V)
+        return tx * pv
 
     def transport(self, T, X, V):
         """T phi = d/dt phi + v d/dx phi, analytic."""
@@ -107,22 +121,31 @@ class HingeProfile:
     threshold: float
     width: float
 
-    def value_and_deriv(self, s):
-        """beta(s) and beta'(s) from one softplus term.
+    def value_and_deriv(self, s, out=None, negate=False):
+        """beta(s) and beta'(s) from one softplus term; of -s if negate.
 
         With z = (s - c) / eta and l = log(1 + exp(-|z|)), beta is
         eta (max(z, 0) + l) and beta' is exp(min(z, 0) - l).  numpy's
         logaddexp(0, y) evaluates exactly max(y, 0) + l (its y == 0
         branch gives log 2 on both sides), so both are bitwise
         eta logaddexp(0, z) and exp(-logaddexp(0, -z)).
+
+        out, three float arrays of s's shape, receives beta, beta' and
+        a scratch term, and the first two are returned; without it
+        three are allocated.  negate reads -s without a negated copy:
+        (-s) - c is the IEEE (-c) - s.
         """
-        # three buffers written in place; out= keeps 0-d input an array
-        shape = np.shape(s)
-        z = np.subtract(s, self.threshold, out=np.empty(shape))
+        if out is None:
+            out = tuple(np.empty(np.shape(s)) for _ in range(3))
+        value, z, l = out
+        if negate:
+            np.subtract(-self.threshold, s, out=z)
+        else:
+            np.subtract(s, self.threshold, out=z)
         z /= self.width
-        l = np.abs(z, out=np.empty(shape))
-        np.logaddexp(0.0, np.negative(l, out=l), out=l)
-        value = np.maximum(z, 0.0, out=np.empty(shape))
+        np.copysign(z, -1.0, out=l)  # -|z|
+        np.logaddexp(0.0, l, out=l)
+        np.maximum(z, 0.0, out=value)
         value += l
         value *= self.width
         deriv = np.minimum(z, 0.0, out=z)
@@ -229,39 +252,90 @@ class WeakResidualReport:
         return dataclasses.asdict(self)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class WeakBasis:
+    """What weak_residual reads of f, coef and the test bumps, built
+    once for both directions by weak_basis."""
+
+    f: GridFunction
+    coef: CoefficientField
+    values: np.ndarray  # f.values on basis_read_window, a view
+    groups: list  # (t slice of the window, A, B, S) per time cell
+    bumps: list  # (window slice, -T phi, grad_v phi, (pt px, pv))
+
+
+def weak_basis(f: GridFunction, coef: CoefficientField,
+               phis=None) -> WeakBasis:
+    """The bump and coefficient data of weak_residual on f for phis
+    (default: basis_windows' basis), which both directions share.
+
+    f is read on basis_read_window, through a view.  The field depends
+    on t only through coef.time_cell, so A, B and S are sampled once per
+    run of window slices in one time cell, as (1, nx, nv) rows that
+    broadcast over the run; a field without time_cell is sampled once
+    per slice.  Each bump keeps, on open grids of its own window, -T phi
+    and grad_v phi at full size, and the factors (pt px, pv) whose
+    product is phi.
+    """
+    phis, windows = basis_windows(f, phis)
+    union = basis_read_window(f, phis)
+    T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
+    time_cell = getattr(coef, "time_cell", None)
+    keys = np.arange(T.size) if time_cell is None else time_cell(T.ravel())
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
+    groups = []
+    for a, b in zip(starts, starts[1:] + [T.size]):
+        groups.append((slice(a, b), *(
+            np.asarray(field(T[a:a + 1], X, V), float)
+            for field in (coef.diffusion, coef.drift, coef.source))))
+    lo = [s.start for s in union]
+    bumps = []
+    for phi, w in zip(phis, windows):
+        sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
+        T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
+        bumps.append((sl, -phi.transport(T, X, V), phi.grad_v(T, X, V),
+                      phi.value_factors(T, X, V)))
+    return WeakBasis(f, coef, f.values[union], groups, bumps)
+
+
 def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
-                  phis=None, tolerance=None,
-                  direction="sub") -> WeakResidualReport:
+                  phis=None, tolerance=None, direction="sub",
+                  basis=None) -> WeakResidualReport:
     """Max weak residual of f over a (beta, phi) basis.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  phis is read by basis_windows, which rejects an
-    empty basis and bumps outside the safe box or holding no cell
-    center.  Positive residuals beyond the tolerance mean the
+    mirrored one.  The bumps and coefficients come from basis, which
+    must be weak_basis(f, coef, phis) of this f and coef; without it
+    this call builds one (phis is then read by basis_windows, which
+    rejects an empty basis and bumps outside the safe box or holding
+    no cell center).  Positive residuals beyond the tolerance mean the
     inequality fails.
 
-    Each hinge's value and derivative come from one shared softplus
-    term (HingeProfile.value_and_deriv).  They, the velocity gradient,
-    the coefficients and the bump-independent products A grad_v beta(f)
-    and S beta'(f) + B grad_v beta(f) are evaluated once per hinge, on
-    basis_read_window (the read_window of the bump supports), where the
-    gradient is the whole grid's at every cell a bump reads; only that
-    window of f is copied, and f may store only its (x, v) part.  One
-    hinge's fields are freed before the next hinge's are allocated.
-    The integrand's products and term order are fixed (beta(f) times
-    the stored -T phi is the IEEE product -beta(f) T phi), so the
-    residuals are bitwise those of a per-bump evaluation on the full
-    grid.
+    Per hinge, its value and derivative (one shared softplus term,
+    HingeProfile.value_and_deriv, of -f for "super"), the velocity
+    gradient and the bump-independent products A grad_v beta(f) and
+    S beta'(f) + B grad_v beta(f), the coefficients broadcast per time
+    cell, are written on the basis window to three buffers that every
+    hinge of the call reuses.  Per pair, phi is formed from its
+    factors and the integrand summed in two bump-sized buffers.  The
+    integrand's products and term order are fixed (beta(f) times the
+    stored -T phi is the IEEE product -beta(f) T phi, and the mirror
+    takes -S beta'(f) as -(S beta'(f))), so the residuals are bitwise
+    those of a per-bump evaluation on the full grid.
     """
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
-    sgn = 1.0 if direction == "sub" else -1.0
-
-    phis, windows = basis_windows(f, phis)
+    negate = direction == "super"
+    if basis is None:
+        basis = weak_basis(f, coef, phis)
+    elif basis.f is not f or basis.coef is not coef:
+        raise ValueError("basis was built for another f or coef")
+    elif phis is not None:
+        raise ValueError("phis is fixed by basis; pass it to weak_basis")
     if betas is None:
         fmin, fmax = f.extrema
-        betas = default_hinges(*((fmin, fmax) if sgn > 0
-                                 else (-fmax, -fmin)))
+        betas = default_hinges(*((-fmax, -fmin) if negate
+                                 else (fmin, fmax)))
     if len(betas) == 0:
         raise ValueError("betas is empty: no (beta, phi) pair to test")
     if tolerance is None:
@@ -269,27 +343,14 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
         tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     measure = f.cell_measure
-    union = basis_read_window(f, phis)
-    lo = [s.start for s in union]
-    T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
-    A = np.asarray(coef.diffusion(T, X, V), float)
-    B = np.asarray(coef.drift(T, X, V), float)
-    S = sgn * np.asarray(coef.source(T, X, V), float)
-
-    # each bump on open grids of its own window, at its offset in union;
-    # -T phi is stored so that beta(f) needs no negated copy per hinge
-    phi_data = []
-    for phi, w in zip(phis, windows):
-        sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
-        T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
-        phi_data.append((sl, -phi.transport(T, X, V), phi.value(T, X, V),
-                         phi.grad_v(T, X, V)))
-
+    groups = [(g, A, B, -S if negate else S) for g, A, B, S in basis.groups]
+    fields = tuple(np.empty(basis.values.shape) for _ in range(3))
+    largest = max(ntphi.size for _, ntphi, _, _ in basis.bumps)
+    pair = (np.empty(largest), np.empty(largest))
     rows = []
     worst = None
-    fu = sgn * f.values[union]
     for beta in betas:
-        sums = _hinge_sums(beta, fu, f.dv, A, B, S, phi_data)
+        sums = _hinge_sums(beta, basis, negate, groups, fields, pair)
         for k, total in enumerate(sums):
             r = measure * total
             rows.append({"beta": beta.describe(), "phi_index": k,
@@ -308,21 +369,27 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     )
 
 
-def _hinge_sums(beta, fu, dv, A, B, S, phi_data) -> list:
-    """The integral sums of one hinge against each bump of phi_data.
-
-    The hinge's fields are freed on return, before the next hinge
-    allocates its own.
-    """
-    bf, dbf = beta.value_and_deriv(fu)
-    gbf = velocity_gradient(bf, dv)
-    # the bump-independent factors, once per hinge and in place:
-    # S beta'(f) + B grad_v beta(f) and A grad_v beta(f)
-    w = np.multiply(S, dbf, out=dbf)
-    w += B * gbf
-    agbf = np.multiply(gbf, A, out=gbf)
-    return [float(np.sum(bf[sl] * ntphi + agbf[sl] * gphi - w[sl] * pval))
-            for sl, ntphi, pval, gphi in phi_data]
+def _hinge_sums(beta, basis, negate, groups, fields, pair) -> list:
+    """The integral sums of one hinge against each bump of basis, in
+    the union-sized buffers fields and the bump-sized buffers pair."""
+    bf, dbf = beta.value_and_deriv(basis.values, out=fields, negate=negate)
+    gbf = velocity_gradient(bf, basis.f.dv, out=fields[2])
+    # in place per time cell: S beta'(f) + B grad_v beta(f) in dbf's
+    # buffer, then A grad_v beta(f) in gbf's
+    for g, A, B, S in groups:
+        w = np.multiply(S, dbf[g], out=dbf[g])
+        w += B * gbf[g]
+        np.multiply(gbf[g], A, out=gbf[g])
+    sums = []
+    for sl, ntphi, gphi, (tx, pv) in basis.bumps:
+        a, b = (buf[:ntphi.size].reshape(ntphi.shape) for buf in pair)
+        np.multiply(bf[sl], ntphi, out=a)
+        a += np.multiply(gbf[sl], gphi, out=b)
+        np.multiply(tx, pv, out=b)  # phi
+        b *= dbf[sl]
+        a -= b
+        sums.append(float(np.sum(a)))
+    return sums
 
 
 def indicator_subsolution(c, a, times, xs, vs) -> GridFunction:

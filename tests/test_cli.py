@@ -6,9 +6,11 @@ subprocesses on the shipped demo config.
 """
 
 import concurrent.futures
+import contextlib
 import copy
 import importlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -536,6 +538,25 @@ def test_run_without_an_evaluated_check_exits_1(tmp_path, monkeypatch):
     assert {m["status"] for m in reports["members"]} == {"error"}
 
 
+@pytest.mark.parametrize("keep, code", [(False, 1), (True, 0)],
+                         ids=["no-verdict", "mixed"])
+def test_a_run_needs_a_verdict_to_exit_0(keep, code, tmp_path):
+    # gain_integrability has no calibrated bound at p = 2.25, so its
+    # report has no verdict: alone it fails the run, beside passing
+    # checks it fails nothing
+    data = example_dict()
+    data["coefficients"]["seeds"] = [1]
+    data["threads"] = 1
+    data["checks"] = (data["checks"] if keep else []) + [
+        {"name": "gain_integrability", "p": 2.25}]
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == code
+    member, = json.loads((tmp_path / "reports.json").read_text())["members"]
+    verdicts = {r["statement_id"]: r["passed"] for r in member["reports"]}
+    assert verdicts.pop("gain_integrability[p=2.25]") is None
+    assert len(verdicts) == len(data["checks"]) - 1
+    assert all(v is True for v in verdicts.values())
+
+
 def test_missing_calibration_fails_the_run(tmp_path, monkeypatch):
     # without the calibration file no calibrated check has a bound to
     # fail against, which must not read as a pass
@@ -1046,3 +1067,22 @@ def test_every_config_runs_or_exits_2(data):
         code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
         wrote = (Path(out) / "reports.json").exists()
     assert code == 2 and not wrote or code in (0, 1) and wrote
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_compute_configs(), _num(5e-324, 8e-20))
+def test_a_cell_size_past_the_int64_cell_index_exits_2(data, cell_size):
+    # every drawn box has a corner at least 0.75 from the origin, so its
+    # lattice cell index (time_cell's too, by which the march and
+    # weak_basis group slices) reaches 2^63, or infinity when the size
+    # is subnormal
+    data["coefficients"]["cell_size"] = cell_size
+    printed = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(printed):
+        code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
+        wrote = (Path(out) / "reports.json").exists()
+    assert code == 2 and not wrote
+    fields = [v["field"] for v in json.loads(printed.getvalue())["violations"]]
+    assert "coefficients.cell_size" in fields

@@ -188,6 +188,24 @@ def test_velocity_gradient_linear_exact():
     assert np.max(np.abs(g - 1.0)) < 1e-12
 
 
+def test_velocity_gradient_into_buffer_bitwise_equals_allocating_form():
+    # the literal centred and one-sided quotients, written to a caller's
+    # buffer that is returned, leaving the input untouched
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((3, 4, 9))
+    kept = vals.copy()
+    dv = 0.37
+    literal = np.empty_like(vals)
+    literal[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * dv)
+    literal[..., 0] = (vals[..., 1] - vals[..., 0]) / dv
+    literal[..., -1] = (vals[..., -1] - vals[..., -2]) / dv
+    buf = np.full_like(vals, np.nan)
+    assert velocity_gradient(vals, dv, out=buf) is buf
+    assert (buf.tobytes() == velocity_gradient(vals, dv).tobytes()
+            == literal.tobytes())
+    assert vals.tobytes() == kept.tobytes()
+
+
 def test_grad_v_l1_linear():
     f = _grid(lambda t, x, v: v + 0.0 * t, 20, 0.4, 20, 0.25, 60, 0.7)
     cyl = _unit_cyl(0.6)

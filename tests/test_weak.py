@@ -18,6 +18,7 @@ from kfplab.solver import (
     make_rough_coefficients,
     solve,
     translated_kernel_solution,
+    weak_basis,
     weak_residual,
 )
 from kfplab.calibration import grid_tolerance
@@ -109,6 +110,23 @@ def test_hinge_bitwise_equals_literal_softplus(threshold, width):
             value, deriv = _literal_hinge(beta, x)
             assert _bits(beta.value(x)) == _bits(value)
             assert _bits(beta.deriv(x)) == _bits(deriv)
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["s", "minus-s"])
+def test_hinge_into_buffers_bitwise_equals_allocating_form(negate):
+    # weak_residual's reused buffers, and its mirror read without a
+    # negated copy: (-c) - s must round as (-s) - c does
+    beta = HingeProfile(0.3, 0.05)
+    with np.errstate(over="ignore"):
+        s = _hinge_sweep()
+        mirrored = np.negative(s) if negate else s
+        value, deriv = beta.value_and_deriv(mirrored)
+        literal = _literal_hinge(beta, mirrored)
+        out = tuple(np.empty(s.shape) for _ in range(3))
+        got = beta.value_and_deriv(s, out=out, negate=negate)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert _bits(got[0]) == _bits(value) == _bits(literal[0])
+    assert _bits(got[1]) == _bits(deriv) == _bits(literal[1])
 
 
 # ------------------------------------------------------------ test bumps
@@ -336,6 +354,24 @@ ROUGH = make_rough_coefficients(3, lam=0.25, Lam=1.0, cell_size=0.08,
                                 s_amp=0.2)
 
 
+class _SmoothField:
+    """Coefficients that vary within every slice interval and have no
+    time_cell, so weak_basis samples them once per slice.  Sums and
+    products only: they round alike on any broadcast shape."""
+
+    def diffusion(self, t, x, v):
+        return 0.5 + 0.2 * t * t + 0.1 * x * x + 0.05 * v * v
+
+    def drift(self, t, x, v):
+        return 0.3 * t - 0.2 * v + 0.1 * x
+
+    def source(self, t, x, v):
+        return 0.1 * t * x + 0.05 * v
+
+    def describe(self):
+        return {"kind": "smooth"}
+
+
 @pytest.mark.parametrize("coef, pad_v, kw", [
     pytest.param(ROUGH, 0.5, {}, id="default-basis-with-pads"),
     pytest.param(ROUGH, 0.0, {}, id="window-clipped-at-both-v-walls"),
@@ -351,11 +387,31 @@ ROUGH = make_rough_coefficients(3, lam=0.25, Lam=1.0, cell_size=0.08,
                  id="constant"),
     pytest.param(make_rough_coefficients(5, lam=0.2, Lam=1.0, cell_size=0.1),
                  0.5, {}, id="zero-source"),
+    pytest.param(_SmoothField(), 0.5, {}, id="field-without-time-cell"),
 ])
 def test_weak_residual_bitwise_equals_per_bump_reference(coef, pad_v, kw):
+    # each direction on a basis of its own, and both on one shared basis
     f = _rough_solve(coef, pad_v)
+    shared = weak_basis(f, coef, kw.get("phis"))
     for direction in ("sub", "super"):
-        rep = weak_residual(f, coef, direction=direction, **kw)
         ref = _reference_weak_residual(f, coef, direction, **kw)
-        assert (json.dumps(rep.to_json_dict(), indent=1)
-                == json.dumps(ref, indent=1))
+        for rep in (weak_residual(f, coef, direction=direction, **kw),
+                    weak_residual(f, coef, direction=direction,
+                                  basis=shared)):
+            assert (json.dumps(rep.to_json_dict(), indent=1)
+                    == json.dumps(ref, indent=1))
+
+
+def test_weak_residual_rejects_a_basis_of_another_f_or_coef():
+    f = _rough_solve(ROUGH)
+    basis = weak_basis(f, ROUGH)
+    other_f = _rough_solve(ROUGH)  # equal values, another function
+    other_coef = make_rough_coefficients(4, lam=0.25, Lam=1.0,
+                                         cell_size=0.08, s_amp=0.2)
+    for g, coef in ((other_f, ROUGH), (f, other_coef)):
+        with pytest.raises(ValueError, match="another f or coef"):
+            weak_residual(g, coef, basis=basis)
+    with pytest.raises(ValueError, match="phis is fixed by basis"):
+        weak_residual(f, ROUGH, basis=basis,
+                      phis=default_test_basis(((0.05, 0.25), (-0.5, 0.3),
+                                               (-0.8, 0.9))))
