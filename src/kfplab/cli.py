@@ -203,6 +203,11 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
                         out.append(_violation(field, f"{label}: {exc}"))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, the bound on a config's grid."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     get = values.get
 
@@ -250,6 +255,16 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
 
     pad_x, pad_v = get("pads.x"), get("pads.v")
     nt, nx, nv = get("grid.nt"), get("grid.nx"), get("grid.nv")
+    if None not in (nt, nx, nv):
+        # the march stores up to (nt + 1) nx nv float64 cells; overcommit
+        # may grant more than the memory, which then faults in
+        cells, memory = (nt + 1) * nx * nv, _physical_memory()
+        if 8 * cells > memory:
+            out.append(_violation(
+                max(("grid.nt", "grid.nx", "grid.nv"), key=get),
+                f"grid too large to build: (nt + 1) nx nv = {cells} float64 "
+                f"cells exceed the {memory} bytes of physical memory"))
+            nt = nx = nv = None  # build no axis
     safe = grid = None
     if box is not None and None not in (pad_x, pad_v):
         if box.x0 + pad_x < box.x1 - pad_x and box.v0 + pad_v < box.v1 - pad_v:
@@ -462,7 +477,7 @@ def _run_verify(config: ExperimentConfig, out: Path):
         return _failed("verify", record, ["residual_sub", "residual_super"])
     f, coef = record["solution"], record["coefficients"]
     basis = weak_basis(f, coef)
-    residuals = {d: weak_residual(f, coef, direction=d, basis=basis)
+    residuals = {d: weak_residual(basis, direction=d)
                  for d in ("sub", "super")}
     payload = {
         "kind": "verify",

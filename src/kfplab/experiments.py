@@ -236,7 +236,7 @@ def run_member(config: dict, seed: int, *, weak_basis=False) -> dict:
     solve takes the grid section as keywords (store_every too, where
     given) and stores only the _checked_window of the checks, the whole
     grid when there are none.  weak_basis, for a config without checks
-    whose solution goes to weak_residual with the default basis, stores
+    whose solution goes to weak_basis with the default bumps, stores
     instead the (x, v) part of basis_read_window on the grid solve
     would return.  The record holds the solution, the coefficient field
     and the reports in check order, a check that raised as
@@ -480,7 +480,7 @@ def run_mixing_instance() -> dict:
         "ivl": ivl,
         "measure_to_pointwise": check_measure_to_pointwise(f, coef, 0.25),
         "nu": ivl.extras["nu"],
-        "residual_sub": weak_residual(f, coef, direction="sub"),
+        "residual_sub": weak_residual(weak_basis(f, coef), direction="sub"),
     }
 
 
@@ -545,10 +545,8 @@ def run_counterexample() -> dict:
         "with_gap": with_gap,
         "intermediate_fraction": gap_removed.extras["fraction_intermediate"],
         "nu": gap_removed.extras["nu"],
-        "residual_sub": weak_residual(g, coef, direction="sub",
-                                      basis=basis),
-        "residual_super": weak_residual(g, coef, direction="super",
-                                        basis=basis),
+        "residual_sub": weak_residual(basis, direction="sub"),
+        "residual_super": weak_residual(basis, direction="super"),
     }
 
 

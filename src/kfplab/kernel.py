@@ -24,7 +24,6 @@ import numpy as np
 from .geometry import as_point, inverse
 
 __all__ = [
-    "QuadratureError",
     "kolmogorov_g",
     "detuned_kernel",
     "kernel_mass",
@@ -39,10 +38,6 @@ __all__ = [
 # exp() underflows to subnormal around -708; below this floor the kernel
 # is returned as exact 0.
 EXP_FLOOR = -700.0
-
-
-class QuadratureError(ValueError):
-    """Raised when a quadrature cannot meet its accuracy budget."""
 
 
 def _kernel(t, x, v, v_divisor):
@@ -98,15 +93,15 @@ def detuned_kernel(t, x, v):
     return _kernel(t, x, v, 2.0)
 
 
-def _sheared_grid(t, n, mult):
+def _sheared_grid(t, n):
     """Midpoint grid adapted to the kernel concentration at time t.
 
     Substituting u = x - (t/2) v (unit Jacobian) factorizes G into
     independent Gaussians in u and v; the quadrature covers
-    |u| <= mult * t^{3/2} and |v| <= mult * sqrt(t).
+    |u| <= 8 t^{3/2} and |v| <= 8 sqrt(t).
     """
-    uh = mult * t**1.5
-    vh = mult * math.sqrt(t)
+    uh = 8.0 * t**1.5
+    vh = 8.0 * math.sqrt(t)
     frac = (np.arange(n) + 0.5) / n
     u = -uh + 2.0 * uh * frac
     v = -vh + 2.0 * vh * frac
@@ -115,39 +110,32 @@ def _sheared_grid(t, n, mult):
     return u, v, du, dv
 
 
-def kernel_mass(t, mult=8.0):
+def kernel_mass(t):
     """Total integral of G(t, ., .) by sheared midpoint quadrature on
     256 x 256 points.
 
-    The analytic truncation error of the domain |u| <= mult t^{3/2},
-    |v| <= mult sqrt(t) is 1 - erf(mult sqrt(3)) erf(mult / 2); if that
-    alone exceeds 5e-7 the quadrature is refused rather than silently
-    degraded.
+    The analytic truncation error of the sheared domain is
+    1 - erf(8 sqrt(3)) erf(4) = 1.54e-8 at every t > 0.
     """
     if t <= 0.0:
         raise ValueError("kernel_mass requires t > 0")
-    truncation = 1.0 - math.erf(mult * math.sqrt(3.0)) * math.erf(mult / 2.0)
-    if truncation > 5e-7:
-        raise QuadratureError(
-            f"domain multiplier {mult} leaves truncation {truncation:.2e}")
-    u, v, du, dv = _sheared_grid(t, 256, mult)
+    u, v, du, dv = _sheared_grid(t, 256)
     U, V = np.meshgrid(u, v, indexing="ij")
     X = U + 0.5 * t * V
     vals = kolmogorov_g(t, X, V)
     return float(np.sum(vals) * du * dv)
 
 
-def kernel_pde_residual(h, region=((0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-                        kernel=None):
+def kernel_pde_residual(h, kernel=None):
     """Max centered-difference residual of dG/dt + v dG/dx - d2G/dv2.
 
-    Evaluated on a 9^3 midpoint lattice of the region; the time range
-    must stay at least h away from 0.  Returns the max absolute
-    residual, an O(h^2) quantity for the true kernel.
+    Evaluated on a 9^3 midpoint lattice of [0.5, 1] x [-1, 1]^2, whose
+    time range must stay more than h away from 0.  Returns the max
+    absolute residual, an O(h^2) quantity for the true kernel.
     """
     if kernel is None:
         kernel = kolmogorov_g
-    (t0, t1), (x0, x1), (v0, v1) = region
+    (t0, t1), (x0, x1), (v0, v1) = (0.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)
     if t0 - h <= 0.0:
         raise ValueError("pde residual region must satisfy t0 > h")
     frac = (np.arange(9) + 0.5) / 9
@@ -165,11 +153,11 @@ def semigroup_defect(t, s, points):
     """Max defect of G(t) = G(s) * G(t-s) over the given (x, v) points.
 
     The inner convolution integral runs on the 400 x 400 sheared
-    midpoint grid of the G(t - s) factor, multiplier 8.
+    midpoint grid of the G(t - s) factor.
     """
     if not (0.0 < s < t):
         raise ValueError("semigroup_defect requires 0 < s < t")
-    u, vv, du, dv = _sheared_grid(t - s, 400, 8.0)
+    u, vv, du, dv = _sheared_grid(t - s, 400)
     U, V2 = np.meshgrid(u, vv, indexing="ij")
     X2 = U + 0.5 * (t - s) * V2
     inner = kolmogorov_g(t - s, X2, V2)

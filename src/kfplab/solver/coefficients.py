@@ -47,6 +47,10 @@ class CoefficientField:
     kind "rough" draws lattice-cell values from the seeded hash; kind
     "constant" returns the fixed triple const = (a, b, s) everywhere.
     Serialization carries only the defining parameters.
+
+    Any field solve and weak_basis take provides diffusion, drift,
+    source, describe and time_cell; a field whose values change with
+    every t may return t itself as its time cell.
     """
 
     seed: int
@@ -66,10 +70,11 @@ class CoefficientField:
             raise ValueError("s_amp must be nonnegative")
 
     def time_cell(self, t):
-        """Index of the lattice time cell holding t.
+        """Index of the lattice time cell holding t, elementwise.
 
         The field depends on t only through this index, so values
-        sampled at one t hold for every t in the same cell.
+        sampled at one t hold for every t in the same cell: solve and
+        weak_basis sample once per run of times in one cell.
         """
         return np.floor(t * (1.0 / self.cell_size))
 

@@ -20,7 +20,7 @@ from ..geometry import Cylinder
 
 __all__ = ["Box", "CylinderCells", "GridFunction", "SafeRegionError",
            "InsufficientResolutionError", "sample_function",
-           "load_grid_function", "velocity_gradient"]
+           "load_grid_function", "velocity_gradient", "window_union"]
 
 _MAGIC = b"KFPG"
 _VERSION = 1
@@ -180,14 +180,8 @@ class GridFunction:
             for axis, (lo, hi) in zip((self.times, self.xs, self.vs), bounds))
 
     def read_window(self, regions) -> tuple:
-        """The union of window(r) over the regions, v widened by one cell
-        per side (the low end clipped at 0, a stop past the axis end by
-        slicing) so velocity_gradient there is the whole grid's."""
-        windows = [self.window(r) for r in regions]
-        lo = [min(w.start for w in axis) for axis in zip(*windows)]
-        hi = [max(w.stop for w in axis) for axis in zip(*windows)]
-        lo[2], hi[2] = max(lo[2] - 1, 0), hi[2] + 1
-        return tuple(map(slice, lo, hi))
+        """window_union of window(r) over the regions."""
+        return window_union([self.window(r) for r in regions])
 
     def mask(self, cyl: Cylinder) -> np.ndarray:
         """Membership of the cell centers of window(cyl), one slice at a
@@ -350,15 +344,30 @@ def load_grid_function(path) -> GridFunction:
                         solve_box=solve_box, meta=meta)
 
 
+def window_union(windows) -> tuple:
+    """The union of (t, x, v) index windows, v widened by one cell per
+    side (the low end clipped at 0, a stop past the axis end by
+    slicing) so velocity_gradient there is the whole grid's."""
+    lo = [min(w.start for w in axis) for axis in zip(*windows)]
+    hi = [max(w.stop for w in axis) for axis in zip(*windows)]
+    lo[2], hi[2] = max(lo[2] - 1, 0), hi[2] + 1
+    return tuple(map(slice, lo, hi))
+
+
 def velocity_gradient(values: np.ndarray, dv: float,
                       out=None) -> np.ndarray:
     """d/dv along the last axis: centered inside, one-sided at walls.
 
     Written to out (an array of values' shape, not values itself) when
-    given, else to a new array, and returned."""
+    given, else to a new array, and returned.  The interior differences
+    are divided in one pass over the whole contiguous array, faster than
+    over its strided interior; the wall columns are zeroed first, so
+    stale values there raise no overflow warning, and written after.
+    """
     g = np.empty_like(values) if out is None else out
-    inner = np.subtract(values[..., 2:], values[..., :-2], out=g[..., 1:-1])
-    inner /= 2.0 * dv
+    g[..., 0] = g[..., -1] = 0.0
+    np.subtract(values[..., 2:], values[..., :-2], out=g[..., 1:-1])
+    g /= 2.0 * dv
     g[..., 0] = (values[..., 1] - values[..., 0]) / dv
     g[..., -1] = (values[..., -1] - values[..., -2]) / dv
     return g

@@ -12,13 +12,13 @@ One step is a Strang split T(dt/2) D(dt) T(dt/2):
   implicit matrix is an M-matrix and the step is monotone; the source
   enters this stage as + dt S.
 
-Coefficients are sampled at the step midpoint time.  A field that
-names its time cell (CoefficientField.time_cell) is sampled, and the
-v-matrix forward-eliminated, once per time cell; those factors are
-reused while the midpoint stays in that cell, so each step runs only
-the Thomas sweeps.  Constants are invariant up to roundoff, and without
-drift and diffusion of structure the scheme reduces to exact advection
-of whole-cell shifts.
+Coefficients are sampled at the step midpoint time.  A field depends
+on t only through its time cell (CoefficientField.time_cell), so it is
+sampled, and the v-matrix forward-eliminated, once per time cell; those
+factors are reused while the midpoint stays in that cell, so each step
+runs only the Thomas sweeps.  Constants are invariant up to roundoff,
+and without drift and diffusion of structure the scheme reduces to
+exact advection of whole-cell shifts.
 
 Inside solve the state and the v-factors are velocity-major (nv, nx)
 C-order arrays, so each step of the forward elimination and of both
@@ -250,10 +250,7 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     f = np.ascontiguousarray(f.T)
 
     transport = _transport(*transport_weights(vs, 0.5 * dt, dx), nx)
-    # rough fields are constant on time cells; duck-typed fields that
-    # cannot name their cell are re-sampled every step
-    time_cell = getattr(coef, "time_cell", None)
-    cell = factors = None
+    cell = None
 
     wx, wv = window or (slice(None), slice(None))
     values = np.empty((nt // store_every + 1, xs[wx].size, vs[wv].size))
@@ -267,8 +264,8 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     store(0, f)
     for n in range(nt):
         t_mid = box.t0 + (n + 0.5) * dt
-        key = None if time_cell is None else time_cell(t_mid)
-        if key is None or key != cell:
+        key = coef.time_cell(t_mid)
+        if key != cell:
             factors = _v_factors(coef, t_mid, xs, vs, dv, dt)
             cell = key
         f = transport(f)

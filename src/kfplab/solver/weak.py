@@ -21,8 +21,8 @@ What does not depend on beta or the direction is built once by
 weak_basis and shared by both directions: f's view on the bumps' read
 window, the coefficients once per coefficient time cell, and each
 bump's -T phi, grad_v phi and the two factors of phi.  weak_residual
-forms the rest per hinge in three window-sized buffers and per pair in
-two bump-sized ones.
+reads only that basis: it forms the rest per hinge in three
+window-sized buffers and per pair in two bump-sized ones.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ import dataclasses
 
 import numpy as np
 
+from ..calibration import grid_tolerance
 from ..geometry import as_point
 from ..kernel import translated_kernel_values
 from .coefficients import CoefficientField
 from .grid import (GridFunction, InsufficientResolutionError,
-                   sample_function, velocity_gradient)
+                   sample_function, velocity_gradient, window_union)
 
 __all__ = ["TestBump", "HingeProfile", "default_test_basis",
            "default_hinges", "EmptyBumpError", "basis_windows",
@@ -152,12 +153,6 @@ class HingeProfile:
         deriv -= l
         return value, np.exp(deriv, out=deriv)
 
-    def value(self, s):
-        return self.value_and_deriv(s)[0]
-
-    def deriv(self, s):
-        return self.value_and_deriv(s)[1]
-
     def describe(self):
         return {"threshold": self.threshold, "width": self.width}
 
@@ -225,8 +220,7 @@ def basis_windows(f: GridFunction, phis=None):
 def basis_read_window(f: GridFunction, phis=None) -> tuple:
     """The cells of f weak_residual reads for basis_windows(f, phis)'s
     bumps: the read_window of their supports."""
-    phis, _ = basis_windows(f, phis)
-    return f.read_window(phi.support() for phi in phis)
+    return window_union(basis_windows(f, phis)[1])
 
 
 def default_hinges(f_min, f_max):
@@ -258,7 +252,6 @@ class WeakBasis:
     once for both directions by weak_basis."""
 
     f: GridFunction
-    coef: CoefficientField
     values: np.ndarray  # f.values on basis_read_window, a view
     groups: list  # (t slice of the window, A, B, S) per time cell
     bumps: list  # (window slice, -T phi, grad_v phi, (pt px, pv))
@@ -269,19 +262,18 @@ def weak_basis(f: GridFunction, coef: CoefficientField,
     """The bump and coefficient data of weak_residual on f for phis
     (default: basis_windows' basis), which both directions share.
 
-    f is read on basis_read_window, through a view.  The field depends
-    on t only through coef.time_cell, so A, B and S are sampled once per
+    basis_windows validates phis, and f is read on the union of their
+    windows (basis_read_window), through a view.  The field depends on
+    t only through coef.time_cell, so A, B and S are sampled once per
     run of window slices in one time cell, as (1, nx, nv) rows that
-    broadcast over the run; a field without time_cell is sampled once
-    per slice.  Each bump keeps, on open grids of its own window, -T phi
-    and grad_v phi at full size, and the factors (pt px, pv) whose
-    product is phi.
+    broadcast over the run.  Each bump keeps, on open grids of its own
+    window, -T phi and grad_v phi at full size, and the factors
+    (pt px, pv) whose product is phi.
     """
     phis, windows = basis_windows(f, phis)
-    union = basis_read_window(f, phis)
+    union = window_union(windows)
     T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
-    time_cell = getattr(coef, "time_cell", None)
-    keys = np.arange(T.size) if time_cell is None else time_cell(T.ravel())
+    keys = coef.time_cell(T.ravel())
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
     groups = []
     for a, b in zip(starts, starts[1:] + [T.size]):
@@ -295,21 +287,17 @@ def weak_basis(f: GridFunction, coef: CoefficientField,
         T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
         bumps.append((sl, -phi.transport(T, X, V), phi.grad_v(T, X, V),
                       phi.value_factors(T, X, V)))
-    return WeakBasis(f, coef, f.values[union], groups, bumps)
+    return WeakBasis(f, f.values[union], groups, bumps)
 
 
-def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
-                  phis=None, tolerance=None, direction="sub",
-                  basis=None) -> WeakResidualReport:
-    """Max weak residual of f over a (beta, phi) basis.
+def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
+    """Max weak residual of basis.f over the pairs of default_hinges of
+    its extrema (of -f for "super") and the basis's bumps.
 
     direction "sub" tests the sub-solution inequality, "super" the
-    mirrored one.  The bumps and coefficients come from basis, which
-    must be weak_basis(f, coef, phis) of this f and coef; without it
-    this call builds one (phis is then read by basis_windows, which
-    rejects an empty basis and bumps outside the safe box or holding
-    no cell center).  Positive residuals beyond the tolerance mean the
-    inequality fails.
+    mirrored one.  basis is weak_basis(f, coef, phis), which both
+    directions share.  Positive residuals beyond grid_tolerance of f's
+    steps mean the inequality fails.
 
     Per hinge, its value and derivative (one shared softplus term,
     HingeProfile.value_and_deriv, of -f for "super"), the velocity
@@ -326,21 +314,10 @@ def weak_residual(f: GridFunction, coef: CoefficientField, *, betas=None,
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
     negate = direction == "super"
-    if basis is None:
-        basis = weak_basis(f, coef, phis)
-    elif basis.f is not f or basis.coef is not coef:
-        raise ValueError("basis was built for another f or coef")
-    elif phis is not None:
-        raise ValueError("phis is fixed by basis; pass it to weak_basis")
-    if betas is None:
-        fmin, fmax = f.extrema
-        betas = default_hinges(*((-fmax, -fmin) if negate
-                                 else (fmin, fmax)))
-    if len(betas) == 0:
-        raise ValueError("betas is empty: no (beta, phi) pair to test")
-    if tolerance is None:
-        from ..calibration import grid_tolerance
-        tolerance = grid_tolerance(f.dt, f.dx, f.dv)
+    f = basis.f
+    fmin, fmax = f.extrema
+    betas = default_hinges(*((-fmax, -fmin) if negate else (fmin, fmax)))
+    tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     measure = f.cell_measure
     groups = [(g, A, B, -S if negate else S) for g, A, B, S in basis.groups]

@@ -191,7 +191,8 @@ def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
 @pytest.mark.parametrize("kind, grid, field", [
     ("verify", {"nx": 2 ** 62}, "grid.nx"),
     ("verify", {"nt": 2 ** 62}, "grid.nt"),
-    # the axes build; Q_1/2's cell mask would take 390 TiB
+    # past the physical memory; with that bound lifted the axes build
+    # and Q_1/2's cell mask, 390 TiB, is refused (see the test below)
     ("ensemble", {"nt": 2 ** 18, "nx": 2 ** 20, "nv": 2 ** 20}, "grid.nx"),
 ], ids=["verify-nx", "verify-nt", "ensemble-mask"])
 def test_grid_too_large_to_build_exits_2_naming_it(kind, grid, field,
@@ -208,6 +209,53 @@ def test_grid_too_large_to_build_exits_2_naming_it(kind, grid, field,
     assert [v["field"] for v in error["violations"]] == [field]
     assert error["violations"][0]["reason"].startswith(
         "grid too large to build: ")
+
+
+@pytest.mark.parametrize("kind, grid, field", [
+    ("verify", {}, "grid.nx"),
+    ("ensemble", {"nt": 200}, "grid.nt"),
+    ("solve", {"nv": 300}, "grid.nv"),
+], ids=["verify-nx", "ensemble-nt", "solve-nv"])
+def test_a_grid_past_the_physical_memory_exits_2_naming_it(
+        kind, grid, field, tmp_path, monkeypatch, capsys):
+    # the memory figure is lowered to the demo-sized grid, so nothing
+    # large is asked for; no axis may be built for a rejected grid
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the axes of a grid past the memory")
+
+    data = dict(example_dict(), kind=kind)
+    data["grid"].update(grid)
+    g = data["grid"]
+    need = 8 * (g["nt"] + 1) * g["nx"] * g["nv"]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert validate(ExperimentConfig.from_dict(data)) == []
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    for name in ("solve_grid", "solve_axes"):
+        monkeypatch.setattr(cli, name, no_build)
+    monkeypatch.setattr(experiments, "solve", no_build)
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == [field]
+    assert error["violations"][0]["reason"] == (
+        f"grid too large to build: (nt + 1) nx nv = {need // 8} float64 "
+        f"cells exceed the {need - 1} bytes of physical memory")
+
+
+def test_a_mask_too_large_to_build_exits_2_within_the_memory(
+        tmp_path, monkeypatch, capsys):
+    # past the memory bound, validate still turns a refused allocation
+    # into exit 2: here Q_1/2's cell mask, 390 TiB, past the address
+    # space, so it is never allocated
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 80)
+    monkeypatch.setattr(experiments, "solve", None)
+    data = example_dict()
+    data["grid"].update(nt=2 ** 18, nx=2 ** 20, nv=2 ** 20)
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == ["grid.nx"]
+    reason = error["violations"][0]["reason"]
+    assert reason.startswith("grid too large to build: ")
+    assert "physical memory" not in reason
 
 
 def test_validation_counts_cells_on_the_axes_solve_stores():

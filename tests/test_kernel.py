@@ -60,10 +60,10 @@ def test_mass_is_one_at_all_scales():
 
 
 def test_mass_rejects_insufficient_domain():
-    with pytest.raises(K.QuadratureError):
-        K.kernel_mass(1.0, mult=2.0)
-    with pytest.raises(ValueError):
-        K.kernel_mass(0.0)
+    # no quadrature domain holds the point mass at t = 0
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t > 0"):
+            K.kernel_mass(t)
 
 
 def test_pde_residual_second_order():
@@ -81,8 +81,11 @@ def test_pde_residual_rejects_wrong_kernel():
 
 
 def test_pde_residual_region_guard():
-    with pytest.raises(ValueError):
-        K.kernel_pde_residual(0.2, region=((0.1, 1.0), (-1, 1), (-1, 1)))
+    # the lattice starts at t = 0.5: a step reaching t <= 0 is refused
+    for h in (0.5, 0.7):
+        with pytest.raises(ValueError, match="t0 > h"):
+            K.kernel_pde_residual(h)
+    assert K.kernel_pde_residual(0.49) > 0.0
 
 
 def test_semigroup_identity():

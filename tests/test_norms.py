@@ -206,6 +206,17 @@ def test_velocity_gradient_into_buffer_bitwise_equals_allocating_form():
     assert vals.tobytes() == kept.tobytes()
 
 
+def test_velocity_gradient_buffer_contents_raise_no_warning():
+    # the whole buffer is divided at once: stale huge values in the wall
+    # columns must not overflow before they are overwritten
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((3, 4, 9))
+    buf = np.full_like(vals, 1e308)
+    with np.errstate(all="raise"):
+        velocity_gradient(vals, 1e-3, out=buf)
+    assert buf.tobytes() == velocity_gradient(vals, 1e-3).tobytes()
+
+
 def test_grad_v_l1_linear():
     f = _grid(lambda t, x, v: v + 0.0 * t, 20, 0.4, 20, 0.25, 60, 0.7)
     cyl = _unit_cyl(0.6)

@@ -32,10 +32,14 @@ def test_exact_linear_growth_from_constant_source():
 
 
 class _NoDrift:
-    """Rough diffusion, zero drift and source: mass must be conserved."""
+    """Rough diffusion, zero drift and source: mass must be conserved.
+    Each time is its own time cell, so solve samples it every step."""
 
     def __init__(self, base):
         self.base = base
+
+    def time_cell(self, t):
+        return t
 
     def diffusion(self, t, x, v):
         return self.base.diffusion(t, x, v)
@@ -392,3 +396,11 @@ def test_coefficients_sampled_once_per_time_cell():
           nt=16)
     # midpoints (2n + 1) / 64 fall in the four 1/8 cells of [0, 1/2)
     assert coef.calls == 4
+
+
+def test_a_time_cell_per_time_samples_every_step():
+    # _NoDrift names each time as its own cell
+    coef = _CountingField(_NoDrift(ROUGH_EIGHTH))
+    solve(lambda x, v: np.exp(-x * x - v * v), coef, BOX, nx=32, nv=16,
+          nt=16)
+    assert coef.calls == 16

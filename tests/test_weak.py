@@ -37,8 +37,7 @@ def _axes(t0, t1, nt, x0, x1, nx, v0, v1, nv):
 def test_hinge_monotone_and_convex():
     beta = HingeProfile(0.3, 0.05)
     s = np.linspace(-2.0, 2.0, 4001)
-    vals = beta.value(s)
-    der = beta.deriv(s)
+    vals, der = beta.value_and_deriv(s)
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all(der >= 0.0) and np.all(der <= 1.0)
     # convexity: derivative nondecreasing
@@ -49,8 +48,9 @@ def test_hinge_derivative_consistent():
     beta = HingeProfile(-0.2, 0.11)
     s = np.linspace(-1.5, 1.5, 301)
     h = 1e-6
-    fd = (beta.value(s + h) - beta.value(s - h)) / (2.0 * h)
-    assert np.max(np.abs(fd - beta.deriv(s))) < 1e-8
+    fd = (beta.value_and_deriv(s + h)[0]
+          - beta.value_and_deriv(s - h)[0]) / (2.0 * h)
+    assert np.max(np.abs(fd - beta.value_and_deriv(s)[1])) < 1e-8
 
 
 @pytest.mark.parametrize("width", [0.1, 0.01, 0.001])
@@ -58,17 +58,16 @@ def test_hinge_ramp_limit(width):
     beta = HingeProfile(0.4, width)
     s = np.linspace(-2.0, 2.0, 2001)
     ramp = np.maximum(s - 0.4, 0.0)
-    gap = np.abs(beta.value(s) - ramp)
+    gap = np.abs(beta.value_and_deriv(s)[0] - ramp)
     # softplus exceeds the ramp by at most width * log 2, at the kink
     assert np.max(gap) <= width * np.log(2.0) + 1e-12
-    assert abs(beta.value(0.4) - width * np.log(2.0)) < 1e-12
+    assert abs(beta.value_and_deriv(0.4)[0] - width * np.log(2.0)) < 1e-12
 
 
 def test_hinge_extreme_arguments_stable():
     beta = HingeProfile(0.0, 0.01)
     big = np.array([-1e5, -1e2, 1e2, 1e5])
-    vals = beta.value(big)
-    der = beta.deriv(big)
+    vals, der = beta.value_and_deriv(big)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(der))
     assert vals[0] == 0.0 and der[0] == 0.0
     assert der[-1] == 1.0
@@ -104,12 +103,14 @@ def test_hinge_bitwise_equals_literal_softplus(threshold, width):
     with np.errstate(over="ignore"):  # 1e308 / width is inf on both sides
         s = _hinge_sweep()
         value, deriv = _literal_hinge(beta, s)
-        assert _bits(beta.value(s)) == _bits(value)
-        assert _bits(beta.deriv(s)) == _bits(deriv)
+        got = beta.value_and_deriv(s)
+        assert _bits(got[0]) == _bits(value)
+        assert _bits(got[1]) == _bits(deriv)
         for x in (0.4, threshold, -0.0, 1e308, -np.inf):
             value, deriv = _literal_hinge(beta, x)
-            assert _bits(beta.value(x)) == _bits(value)
-            assert _bits(beta.deriv(x)) == _bits(deriv)
+            got = beta.value_and_deriv(x)
+            assert _bits(got[0]) == _bits(value)
+            assert _bits(got[1]) == _bits(deriv)
 
 
 @pytest.mark.parametrize("negate", [False, True], ids=["s", "minus-s"])
@@ -186,9 +187,9 @@ def test_kernel_solution_weak_both_directions():
     times, xs, vs = _axes(-0.4, 0.0, 40, -1.2, 1.2, 96, -2.0, 2.0, 96)
     f = translated_kernel_solution(PhasePoint(-1.0, 0.0, 0.0),
                                    times, xs, vs)
-    coef = constant_coefficients(1.0, 0.0, 0.0)
+    basis = weak_basis(f, constant_coefficients(1.0, 0.0, 0.0))
     for direction in ("sub", "super"):
-        rep = weak_residual(f, coef, direction=direction)
+        rep = weak_residual(basis, direction)
         assert rep.passed, (direction, rep.max_residual, rep.tolerance)
         assert rep.max_residual <= rep.tolerance
 
@@ -199,8 +200,9 @@ def test_solver_output_weak_both_directions():
     box = Box(0.0, 0.3, -1.0, 1.0, -1.5, 1.5)
     f0 = lambda x, v: np.exp(-4.0 * x**2 - 2.0 * v**2)
     f = solve(f0, coef, box, nx=160, nv=96, nt=60, pad_x=0.4, pad_v=0.5)
+    basis = weak_basis(f, coef)
     for direction in ("sub", "super"):
-        rep = weak_residual(f, coef, direction=direction)
+        rep = weak_residual(basis, direction)
         assert rep.passed, (direction, rep.max_residual, rep.tolerance)
 
 
@@ -209,10 +211,10 @@ def test_indicator_is_subsolution_but_not_super():
     # mirrored test must fail with a wide margin (negative control)
     times, xs, vs = _axes(-0.5, 0.0, 80, -1.0, 1.0, 160, -1.0, 1.0, 80)
     f = indicator_subsolution(1.2, 0.1, times, xs, vs)
-    coef = constant_coefficients(0.5, 0.0, 0.0)
-    sub = weak_residual(f, coef, direction="sub")
+    basis = weak_basis(f, constant_coefficients(0.5, 0.0, 0.0))
+    sub = weak_residual(basis, "sub")
     assert sub.passed
-    sup = weak_residual(f, coef, direction="super")
+    sup = weak_residual(basis, "super")
     assert not sup.passed
     assert sup.max_residual >= 10.0 * sup.tolerance
 
@@ -222,8 +224,7 @@ def test_slow_indicator_fails_subsolution():
     # on part of the line and the sub-solution inequality breaks
     times, xs, vs = _axes(-0.5, 0.0, 80, -1.0, 1.0, 160, -1.0, 1.0, 80)
     f = indicator_subsolution(0.3, 0.05, times, xs, vs)
-    coef = constant_coefficients(0.5, 0.0, 0.0)
-    rep = weak_residual(f, coef, direction="sub")
+    rep = weak_residual(weak_basis(f, constant_coefficients(0.5, 0.0, 0.0)))
     assert not rep.passed
     assert rep.max_residual >= 2.0 * rep.tolerance
 
@@ -235,7 +236,7 @@ def test_weak_residual_rejects_bump_outside_safe_box():
     coef = constant_coefficients(1.0, 0.0, 0.0)
     bad = TestBump((-0.2, 0.85, 0.0), (0.1, 0.1, 0.2))
     with pytest.raises(ValueError, match="safe box"):
-        weak_residual(f, coef, phis=[bad])
+        weak_basis(f, coef, phis=[bad])
 
 
 def test_weak_residual_rejects_bump_holding_no_cell():
@@ -246,40 +247,40 @@ def test_weak_residual_rejects_bump_holding_no_cell():
     dv = f.dv
     thin = TestBump((-0.2, 0.0, vs[0] - dv / 4), (0.1, 0.3, dv / 8))
     with pytest.raises(ValueError, match="holds no cell"):
-        weak_residual(f, constant_coefficients(1.0, 0.0, 0.0), phis=[thin])
+        weak_basis(f, constant_coefficients(1.0, 0.0, 0.0), phis=[thin])
 
 
 def test_weak_residual_direction_validated():
     times, xs, vs = _axes(-0.2, 0.0, 10, -1.0, 1.0, 24, -1.0, 1.0, 24)
     f = indicator_subsolution(1.2, 0.0, times, xs, vs)
     with pytest.raises(ValueError, match="direction"):
-        weak_residual(f, constant_coefficients(1.0, 0.0, 0.0),
+        weak_residual(weak_basis(f, constant_coefficients(1.0, 0.0, 0.0)),
                       direction="sideways")
 
 
-@pytest.mark.parametrize("name", ["phis", "betas"])
-def test_weak_residual_rejects_empty_basis(name):
+def test_weak_basis_rejects_empty_basis():
     # no (beta, phi) pair evaluated is not a pass
     times, xs, vs = _axes(-0.2, 0.0, 10, -1.0, 1.0, 24, -1.0, 1.0, 24)
     f = indicator_subsolution(1.2, 0.0, times, xs, vs)
-    with pytest.raises(ValueError, match=f"{name} is empty"):
-        weak_residual(f, constant_coefficients(1.0, 0.0, 0.0), **{name: []})
+    with pytest.raises(ValueError, match="phis is empty"):
+        weak_basis(f, constant_coefficients(1.0, 0.0, 0.0), phis=[])
 
 
 def test_custom_basis_and_report_roundtrip():
     times, xs, vs = _axes(-0.4, 0.0, 20, -1.0, 1.0, 48, -1.0, 1.0, 48)
     f = indicator_subsolution(1.2, 0.1, times, xs, vs)
     coef = constant_coefficients(0.5, 0.0, 0.0)
-    beta = HingeProfile(0.5, 0.05)
     phi = TestBump((-0.2, 0.0, 0.0), (0.15, 0.5, 0.5))
-    rep = weak_residual(f, coef, betas=[beta], phis=[phi], tolerance=1e-2)
-    assert rep.n_pairs == 1
-    assert rep.tolerance == 1e-2
+    rep = weak_residual(weak_basis(f, coef, phis=[phi]))
+    # the 15 default hinges of f's range [0, 1] against the one bump
+    assert rep.n_pairs == 15
+    assert rep.tolerance == grid_tolerance(f.dt, f.dx, f.dv)
     blob = json.dumps(rep.to_json_dict())
     back = json.loads(blob)
     assert back["direction"] == "sub"
-    assert back["worst_pair"]["beta"]["threshold"] == 0.5
-    assert len(back["residuals"]) == 1
+    assert back["worst_pair"]["phi_index"] == 0
+    assert ([row["beta"] for row in back["residuals"]]
+            == [beta.describe() for beta in default_hinges(0.0, 1.0)])
 
 
 def test_weak_residual_copies_no_full_grid():
@@ -293,8 +294,9 @@ def test_weak_residual_copies_no_full_grid():
             TestBump((-0.1, 0.2, -0.3), (0.03, 0.05, 0.08))]
     tracemalloc.start()
     try:
+        basis = weak_basis(f, coef, phis)
         for direction in ("sub", "super"):
-            rep = weak_residual(f, coef, phis=phis, direction=direction)
+            rep = weak_residual(basis, direction)
             assert rep.n_pairs == 15 * len(phis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -355,9 +357,12 @@ ROUGH = make_rough_coefficients(3, lam=0.25, Lam=1.0, cell_size=0.08,
 
 
 class _SmoothField:
-    """Coefficients that vary within every slice interval and have no
-    time_cell, so weak_basis samples them once per slice.  Sums and
-    products only: they round alike on any broadcast shape."""
+    """Coefficients that vary within every slice interval, so each time
+    is its own time cell and weak_basis samples them once per slice.
+    Sums and products only: they round alike on any broadcast shape."""
+
+    def time_cell(self, t):
+        return t
 
     def diffusion(self, t, x, v):
         return 0.5 + 0.2 * t * t + 0.1 * x * x + 0.05 * v * v
@@ -387,7 +392,7 @@ class _SmoothField:
                  id="constant"),
     pytest.param(make_rough_coefficients(5, lam=0.2, Lam=1.0, cell_size=0.1),
                  0.5, {}, id="zero-source"),
-    pytest.param(_SmoothField(), 0.5, {}, id="field-without-time-cell"),
+    pytest.param(_SmoothField(), 0.5, {}, id="per-slice-time-cell"),
 ])
 def test_weak_residual_bitwise_equals_per_bump_reference(coef, pad_v, kw):
     # each direction on a basis of its own, and both on one shared basis
@@ -395,23 +400,41 @@ def test_weak_residual_bitwise_equals_per_bump_reference(coef, pad_v, kw):
     shared = weak_basis(f, coef, kw.get("phis"))
     for direction in ("sub", "super"):
         ref = _reference_weak_residual(f, coef, direction, **kw)
-        for rep in (weak_residual(f, coef, direction=direction, **kw),
-                    weak_residual(f, coef, direction=direction,
-                                  basis=shared)):
+        for rep in (weak_residual(weak_basis(f, coef, kw.get("phis")),
+                                  direction),
+                    weak_residual(shared, direction)):
             assert (json.dumps(rep.to_json_dict(), indent=1)
                     == json.dumps(ref, indent=1))
 
 
-def test_weak_residual_rejects_a_basis_of_another_f_or_coef():
+class _CountingField:
+    """Delegates to a field and counts its samples of A, B and S."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = {"diffusion": 0, "drift": 0, "source": 0}
+
+    def __getattr__(self, name):
+        field = getattr(self.base, name)
+        if name not in self.calls:
+            return field
+
+        def counted(t, x, v):
+            self.calls[name] += 1
+            return field(t, x, v)
+        return counted
+
+
+@pytest.mark.parametrize("base, runs", [
+    # the basis reads all 25 slice times 0, 0.0125, ..., 0.3; the 0.08
+    # cells hold 7, 6, 7 and 5 of them
+    pytest.param(ROUGH, 4, id="lattice-cells"),
+    pytest.param(_SmoothField(), 25, id="per-slice-time-cell"),
+])
+def test_weak_basis_samples_once_per_time_cell_run(base, runs):
     f = _rough_solve(ROUGH)
-    basis = weak_basis(f, ROUGH)
-    other_f = _rough_solve(ROUGH)  # equal values, another function
-    other_coef = make_rough_coefficients(4, lam=0.25, Lam=1.0,
-                                         cell_size=0.08, s_amp=0.2)
-    for g, coef in ((other_f, ROUGH), (f, other_coef)):
-        with pytest.raises(ValueError, match="another f or coef"):
-            weak_residual(g, coef, basis=basis)
-    with pytest.raises(ValueError, match="phis is fixed by basis"):
-        weak_residual(f, ROUGH, basis=basis,
-                      phis=default_test_basis(((0.05, 0.25), (-0.5, 0.3),
-                                               (-0.8, 0.9))))
+    coef = _CountingField(base)
+    basis = weak_basis(f, coef)
+    assert basis.values.shape[0] == f.times.size == 25
+    assert coef.calls == {"diffusion": runs, "drift": runs, "source": runs}
+    assert len(basis.groups) == runs
