@@ -88,18 +88,6 @@ _GRID_SIZE = Interval(2, lo_closed=True, integer=True)
 _FINITE = Interval(-math.inf)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Flag:
-    """Domain of a boolean field."""
-
-    default: bool
-
-    def coerce(self, name, value):
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
-        return value
-
-
 _STANDARD = experiments.STANDARD_CONFIG
 # numeric fields of the compute kinds -> domain; default None: required,
 # other defaults are the standard instance's
@@ -282,6 +270,21 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
             out.append(_violation(f"grid.{('nt', 'nx', 'nv')[exc.axis]}",
                                   f"{exc}; verify needs a cell in every "
                                   f"default test bump"))
+        except ValueError as exc:
+            # a support far from the origin rounds past Box.contains' 1e-9
+            widest = max(_BOX_KEYS, key=lambda k: abs(get(f"box.{k}")))
+            out.append(_violation(f"box.{widest}", f"{exc}; coordinates "
+                                  f"this large round past the safe box"))
+        try:
+            tolerance = grid_tolerance(grid.dt, grid.dx, grid.dv)
+        except OverflowError:  # float ** 2 raises where * gives inf
+            tolerance = math.inf
+        if not math.isfinite(tolerance):
+            terms = {"nt": grid.dt, "nx": grid.dx * grid.dx,
+                     "nv": grid.dv * grid.dv}
+            out.append(_violation(f"grid.{max(terms, key=terms.get)}", (
+                f"grid tolerance C_tol (dt + dx^2 + dv^2) overflows at "
+                f"(dt, dx, dv) = {(grid.dt, grid.dx, grid.dv)}")))
 
     if box is not None and None not in (nt, nx, nv):
         cfl = solve_axes(box, nx, nv, nt).cfl
@@ -320,11 +323,13 @@ def validate(config: ExperimentConfig) -> list:
     if config.out is not None and not isinstance(config.out, str):
         out.append(_violation("out", f"must be a path string, "
                                      f"got {config.out!r}"))
-    for name, domain in (("threads", _THREADS), ("strict", _Flag(False))):
-        try:
-            domain.coerce(name, getattr(config, name))
-        except ValueError as exc:
-            out.append(_violation(name, str(exc)))
+    try:
+        _THREADS.coerce("threads", config.threads)
+    except ValueError as exc:
+        out.append(_violation("threads", str(exc)))
+    if not isinstance(config.strict, bool):
+        out.append(_violation("strict", f"strict must be true or false, "
+                                        f"got {config.strict!r}"))
     values = {}
     for name in _KIND_FIELDS.get(config.kind, ()):
         try:

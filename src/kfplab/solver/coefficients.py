@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 __all__ = ["CoefficientField", "make_rough_coefficients",
-           "constant_coefficients"]
+           "constant_coefficients", "time_cell_runs"]
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _C1 = np.uint64(0x9E3779B97F4A7C15)
@@ -73,8 +73,8 @@ class CoefficientField:
         """Index of the lattice time cell holding t, elementwise.
 
         The field depends on t only through this index, so values
-        sampled at one t hold for every t in the same cell: solve and
-        weak_basis sample once per run of times in one cell.
+        sampled at one t hold for every t in the same cell: callers
+        sample once per run of times in one cell (time_cell_runs).
         """
         return np.floor(t * (1.0 / self.cell_size))
 
@@ -131,6 +131,14 @@ class CoefficientField:
         if self.kind == "constant":
             out["const"] = list(self.const)
         return out
+
+
+def time_cell_runs(coef, times) -> list:
+    """(start, stop) of each run of consecutive times in one time cell;
+    keys are compared, never subtracted, since a key may be +-inf."""
+    keys = coef.time_cell(np.asarray(times, float))
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, keys.size])) if keys.size else []
 
 
 def make_rough_coefficients(seed, lam=0.2, Lam=1.0, cell_size=0.05,

@@ -17,6 +17,7 @@ import struct
 import numpy as np
 
 from ..geometry import Cylinder
+from .coefficients import time_cell_runs
 
 __all__ = ["Box", "CylinderCells", "GridFunction", "SafeRegionError",
            "InsufficientResolutionError", "sample_function",
@@ -24,8 +25,6 @@ __all__ = ["Box", "CylinderCells", "GridFunction", "SafeRegionError",
 
 _MAGIC = b"KFPG"
 _VERSION = 1
-# cell centers per coef.source call of CylinderCells.source
-SOURCE_CHUNK = 1 << 16
 
 
 class SafeRegionError(ValueError):
@@ -277,13 +276,9 @@ class CylinderCells:
         grad = velocity_gradient(self._rows, self._dv)
         return grad[..., self.window[2]][self.mask]
 
-    def centers(self, flat=None) -> tuple:
-        """(t, x, v) of the cells, or of those at the given indices of
-        the flattened block."""
-        if flat is None:
-            flat = np.flatnonzero(self.mask)
-        index = np.unravel_index(flat, self.mask.shape)
-        return tuple(a[i] for a, i in zip(self._axes, index))
+    def centers(self) -> tuple:
+        """(t, x, v) of the cells."""
+        return tuple(a[i] for a, i in zip(self._axes, np.nonzero(self.mask)))
 
     def x_columns(self, minimum=0) -> list:
         """(it, x_ok) for each time slice it of the window that holds a
@@ -303,16 +298,19 @@ class CylinderCells:
     def source(self, coef) -> np.ndarray:
         """coef.source at the cell centers, sampled once per field.
 
-        The centers are gathered and go to coef.source SOURCE_CHUNK at
-        a time, which bounds the transient arrays; the hash is
-        elementwise, so the result is bitwise that of one call on every
-        center."""
+        Sampled once per time_cell_runs run of the window's slices, on
+        the window's (x, v) plane, from which each slice of the run
+        reads its cells: bitwise one call on every center."""
         if coef not in self._sources:
-            flat = np.flatnonzero(self.mask)
+            ts, xs, vs = self._axes
             out = np.empty(self.count)
-            for lo in range(0, self.count, SOURCE_CHUNK):
-                part = slice(lo, lo + SOURCE_CHUNK)
-                out[part] = coef.source(*self.centers(flat[part]))
+            end = 0
+            for start, stop in time_cell_runs(coef, ts):
+                plane = coef.source(ts[start], xs[:, None], vs[None, :])
+                for hit in self.mask[start:stop]:
+                    part = plane[hit]
+                    out[end:end + part.size] = part
+                    end += part.size
             self._sources[coef] = out
         return self._sources[coef]
 

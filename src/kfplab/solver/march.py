@@ -14,11 +14,11 @@ One step is a Strang split T(dt/2) D(dt) T(dt/2):
 
 Coefficients are sampled at the step midpoint time.  A field depends
 on t only through its time cell (CoefficientField.time_cell), so it is
-sampled, and the v-matrix forward-eliminated, once per time cell; those
-factors are reused while the midpoint stays in that cell, so each step
-runs only the Thomas sweeps.  Constants are invariant up to roundoff,
-and without drift and diffusion of structure the scheme reduces to
-exact advection of whole-cell shifts.
+sampled, and the v-matrix forward-eliminated, once per run of midpoints
+in one time cell (time_cell_runs); each step of the run reuses those
+factors and runs only the Thomas sweeps.  Constants are invariant up to
+roundoff, and without drift and diffusion of structure the scheme
+reduces to exact advection of whole-cell shifts.
 
 Inside solve the state and the v-factors are velocity-major (nv, nx)
 C-order arrays, so each step of the forward elimination and of both
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientField
+from .coefficients import CoefficientField, time_cell_runs
 from .grid import Box, GridFunction, centered_axis
 
 __all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
@@ -218,7 +218,7 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
           pad_v=2.0, store_every=1, window=None) -> GridFunction:
     """March the kinetic equation on the box and return stored slices.
 
-    f0 is an (nx, nv) array or a callable f0(x, v); store_every thins
+    f0 is a callable f0(x, v) on the cell centers; store_every thins
     the stored time slices (nt must be divisible by it).  The padding
     declares the boundary-contaminated strip recorded on the result.
     Steps whose advective CFL number exceeds CFL_LIMIT are refused; the
@@ -239,18 +239,12 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     if nt % store_every != 0:
         raise ValueError("store_every must divide nt")
 
-    if callable(f0):
-        f = np.asarray(f0(xs[:, None], vs[None, :]), dtype=float)
-        f = np.broadcast_to(f, (nx, nv))
-    else:
-        f = np.asarray(f0, dtype=float)
-        if f.shape != (nx, nv):
-            raise ValueError(f"f0 shape {f.shape} != ({nx}, {nv})")
+    f = np.asarray(f0(xs[:, None], vs[None, :]), dtype=float)
     # the march keeps the state velocity-major, (nv, nx)
-    f = np.ascontiguousarray(f.T)
+    f = np.ascontiguousarray(np.broadcast_to(f, (nx, nv)).T)
 
     transport = _transport(*transport_weights(vs, 0.5 * dt, dx), nx)
-    cell = None
+    t_mids = box.t0 + (np.arange(nt) + 0.5) * dt
 
     wx, wv = window or (slice(None), slice(None))
     values = np.empty((nt // store_every + 1, xs[wx].size, vs[wv].size))
@@ -262,20 +256,17 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
         lows[k], highs[k] = state.min(), state.max()
 
     store(0, f)
-    for n in range(nt):
-        t_mid = box.t0 + (n + 0.5) * dt
-        key = coef.time_cell(t_mid)
-        if key != cell:
-            factors = _v_factors(coef, t_mid, xs, vs, dv, dt)
-            cell = key
-        f = transport(f)
-        f = _v_solve(f, *factors)
-        f = transport(f)
-        if (n + 1) % CHECK_EVERY == 0 or n + 1 == nt:
-            if not np.all(np.isfinite(f)):
-                raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
-        if (n + 1) % store_every == 0:
-            store((n + 1) // store_every, f)
+    for start, stop in time_cell_runs(coef, t_mids):
+        factors = _v_factors(coef, float(t_mids[start]), xs, vs, dv, dt)
+        for n in range(start, stop):
+            f = transport(f)
+            f = _v_solve(f, *factors)
+            f = transport(f)
+            if (n + 1) % CHECK_EVERY == 0 or n + 1 == nt:
+                if not np.all(np.isfinite(f)):
+                    raise SolverDivergenceError(n + 1, box.t0 + (n + 1) * dt)
+            if (n + 1) % store_every == 0:
+                store((n + 1) // store_every, f)
 
     meta = {
         "scheme": "strang_semilag_backward_euler",

@@ -34,7 +34,7 @@ import numpy as np
 from ..calibration import grid_tolerance
 from ..geometry import as_point
 from ..kernel import translated_kernel_values
-from .coefficients import CoefficientField
+from .coefficients import CoefficientField, time_cell_runs
 from .grid import (GridFunction, InsufficientResolutionError,
                    sample_function, velocity_gradient, window_union)
 
@@ -265,21 +265,18 @@ def weak_basis(f: GridFunction, coef: CoefficientField,
     basis_windows validates phis, and f is read on the union of their
     windows (basis_read_window), through a view.  The field depends on
     t only through coef.time_cell, so A, B and S are sampled once per
-    run of window slices in one time cell, as (1, nx, nv) rows that
-    broadcast over the run.  Each bump keeps, on open grids of its own
-    window, -T phi and grad_v phi at full size, and the factors
-    (pt px, pv) whose product is phi.
+    run of window slices in one time cell (time_cell_runs), as
+    (1, nx, nv) rows that broadcast over the run.  Each bump keeps, on
+    open grids of its own window, -T phi and grad_v phi at full size,
+    and the factors (pt px, pv) whose product is phi.
     """
     phis, windows = basis_windows(f, phis)
     union = window_union(windows)
     T, X, V = np.ix_(f.times[union[0]], f.xs[union[1]], f.vs[union[2]])
-    keys = coef.time_cell(T.ravel())
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
-    groups = []
-    for a, b in zip(starts, starts[1:] + [T.size]):
-        groups.append((slice(a, b), *(
-            np.asarray(field(T[a:a + 1], X, V), float)
-            for field in (coef.diffusion, coef.drift, coef.source))))
+    groups = [(slice(a, b), *(np.asarray(field(T[a:a + 1], X, V), float)
+                              for field in (coef.diffusion, coef.drift,
+                                            coef.source)))
+              for a, b in time_cell_runs(coef, T.ravel())]
     lo = [s.start for s in union]
     bumps = []
     for phi, w in zip(phis, windows):

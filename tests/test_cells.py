@@ -20,10 +20,12 @@ from kfplab.estimates import (band_fraction, inf_on, level_set_fraction,
 from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import (CoefficientField,
+                                        constant_coefficients,
                                         make_rough_coefficients)
-from kfplab.solver.grid import (SOURCE_CHUNK, GridFunction,
+from kfplab.solver.grid import (Box, GridFunction,
                                 InsufficientResolutionError, SafeRegionError,
                                 sample_function)
+from kfplab.solver.march import solve_grid
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_config.json"
 STANDARD_CHECKS = experiments.STANDARD_CONFIG["checks"]
@@ -65,8 +67,17 @@ def calls(monkeypatch):
     return seen
 
 
-def _expected_source_calls(f):
-    return sorted([f.cells(Q_BIG).count, LATTICE_POINTS, LATTICE_POINTS])
+def _plane_calls(f, cyl, coef):
+    """One source call per time cell the window's slices meet (they are
+    in time order), each on the window's (x, v) plane."""
+    wt, wx, wv = f.window(cyl)
+    runs = np.unique(coef.time_cell(f.times[wt])).size
+    return [f.xs[wx].size * f.vs[wv].size] * runs
+
+
+def _expected_source_calls(f, coef):
+    return sorted(_plane_calls(f, Q_BIG, coef)
+                  + [LATTICE_POINTS, LATTICE_POINTS])
 
 
 def _member_reports(config, f, monkeypatch):
@@ -80,11 +91,11 @@ def _member_reports(config, f, monkeypatch):
 
 def test_standard_pass_builds_each_cylinder_once(member, calls,
                                                  monkeypatch):
-    config, solved, _ = member
+    config, solved, coef = member
     f = _fresh(solved)
     first = _member_reports(config, f, monkeypatch)
     assert sorted(calls["mask"]) == [0.5, 1.0]
-    assert sorted(calls["source"]) == _expected_source_calls(f)
+    assert sorted(calls["source"]) == _expected_source_calls(f, coef)
 
     # a second pass on the same grid function builds and samples nothing
     # new and reports the same numbers
@@ -99,7 +110,7 @@ def test_standard_pass_builds_each_cylinder_once(member, calls,
 
 def test_cli_member_builds_each_cylinder_once(member, calls, monkeypatch,
                                               tmp_path):
-    _, solved, _ = member
+    _, solved, coef = member
     f = _fresh(solved)
     monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: f)
     data = dict(json.loads(EXAMPLE.read_text()), checks=STANDARD_CHECKS)
@@ -112,7 +123,7 @@ def test_cli_member_builds_each_cylinder_once(member, calls, monkeypatch,
     # on what they contain, so each cylinder is built once on the grid
     # validation counts cells on and once on the solution
     assert sorted(calls["mask"]) == [0.5, 0.5, 1.0, 1.0]
-    assert sorted(calls["source"]) == _expected_source_calls(f)
+    assert sorted(calls["source"]) == _expected_source_calls(f, coef)
 
 
 def test_cells_match_the_window_and_mask(member):
@@ -181,16 +192,69 @@ def test_extrema_and_fractions_copy_no_cell_values():
                    float(np.mean((vals > -0.2) & (vals < 0.3))))
 
 
-def test_source_chunks_equal_one_call_bitwise(calls):
+class _PerSliceSource:
+    """A source that varies within every slice interval, so each time
+    is its own time cell.  Sums and products only: they round alike on
+    any broadcast shape."""
+
+    def time_cell(self, t):
+        return t
+
+    def source(self, t, x, v):
+        return 0.1 * t * x + 0.05 * v
+
+
+class _CountedSource:
+    """Delegates to a field and records the point count of each source
+    call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.sizes = []
+
+    def time_cell(self, t):
+        return self.base.time_cell(t)
+
+    def source(self, t, x, v):
+        self.sizes.append(int(np.broadcast(t, x, v).size))
+        return self.base.source(t, x, v)
+
+
+@pytest.mark.parametrize("base, runs", [
+    pytest.param(make_rough_coefficients(5, cell_size=0.05, s_amp=0.3), 21,
+                 id="rough"),
+    pytest.param(constant_coefficients(1.0, 0.0, 0.7), 2, id="constant"),
+    pytest.param(_PerSliceSource(), 30, id="per-slice-time-cell"),
+])
+def test_source_runs_equal_one_call_bitwise(base, runs):
     f = sample_function(lambda t, x, v: 0.0 * t,
                         np.linspace(-1.0, 0.0, 30), np.linspace(-1.2, 1.2, 100),
                         np.linspace(-1.2, 1.2, 100))
-    coef = make_rough_coefficients(5, cell_size=0.05, s_amp=0.3)
-    cells = f.cells(make_cylinder("centered", (0.0, 0.0, 0.0), 1.0))
-    full, rest = divmod(cells.count, SOURCE_CHUNK)
-    assert full >= 2 and rest > 0
+    cyl = make_cylinder("centered", (0.0, 0.0, 0.0), 1.0)
+    cells = f.cells(cyl)
+    coef = _CountedSource(base)
     got = cells.source(coef)
-    assert calls["source"] == [SOURCE_CHUNK] * full + [rest]
-    whole = coef.source(*cells.centers())
-    assert got.dtype == whole.dtype
+    # one call per run of slices in one time cell, on the window's plane
+    assert coef.sizes == _plane_calls(f, cyl, base)
+    assert len(coef.sizes) == runs
+    whole = base.source(*cells.centers())
+    assert got.dtype == whole.dtype and got.shape == (cells.count,)
     assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+def test_source_peak_stays_near_its_result():
+    # the standard grid's Q_R, on the zero grid validation builds: the
+    # source reads only the cell set's mask and axes
+    config = experiments.STANDARD_CONFIG
+    f = solve_grid(Box(**config["box"]), *(config["grid"][k]
+                                           for k in ("nx", "nv", "nt")),
+                   config["pads"]["x"], config["pads"]["v"])
+    cells = f.cells(Q_BIG)
+    coef = make_rough_coefficients(1, **config["coefficients"])
+    tracemalloc.start()
+    try:
+        got = cells.source(coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * got.nbytes

@@ -627,6 +627,8 @@ def test_missing_calibration_fails_the_run(tmp_path, monkeypatch):
     assert all(e.startswith("FileNotFoundError") for e in errors), errors
 
 
+# the marches overflow on their way to the divergence check
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind, grid, rows", [
     ("solve", {"nt": 8, "nx": 16, "nv": 8}, ["solve,1,,,,error,"]),
     ("verify", {"nt": 40, "nx": 40, "nv": 40},
@@ -1117,14 +1119,89 @@ def test_every_config_runs_or_exits_2(data):
     assert code == 2 and not wrote or code in (0, 1) and wrote
 
 
+def _magnitude():
+    """10^e for e in [-300, 300]: positive and finite."""
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+# fields _extreme_configs can push to an extreme magnitude, with the sign
+# each takes; "ratio" is Lam / lam
+_EXTREME = {"box.t0": -1.0, "box.t1": 1.0, "box.x0": -1.0, "box.x1": 1.0,
+            "box.v0": -1.0, "box.v1": 1.0, "pads.x": 1.0, "pads.v": 1.0,
+            "coefficients.cell_size": 1.0, "datum.width": 1.0,
+            "ratio": 1.0}
+
+
+@st.composite
+def _extreme_configs(draw):
+    """_compute_configs' configs with up to three of _EXTREME's fields
+    at a magnitude from 1e-300 to 1e300 (lam from 1e-300 to 1 under an
+    extreme ratio): extreme but finite."""
+    data = draw(_compute_configs())
+    for name in draw(st.sets(st.sampled_from(sorted(_EXTREME)),
+                             max_size=3)):
+        value = _EXTREME[name] * draw(_magnitude())
+        if name == "ratio":
+            lam = 10.0 ** draw(st.floats(-300.0, 0.0))
+            data["coefficients"].update(lam=lam, Lam=lam * value)
+        else:
+            section, key = name.split(".")
+            data[section][key] = value
+    return data
+
+
+# marches that diverge overflow on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_extreme_configs())
+def test_every_extreme_config_runs_or_exits_2(data):
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
+        wrote = (Path(out) / "reports.json").exists()
+    assert code == 2 and not wrote or code in (0, 1) and wrote
+
+
+@pytest.mark.parametrize("nv, x1, v, cell_size, field, reason", [
+    # a default bump's support rounds one ulp past the safe box, far
+    # beyond Box.contains' absolute 1e-9
+    pytest.param(2, 1.0, 1e100, 0.1, "box.v0", "leaves the safe box",
+                 id="v-1e100"),
+    pytest.param(4, 1.0, 1e300, 0.1, "box.v0", "leaves the safe box",
+                 id="v-1e300-nv-4"),
+    pytest.param(11, 1.0, 1e100, 0.1, "box.v0", "leaves the safe box",
+                 id="v-1e100-nv-11"),
+    # dx^2 overflows a float; the bumps stay inside here
+    pytest.param(2, 1e155, 1.0, 1e137, "grid.nx", "grid tolerance",
+                 id="dx-squared-overflows"),
+])
+def test_verify_far_from_the_origin_exits_2_naming_a_field(nv, x1, v,
+                                                          cell_size, field,
+                                                          reason):
+    data = {"kind": "verify", "grid": {"nt": 2, "nx": 2, "nv": nv},
+            "box": {"t0": -1.0, "t1": 0.0, "x0": -1.0, "x1": x1,
+                    "v0": -v, "v1": v},
+            "pads": {"x": 0.0, "v": 0.0},
+            "coefficients": {"lam": 0.2, "Lam": 1.0, "s_amp": 0.1,
+                             "cell_size": cell_size, "seeds": [1]}}
+    printed = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(printed):
+        assert cli.run(ExperimentConfig.from_dict(data), out_dir=out) == 2
+    violations = json.loads(printed.getvalue())["violations"]
+    assert any(item["field"] == field and reason in item["reason"]
+               for item in violations), violations
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_compute_configs(), _num(5e-324, 8e-20))
 def test_a_cell_size_past_the_int64_cell_index_exits_2(data, cell_size):
     # every drawn box has a corner at least 0.75 from the origin, so its
-    # lattice cell index (time_cell's too, by which the march and
-    # weak_basis group slices) reaches 2^63, or infinity when the size
-    # is subnormal
+    # lattice cell index (time_cell's too, by which time_cell_runs
+    # groups the slices of the march, the weak basis and the cylinder
+    # sources) reaches 2^63, or infinity when the size is subnormal
     data["coefficients"]["cell_size"] = cell_size
     printed = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \

@@ -1,11 +1,14 @@
 """Tests for the hashed rough coefficient fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfplab.solver import (CoefficientField, constant_coefficients,
                            make_rough_coefficients)
+from kfplab.solver.coefficients import time_cell_runs
 
 
 def _random_points(rng, n=10000, span=50.0):
@@ -144,3 +147,37 @@ def test_open_grids_match_full_arrays_bitwise(case):
         got, ref = field(t, x, v), field(*full)
         assert np.shape(got) == np.shape(ref) == full[0].shape
         assert np.array_equal(got, ref)
+
+
+class _PerTime:
+    """A field whose every time is its own time cell."""
+
+    def time_cell(self, t):
+        return t
+
+
+def test_time_cell_runs_group_consecutive_times_of_one_cell():
+    lattice = make_rough_coefficients(1, cell_size=0.05)
+    assert time_cell_runs(lattice, []) == []
+    assert time_cell_runs(_PerTime(), []) == []
+    # 25 slices 0.0125 apart, off the cell edges: four to a 0.05 cell
+    times = 0.003 + 0.0125 * np.arange(25)
+    assert time_cell_runs(lattice, times) == [
+        (0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24), (24, 25)]
+    assert time_cell_runs(_PerTime(), times) == [(k, k + 1)
+                                                 for k in range(25)]
+    # equal times are one run; a cell entered again is a new run
+    assert time_cell_runs(_PerTime(), [0.5, 0.5, 1.0, 0.5]) == [
+        (0, 2), (2, 3), (3, 4)]
+
+
+def test_time_cell_runs_compare_infinite_keys_without_warning():
+    # 1 / cell_size overflows, so every nonzero time's key is -inf or
+    # inf, and inf - inf would be nan with a RuntimeWarning
+    coef = make_rough_coefficients(1, cell_size=1e-310)
+    times = np.array([-1.0, -0.5, 0.5, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(coef.time_cell(times),
+                              [-np.inf, -np.inf, np.inf, np.inf, np.inf])
+        assert time_cell_runs(coef, times) == [(0, 2), (2, 5)]

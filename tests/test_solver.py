@@ -87,8 +87,12 @@ def test_cfl_guard():
 
 def test_divergence_detection_reports_step():
     coef = constant_coefficients(1.0, 0.0, 0.0)
-    f0 = np.zeros((32, 16))
-    f0[5, 5] = np.nan
+
+    def f0(x, v):
+        f = np.zeros(np.broadcast(x, v).shape)
+        f[5, 5] = np.nan
+        return f
+
     with pytest.raises(SolverDivergenceError) as err:
         solve(f0, coef, BOX, nx=32, nv=16, nt=30)
     # finiteness is checked every 25 steps and at the last one
@@ -138,7 +142,7 @@ def test_max_principle_up_to_grid_tolerance():
 def test_f0_shape_validation():
     coef = constant_coefficients(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        solve(np.zeros((3, 3)), coef, BOX, nx=32, nv=16, nt=4)
+        solve(lambda x, v: np.zeros((3, 3)), coef, BOX, nx=32, nv=16, nt=4)
 
 
 def test_binary_round_trip(tmp_path):

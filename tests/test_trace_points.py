@@ -75,12 +75,16 @@ def test_cell_sets_are_counted_through_the_traced_names():
         source_l2(coef, f, cyl)
     metrics = spans.layer_metrics(rec.spans)
     # one mask build, testing membership one time slice at a time
-    slices = f.window(cyl)[0]
+    slices, wx, wv = f.window(cyl)
     assert metrics["grid.mask.calls"] == 1
     assert metrics["grid.mask.hit_ratio"] > 0
     assert metrics["geometry.contains.calls"] == slices.stop - slices.start
-    assert metrics["coefficients.calls"] == 1
-    assert metrics["coefficients.points"] == f.cells(cyl).count
+    # one source call per time cell of the window's slices, on the
+    # window's (x, v) plane
+    runs = np.unique(coef.time_cell(f.times[slices])).size
+    assert metrics["coefficients.calls"] == runs
+    assert metrics["coefficients.points"] == (runs * f.xs[wx].size
+                                              * f.vs[wv].size)
 
 
 def test_traced_cli_ensemble_records_its_march_and_every_check(tmp_path):
