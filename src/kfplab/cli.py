@@ -8,8 +8,8 @@ config), a CSV summary, per-check plot data, and a separate
 metadata.json holding the timestamps.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed or raised (or
-a seed failed under --strict, or no check ran), 2 the config did not
-validate.
+a seed failed under --strict, a member process died, or no check ran),
+2 the config did not validate.
 """
 
 from __future__ import annotations
@@ -535,13 +535,15 @@ def _run_ensemble(config: ExperimentConfig, out: Path):
         plots["osc_vs_radius.csv"] = (
             ("seed", "center_t", "radius", "oscillation"), osc_rows)
     # a run in which no report has a verdict (no check was evaluated,
-    # or none had a bound to fail against), or a check raised, fails
-    # whatever the policy; a report without a verdict fails nothing
+    # or none had a bound to fail against), a check raised, or a member
+    # process died fails whatever the policy; a report without a verdict
+    # fails nothing
     verdicts = [r.passed for r in all_reports if r.passed is not None]
     failed = (not verdicts or not all(verdicts)
               or any("errors" in m for m in members)
-              or (config.strict and any(m["status"] == "error"
-                                        for m in members)))
+              or any(m["status"] == "error" and (
+                  config.strict or m["error"].startswith(
+                      experiments.MEMBER_PROCESS_DIED)) for m in members))
     return (1 if failed else 0), payload, rows, plots
 
 

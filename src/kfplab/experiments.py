@@ -278,6 +278,10 @@ def _member_record(job) -> dict:
     return record
 
 
+# how the error of a job whose member process died begins
+MEMBER_PROCESS_DIED = "the member process died"
+
+
 def run_members(jobs, workers: int) -> list:
     """run_member's records of the (config, seed) jobs in job order, each
     without its solution, spread over n = min(workers, len(jobs))
@@ -287,7 +291,14 @@ def run_members(jobs, workers: int) -> list:
     Forked workers start with this process's imported modules, and any
     attribute a caller set on them, already in place.  No other thread
     of the caller may run while the pool forks; where the platform
-    cannot fork, every job runs here."""
+    cannot fork, every job runs here.
+
+    A pool process that dies breaks the pool: every pooled job not yet
+    finished gets the record {"seed", "status": "error", "error"}, its
+    error beginning MEMBER_PROCESS_DIED, and the jobs this process runs
+    keep theirs.  No job is rerun here, since what killed a process
+    (memory, say) would kill this one.
+    """
     jobs = list(jobs)
     n = min(workers, len(jobs)) if hasattr(os, "fork") else 1
     if n <= 1:
@@ -296,16 +307,22 @@ def run_members(jobs, workers: int) -> list:
     # process that imports this module, and only a pool needs them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     fork = multiprocessing.get_context("fork")
     records = [None] * len(jobs)
     pooled = [i for i in range(len(jobs)) if i % n]
     with ProcessPoolExecutor(n - 1, mp_context=fork) as pool:
-        results = pool.map(_member_record, [jobs[i] for i in pooled])
+        futures = [pool.submit(_member_record, jobs[i]) for i in pooled]
         for i in range(0, len(jobs), n):
             records[i] = _member_record(jobs[i])
-        for i, record in zip(pooled, results):
-            records[i] = record
+        for i, future in zip(pooled, futures):
+            try:
+                records[i] = future.result()
+            except BrokenProcessPool as exc:
+                records[i] = {"seed": int(jobs[i][1]), "status": "error",
+                              "error": f"{MEMBER_PROCESS_DIED}: "
+                                       f"{_error_text(exc)}"}
     return records
 
 

@@ -22,15 +22,28 @@ reduces to exact advection of whole-cell shifts.
 
 Inside solve the state and the v-factors are velocity-major (nv, nx)
 C-order arrays, so each step of the forward elimination and of both
-Thomas sweeps works on one contiguous velocity row.  Transport groups
-the rows by their integer shift k (monotone in v, so each group is a
-contiguous row range) and reads each group's four stencil columns as
-slices of a periodically padded copy of the state.  The stored slices
+Thomas sweeps works on one contiguous velocity row.  The stored slices
 keep the (t, x, v) layout of GridFunction.
+
+The transport and the Thomas sweeps run as compiled kernels (march.c),
+built on the first solve of a process with the system C compiler and
+loaded through ctypes (_library, march_path).  The numpy functions
+_transport and _v_solve are their bitwise reference, and solve's path
+on a host where the kernels cannot be built or loaded.  The reference
+transport groups the rows by their integer shift k (monotone in v, so
+each group is a contiguous row range) and reads each group's four
+stencil columns as slices of a periodically padded copy of the state;
+the compiled one wraps the indices of each row instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import shutil
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +53,17 @@ from .grid import Box, GridFunction, centered_axis
 
 __all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
            "SolveAxes", "solve_axes", "solve_grid", "solve",
-           "transport_weights", "fit_order"]
+           "transport_weights", "march_path", "fit_order"]
 
 # advective CFL allowance of solve, read at each call
 CFL_LIMIT = 4.0
 CHECK_EVERY = 25  # steps between solve's finiteness checks, and the last
+
+_SOURCE = Path(__file__).with_name("march.c")
+# No multiply-add may be fused, or the kernels stop being bitwise the
+# numpy reference; no -march, since a library cached in a shared home
+# may be loaded on another CPU.
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class SolveAxes(NamedTuple):
@@ -164,7 +183,8 @@ def _v_factors(coef, t_mid, xs, vs, dv, dt):
     """Backward-Euler v-matrix at t_mid, forward-eliminated once.
 
     Returns (lower, denom, cp, ds): the sub-diagonal, the Thomas pivots
-    and upper multipliers, and dt * S, all of shape (nv, nx).
+    and upper multipliers, and dt * S, all of shape (nv, nx) (a field
+    that returns a smaller array, as a constant one may, is broadcast).
     """
     nv, nx = vs.size, xs.size
     X = xs[None, :]
@@ -197,7 +217,7 @@ def _v_factors(coef, t_mid, xs, vs, dv, dt):
     for d, c, c_prev, lo in zip(denom[1:], cp[1:], cp, lower[1:]):
         d -= lo * c_prev
         c /= d
-    return lower, denom, cp, dt * s
+    return [np.broadcast_to(a, (nv, nx)) for a in (lower, denom, cp, dt * s)]
 
 
 def _v_solve(f, lower, denom, cp, ds):
@@ -212,6 +232,118 @@ def _v_solve(f, lower, denom, cp, ds):
     for nxt, row, c in zip(rows[::-1], rows[-2::-1], cp[-2::-1]):
         row -= c * nxt
     return u
+
+
+def _v_solver(lower, denom, cp, ds):
+    """_v_solve on one set of factors, as a function of the state."""
+    return functools.partial(_v_solve, lower=lower, denom=denom, cp=cp,
+                             ds=ds)
+
+
+def _library(flags=CFLAGS):
+    """march.c, built with the C compiler cc on PATH and loaded.
+
+    The library is cached in $XDG_CACHE_HOME/kfplab, else
+    ~/.cache/kfplab, under the sha256 of the source, the flags and the
+    size and mtime of the compiler, so a cache hit starts no process.
+    A build goes to a temporary file in the cache and is renamed into
+    place, so processes building at once each load a whole library.
+    Raises OSError (no compiler, an unwritable cache, a library that
+    does not load), subprocess.SubprocessError (a failed build) or
+    RuntimeError (no home directory).
+    """
+    import hashlib
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler cc on PATH")
+    compiler = os.stat(cc)
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update(repr((flags, compiler.st_size,
+                     compiler.st_mtime_ns)).encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "kfplab"
+    path = cache / f"march-{key.hexdigest()[:32]}.so"
+    if not path.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *flags, "-o", tmp, str(_SOURCE)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    return ctypes.CDLL(str(path))
+
+
+class _Kernel:
+    """A march.c kernel bound to the arrays it reads, called on the
+    (nv, nx) state: out = kernel(nv, nx, *arrays, state).
+
+    ctypes checks nothing, so the arrays come C-contiguous and of the
+    exact shape and dtype the kernel reads, each call checks the state,
+    and the arrays live as long as the kernel does.
+    """
+
+    def __init__(self, fn, shape, arrays):
+        self.fn, self.shape, self.arrays = fn, shape, arrays
+        self.args = (*shape, *(a.ctypes.data for a in arrays))
+
+    def __call__(self, f):
+        if (f.shape != self.shape or f.dtype != np.float64
+                or not f.flags.c_contiguous):
+            raise ValueError(f"the state must be a C-contiguous float64 "
+                             f"array of shape {self.shape}")
+        out = np.empty_like(f)
+        self.fn(*self.args, f.ctypes.data, out.ctypes.data)
+        return out
+
+
+def _compiled(lib):
+    """(transport, v_solver) over a library of march.c, called as
+    _transport and _v_solver are."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.kfp_transport.argtypes = (i64, i64) + (ptr,) * 7
+    lib.kfp_v_solve.argtypes = (i64, i64) + (ptr,) * 6
+    lib.kfp_transport.restype = lib.kfp_v_solve.restype = None
+
+    def c_array(a, shape, dtype=np.float64):
+        return np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype),
+                                                    shape))
+
+    def transport(k, weights, nx):
+        if nx < 1:  # the kernel takes indices mod nx
+            raise ValueError(f"transport needs nx >= 1, got {nx}")
+        nv = np.size(k)
+        arrays = [c_array(k, (nv,), np.int64),
+                  *(c_array(w, (nv,)) for w in weights)]
+        return _Kernel(lib.kfp_transport, (nv, nx), arrays)
+
+    def v_solver(lower, denom, cp, ds):
+        nv, nx = np.shape(lower)
+        return _Kernel(lib.kfp_v_solve, (nv, nx),
+                       [c_array(a, (nv, nx)) for a in (lower, denom, cp, ds)])
+
+    return transport, v_solver
+
+
+@functools.cache
+def _march_kernels():
+    """solve's (transport, v_solver) factories: the compiled kernels, or
+    the numpy reference where they cannot be built or loaded."""
+    import subprocess
+
+    try:
+        return _compiled(_library())
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return _transport, _v_solver
+
+
+def march_path() -> str:
+    """Which kernels solve marches with: "compiled" or "numpy"."""
+    return "numpy" if _march_kernels()[0] is _transport else "compiled"
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
@@ -243,7 +375,8 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     # the march keeps the state velocity-major, (nv, nx)
     f = np.ascontiguousarray(np.broadcast_to(f, (nx, nv)).T)
 
-    transport = _transport(*transport_weights(vs, 0.5 * dt, dx), nx)
+    make_transport, v_solver = _march_kernels()
+    transport = make_transport(*transport_weights(vs, 0.5 * dt, dx), nx)
     t_mids = box.t0 + (np.arange(nt) + 0.5) * dt
 
     wx, wv = window or (slice(None), slice(None))
@@ -257,10 +390,11 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
 
     store(0, f)
     for start, stop in time_cell_runs(coef, t_mids):
-        factors = _v_factors(coef, float(t_mids[start]), xs, vs, dv, dt)
+        v_solve = v_solver(*_v_factors(coef, float(t_mids[start]), xs, vs,
+                                       dv, dt))
         for n in range(start, stop):
             f = transport(f)
-            f = _v_solve(f, *factors)
+            f = v_solve(f)
             f = transport(f)
             if (n + 1) % CHECK_EVERY == 0 or n + 1 == nt:
                 if not np.all(np.isfinite(f)):

@@ -13,8 +13,10 @@ import importlib.resources
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from kfplab import cli, experiments
 from kfplab.calibration import load_calibration
@@ -731,9 +734,11 @@ def _recording_pool(monkeypatch, pools):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            self.record["seeds"] = [seed for _, seed in jobs]
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            self.record.setdefault("seeds", []).append(job[1])
+            future = concurrent.futures.Future()
+            future.set_result(fn(job))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
 
@@ -878,6 +883,59 @@ def test_member_processes_write_the_in_process_bytes(name, tmp_path):
                             if p.name != "metadata.json"}))
     assert "constants_by_seed.csv" in runs[0][1]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+_MEMBER_RECORD = experiments._member_record
+
+
+def _member_record_dying_on_seed_2(job):
+    """experiments._member_record, except that a forked member process
+    SIGKILLs itself on seed 2.  A module-level function, so that the
+    pool can send it to its process by name."""
+    if job[1] == 2 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _MEMBER_RECORD(job)
+
+
+def test_a_dead_member_process_costs_only_its_own_seed(tmp_path,
+                                                       monkeypatch, capfd):
+    # a real fork: at threads 2 this process runs seeds 1 and 3 and a
+    # forked one runs seed 2, and dies
+    monkeypatch.setattr(experiments, "_member_record",
+                        _member_record_dying_on_seed_2)
+    data = example_dict()
+    data["threads"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", str(path),
+                     "--out", str(out)]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    reports = json.loads((out / "reports.json").read_text())
+    survivors = [m for m in reports["members"] if m["seed"] != 2]
+    lost, = [m for m in reports["members"] if m["seed"] == 2]
+    assert sorted(lost) == ["error", "seed", "status"]
+    assert lost["status"] == "error"
+    assert lost["error"].startswith(f"{experiments.MEMBER_PROCESS_DIED}: "
+                                    f"BrokenProcessPool: ")
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert sum(",2,,,,error," in row for row in rows) == len(data["checks"])
+
+    # the survivors' reports are those of a run without seed 2
+    data.update(threads=1)
+    data["coefficients"]["seeds"] = [1, 3]
+    assert cli.run(ExperimentConfig.from_dict(data),
+                   out_dir=tmp_path / "alone") == 0
+    alone = json.loads((tmp_path / "alone" / "reports.json").read_text())
+    assert survivors == alone["members"]
+
+    # a study names the seed
+    monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    with pytest.raises(RuntimeError, match=f"^standard member 2: "
+                       f"{experiments.MEMBER_PROCESS_DIED}: "):
+        experiments.run_standard_ensemble()
 
 
 # ---------------------------------------------------------------------------
@@ -1156,6 +1214,30 @@ def _extreme_configs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_extreme_configs())
 def test_every_extreme_config_runs_or_exits_2(data):
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)
+        wrote = (Path(out) / "reports.json").exists()
+    assert code == 2 and not wrote or code in (0, 1) and wrote
+
+
+def _fraction():
+    """10^e for e in [-324, 0]: 0 (10^-324 underflows), 5e-324, ..., 1."""
+    return st.floats(-324.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+# the draws seldom reach the ends of the ranges, so the examples do
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fraction(), _fraction(),
+       st.floats(-324.0, 308.23).map(lambda e: 10.0 ** e))
+@example(5e-324, 5e-324, 1.7e308)
+@example(5e-324, 1.0, 5e-324)
+@example(0.0, 5e-324, 0.0)
+def test_every_extreme_constants_config_runs_or_exits_2(delta1, delta2,
+                                                        s_inf):
+    data = {"kind": "constants",
+            "options": {"delta1": delta1, "delta2": delta2, "s_inf": s_inf}}
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(ExperimentConfig.from_dict(data), out_dir=out)

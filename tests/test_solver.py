@@ -85,18 +85,45 @@ def test_cfl_guard():
     assert payload["cfl"] > payload["cfl_limit"]
 
 
+def _nan_datum(x, v):
+    f = np.zeros(np.broadcast(x, v).shape)
+    f[5, 5] = np.nan
+    return f
+
+
 def test_divergence_detection_reports_step():
     coef = constant_coefficients(1.0, 0.0, 0.0)
-
-    def f0(x, v):
-        f = np.zeros(np.broadcast(x, v).shape)
-        f[5, 5] = np.nan
-        return f
-
     with pytest.raises(SolverDivergenceError) as err:
-        solve(f0, coef, BOX, nx=32, nv=16, nt=30)
+        solve(_nan_datum, coef, BOX, nx=32, nv=16, nt=30)
     # finiteness is checked every 25 steps and at the last one
     assert err.value.step == 25
+
+
+def _numpy_march(monkeypatch):
+    """solve marches with the numpy reference kernels, as on a host
+    where the compiled ones cannot be built."""
+    monkeypatch.setattr(march, "_march_kernels",
+                        lambda: (march._transport, march._v_solver))
+
+
+# the overflowing march warns on the numpy path
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f0, coef", [
+    (_nan_datum, constant_coefficients(1.0, 0.0, 0.0)),
+    (lambda x, v: np.exp(-x * x - v * v),
+     make_rough_coefficients(seed=1, lam=0.2, Lam=1e200, cell_size=0.1,
+                             s_amp=0.1)),
+], ids=["nan-datum", "overflow"])
+def test_both_kernels_report_the_same_divergence_step(f0, coef,
+                                                      monkeypatch):
+    steps = []
+    for numpy_kernels in (False, True):
+        if numpy_kernels:
+            _numpy_march(monkeypatch)
+        with pytest.raises(SolverDivergenceError) as err:
+            solve(f0, coef, BOX, nx=32, nv=16, nt=30)
+        steps.append(err.value.step)
+    assert steps == [25, 25]
 
 
 def test_determinism_bitwise():
@@ -338,7 +365,7 @@ ROUGH_EIGHTH = make_rough_coefficients(seed=21, lam=0.2, Lam=1.0,
 GRID = (48, 32, 16)  # nx, nv, nt
 
 
-@pytest.mark.parametrize("coef, box, grid, kw", [
+REFERENCE_CASES = pytest.mark.parametrize("coef, box, grid, kw", [
     pytest.param(ROUGH_EIGHTH, EDGE_BOX, GRID, {},
                  id="midpoints-on-cell-edges"),
     pytest.param(make_rough_coefficients(seed=22, lam=0.2, Lam=1.0,
@@ -363,8 +390,22 @@ GRID = (48, 32, 16)  # nx, nv, nt
     pytest.param(ROUGH_EIGHTH, Box(0.0, 3.0, -2.0, 2.0, -2.0, 8.0),
                  (8, 32, 4), {"CFL_LIMIT": np.inf}, id="beyond-cfl-limit"),
 ])
+
+
+@REFERENCE_CASES
 def test_solve_bitwise_equals_per_step_reference(coef, box, grid, kw,
                                                  monkeypatch):
+    _check_against_per_step_reference(coef, box, grid, kw, monkeypatch)
+
+
+@REFERENCE_CASES
+def test_numpy_march_bitwise_equals_per_step_reference(coef, box, grid, kw,
+                                                       monkeypatch):
+    _numpy_march(monkeypatch)
+    _check_against_per_step_reference(coef, box, grid, kw, monkeypatch)
+
+
+def _check_against_per_step_reference(coef, box, grid, kw, monkeypatch):
     f0 = lambda x, v: np.exp(-2 * (x * x + v * v)) + 0.1 * np.sin(3 * x)
     kw = dict(kw)
     # a case may lift solve's CFL guard, which solve reads at call time
