@@ -146,14 +146,14 @@ def _field(config: ExperimentConfig, name: str):
 
 
 def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
-    """Each check entry against its statement's declaration; its
-    cylinders must fit in the safe box when there is one, and hold the
-    cells and per-slice x-cells the statement needs on the grid when
-    there is one."""
+    """Each check entry of an ensemble (no other kind reads checks)
+    against its statement's declaration; its cylinders must fit in the
+    safe box when there is one, and hold the cells and per-slice
+    x-cells the statement needs on the grid when there is one."""
     if not isinstance(config.checks, list):
         out.append(_violation("checks", "must be a list of check objects"))
         return
-    if config.kind == "ensemble" and not config.checks:
+    if not config.checks:
         out.append(_violation("checks",
                               "at least one check required for ensemble"))
     for i, entry in enumerate(config.checks):
@@ -235,6 +235,10 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     elif config.kind == "ensemble" and not seeds:
         out.append(_violation("coefficients.seeds",
                               "nonempty seed list required for ensemble"))
+    elif outside := sorted(s for s in seeds if not 0 <= s < 2 ** 64):
+        # the coefficient hash reads a seed as one uint64
+        out.append(_violation("coefficients.seeds",
+                              f"seeds {outside} lie outside [0, 2^64)"))
     elif len(set(seeds)) < len(seeds):
         repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
         out.append(_violation("coefficients.seeds",
@@ -262,7 +266,8 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
     if safe is not None and None not in (nt, nx, nv):
         grid = solve_grid(box, nx, nv, nt, pad_x, pad_v)
         safe = grid.safe_box
-    _validate_checks(config, safe, grid, out)
+    if config.kind == "ensemble":
+        _validate_checks(config, safe, grid, out)
     if config.kind == "verify" and grid is not None:
         try:
             basis_windows(grid)
@@ -320,6 +325,8 @@ def validate(config: ExperimentConfig) -> list:
             out += [_violation(f"{section}.{key}",
                                f"not read by kind {config.kind!r}")
                     for key in data if f"{section}.{key}" not in read]
+    if config.checks and config.kind in KINDS and config.kind != "ensemble":
+        out.append(_violation("checks", f"not read by kind {config.kind!r}"))
     if config.out is not None and not isinstance(config.out, str):
         out.append(_violation("out", f"must be a path string, "
                                      f"got {config.out!r}"))

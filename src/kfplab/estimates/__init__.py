@@ -1,67 +1,1 @@
 """Norms on cylinders, explicit constants, and estimate checkers."""
-
-from .constants import (
-    ExplicitConstants,
-    energy_constant,
-    explicit_constants,
-    gain_int_constant,
-    gain_reg_constant,
-    increase_constants,
-)
-from .norms import (
-    band_fraction,
-    cylinder_average,
-    gagliardo_x_seminorm,
-    grad_v_l1,
-    inf_on,
-    level_set_fraction,
-    lp_norm,
-    source_l2,
-    source_sup,
-    sup_on,
-)
-from .checks import (
-    ORIGIN,
-    check_energy_estimate,
-    check_gain_integrability,
-    check_harnack,
-    check_ivl,
-    check_kolm_lp_bound,
-    check_linfty_bound,
-    check_measure_to_pointwise,
-    check_oscillation_decay,
-    check_sobolev_gain,
-    check_weak_harnack,
-    check_weak_poincare,
-)
-
-__all__ = [
-    "ExplicitConstants",
-    "energy_constant",
-    "explicit_constants",
-    "gain_int_constant",
-    "gain_reg_constant",
-    "increase_constants",
-    "band_fraction",
-    "cylinder_average",
-    "gagliardo_x_seminorm",
-    "grad_v_l1",
-    "inf_on",
-    "level_set_fraction",
-    "lp_norm",
-    "source_l2",
-    "source_sup",
-    "sup_on",
-    "ORIGIN",
-    "check_energy_estimate",
-    "check_gain_integrability",
-    "check_harnack",
-    "check_ivl",
-    "check_kolm_lp_bound",
-    "check_linfty_bound",
-    "check_measure_to_pointwise",
-    "check_oscillation_decay",
-    "check_sobolev_gain",
-    "check_weak_harnack",
-    "check_weak_poincare",
-]

@@ -12,7 +12,7 @@ itself and pass bound 1.
 Checkers validate the cheap structural hypotheses themselves (sign
 conditions, sup bounds).  That the input is a weak sub/super-solution
 is the caller's contract, verified separately through
-kfplab.solver.weak_residual.
+kfplab.solver.weak.weak_residual.
 
 Each statement the CLI can run is declared once in STATEMENTS: the
 domains and defaults of its parameters and the cylinders it measures

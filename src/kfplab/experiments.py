@@ -264,7 +264,6 @@ def run_member(config: dict, seed: int, *, weak_basis=False) -> dict:
         except Exception as exc:  # one check's failure keeps the others
             reports.append({"check": name, "error": _error_text(exc)})
             continue
-        report.provenance["seed"] = seed
         reports.append(report)
     return {"seed": seed, "status": "ok", "solution": f,
             "coefficients": coef, "reports": reports}

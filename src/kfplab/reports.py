@@ -93,7 +93,7 @@ def build_report(statement_id, lhs, rhs_terms, pass_bound, *, cylinders=(),
         pass_bound=None if pass_bound is None else float(pass_bound),
         passed=passed,
         hypotheses_met=bool(hypotheses_met),
-        cylinders=[c.describe() if hasattr(c, "describe") else dict(c) for c in cylinders],
+        cylinders=[c.describe() for c in cylinders],
         extras=dict(extras or {}),
         provenance=dict(provenance or {}),
     )

@@ -1,7 +1,7 @@
 /* Compiled kernels of kfplab.solver.march, loaded through ctypes.
  *
  * Each kernel performs the numpy reference's operations (_transport,
- * _v_solve) in the same order on a velocity-major (nv, nx) C-order
+ * _v_solver) in the same order on a velocity-major (nv, nx) C-order
  * state, one rounding per multiply, add and divide.  Built with
  * -ffp-contract=off, so no multiply-add is fused, the results are
  * bitwise those of numpy.  The caller checks every shape.

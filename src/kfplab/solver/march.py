@@ -28,7 +28,7 @@ keep the (t, x, v) layout of GridFunction.
 The transport and the Thomas sweeps run as compiled kernels (march.c),
 built on the first solve of a process with the system C compiler and
 loaded through ctypes (_library, march_path).  The numpy functions
-_transport and _v_solve are their bitwise reference, and solve's path
+_transport and _v_solver are their bitwise reference, and solve's path
 on a host where the kernels cannot be built or loaded.  The reference
 transport groups the rows by their integer shift k (monotone in v, so
 each group is a contiguous row range) and reads each group's four
@@ -220,24 +220,23 @@ def _v_factors(coef, t_mid, xs, vs, dv, dt):
     return [np.broadcast_to(a, (nv, nx)) for a in (lower, denom, cp, dt * s)]
 
 
-def _v_solve(f, lower, denom, cp, ds):
-    """Backward-Euler v-step: Thomas sweeps on pre-eliminated factors,
-    one contiguous velocity row per step."""
-    u = f + ds
-    rows = list(u)
-    rows[0] /= denom[0]
-    for prev, row, lo, d in zip(rows, rows[1:], lower[1:], denom[1:]):
-        row -= lo * prev
-        row /= d
-    for nxt, row, c in zip(rows[::-1], rows[-2::-1], cp[-2::-1]):
-        row -= c * nxt
-    return u
-
-
 def _v_solver(lower, denom, cp, ds):
-    """_v_solve on one set of factors, as a function of the state."""
-    return functools.partial(_v_solve, lower=lower, denom=denom, cp=cp,
-                             ds=ds)
+    """Backward-Euler v-step on one set of pre-eliminated factors, as a
+    function of the state: Thomas sweeps, one contiguous velocity row
+    per step."""
+
+    def apply(f):
+        u = f + ds
+        rows = list(u)
+        rows[0] /= denom[0]
+        for prev, row, lo, d in zip(rows, rows[1:], lower[1:], denom[1:]):
+            row -= lo * prev
+            row /= d
+        for nxt, row, c in zip(rows[::-1], rows[-2::-1], cp[-2::-1]):
+            row -= c * nxt
+        return u
+
+    return apply
 
 
 def _library(flags=CFLAGS):

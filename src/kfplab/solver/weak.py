@@ -107,9 +107,6 @@ class TestBump:
         (wt, wx, wv) = self.widths
         return ((tc - wt, tc + wt), (xc - wx, xc + wx), (vc - wv, vc + wv))
 
-    def describe(self):
-        return {"center": list(self.center), "widths": list(self.widths)}
-
 
 @dataclasses.dataclass(frozen=True)
 class HingeProfile:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from kfplab import cli, experiments
-from kfplab.estimates import (band_fraction, inf_on, level_set_fraction,
-                              lp_norm, sup_on)
+from kfplab.estimates.norms import (band_fraction, inf_on,
+                                    level_set_fraction, lp_norm, sup_on)
 from kfplab.estimates.checks import STATEMENTS, check_oscillation_decay
 from kfplab.geometry import make_cylinder
 from kfplab.solver.coefficients import (CoefficientField,

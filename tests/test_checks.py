@@ -15,7 +15,8 @@ import pytest
 
 from kfplab import experiments
 from kfplab.calibration import load_calibration, pass_bound as calibrated_bound
-from kfplab.estimates import (
+from kfplab.estimates import checks
+from kfplab.estimates.checks import (
     check_energy_estimate,
     check_gain_integrability,
     check_harnack,
@@ -27,9 +28,8 @@ from kfplab.estimates import (
     check_sobolev_gain,
     check_weak_harnack,
     check_weak_poincare,
-    explicit_constants,
 )
-from kfplab.estimates import checks
+from kfplab.estimates.constants import explicit_constants
 from kfplab.estimates.checks import HARNACK_R0, STATEMENTS
 from kfplab.reports import build_report
 from kfplab.solver.coefficients import (

@@ -206,6 +206,8 @@ def test_grid_too_large_to_build_exits_2_naming_it(kind, grid, field,
 
     monkeypatch.setattr(experiments, "solve", no_solve)
     data = dict(example_dict(), kind=kind)
+    if kind != "ensemble":
+        data["checks"] = []  # only an ensemble reads checks
     data["grid"].update(grid)
     assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
     error = json.loads(capsys.readouterr().out)
@@ -227,6 +229,8 @@ def test_a_grid_past_the_physical_memory_exits_2_naming_it(
         raise AssertionError("built the axes of a grid past the memory")
 
     data = dict(example_dict(), kind=kind)
+    if kind != "ensemble":
+        data["checks"] = []  # only an ensemble reads checks
     data["grid"].update(grid)
     g = data["grid"]
     need = 8 * (g["nt"] + 1) * g["nx"] * g["nv"]
@@ -378,6 +382,13 @@ _MISTYPED = {
     "coefficients.seeds": ("ensemble", "coefficients.seeds",
                            lambda data, env: data["coefficients"].update(
                                seeds=["a"])),
+    # the coefficient hash reads a seed as one uint64
+    "coefficients.seeds=-1": ("ensemble", "coefficients.seeds",
+                              lambda data, env: data["coefficients"].update(
+                                  seeds=[-1])),
+    "coefficients.seeds=2^64": ("ensemble", "coefficients.seeds",
+                                lambda data, env: data["coefficients"].update(
+                                    seeds=[2 ** 64])),
     "strict": ("ensemble", "strict",
                lambda data, env: data.update(strict="no")),
     "KFPLAB_THREADS": ("ensemble", "KFPLAB_THREADS",
@@ -466,6 +477,30 @@ def test_repeated_seed_exits_2_naming_it(form, tmp_path, monkeypatch,
     assert [v["field"] for v in error["violations"]] == ["coefficients.seeds"]
     assert "[2]" in error["violations"][0]["reason"]
     assert not (out / "reports.json").exists()
+
+
+def test_seeds_at_the_ends_of_uint64_validate():
+    data = example_dict()
+    data["coefficients"]["seeds"] = [0, 2 ** 64 - 1]
+    assert validate(ExperimentConfig.from_dict(data)) == []
+
+
+@pytest.mark.parametrize("kind", [k for k in cli.KINDS if k != "ensemble"])
+def test_checks_for_a_kind_that_runs_none_exit_2(kind, tmp_path,
+                                                 monkeypatch, capsys):
+    # only an ensemble runs checks; another kind would drop them silently,
+    # so its entries are not checked one by one either
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should not validate")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    data = example_dict() if kind in ("solve", "verify") else {}
+    data.update(kind=kind, checks=[{"name": "energy_estimate"},
+                                   {"name": "not_a_check"}])
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["violations"] == [
+        {"field": "checks", "reason": f"not read by kind {kind!r}"}]
 
 
 class _FakeReport:
@@ -708,8 +743,7 @@ def test_verify_resolves_weak_residual_through_cli(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "weak_residual", spy)
-    data = example_dict()
-    data["kind"] = "verify"
+    data = dict(example_dict(), kind="verify", checks=[])
     assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
     assert directions == ["sub", "super"]
 
@@ -1077,8 +1111,7 @@ def test_convergence_kind_meets_order(tmp_path):
 
 
 def test_solve_kind_writes_container(tmp_path):
-    data = example_dict()
-    data["kind"] = "solve"
+    data = dict(example_dict(), kind="solve", checks=[])
     path = tmp_path / "solve.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "solve_out"
@@ -1102,8 +1135,7 @@ def test_solve_kind_writes_container(tmp_path):
 
 
 def test_verify_kind_passes_residuals(tmp_path):
-    data = example_dict()
-    data["kind"] = "verify"
+    data = dict(example_dict(), kind="verify", checks=[])
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "verify_out"

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfplab.solver import (CoefficientField, constant_coefficients,
-                           make_rough_coefficients)
-from kfplab.solver.coefficients import time_cell_runs
+from kfplab.solver.coefficients import (CoefficientField,
+                                        constant_coefficients,
+                                        make_rough_coefficients,
+                                        time_cell_runs)
 
 
 def _random_points(rng, n=10000, span=50.0):

@@ -16,7 +16,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kfplab.estimates import (
+from kfplab.estimates.constants import (
+    PRECISE_DIGITS,
+    ZETA,
     ExplicitConstants,
     energy_constant,
     explicit_constants,
@@ -24,7 +26,6 @@ from kfplab.estimates import (
     gain_reg_constant,
     increase_constants,
 )
-from kfplab.estimates.constants import PRECISE_DIGITS, ZETA
 
 # 12-significant-digit pins at delta1 = delta2 = 1/2, s = 0 (d = 1,
 # sigma = 1/4, C = 10), frozen once from a dps=140 evaluation and

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfplab.estimates import (
+from kfplab.estimates.norms import (
     band_fraction,
     cylinder_average,
     gagliardo_x_seminorm,

@@ -9,11 +9,13 @@ from kfplab.calibration import grid_tolerance
 from kfplab.experiments import (STANDARD_CONFIG, harnack_edge_axes,
                                 harnack_observation_axes)
 from kfplab.solver import march
-from kfplab.solver import (Box, CFLViolationError, GridFunction,
-                           SafeRegionError, SolverDivergenceError,
-                           centered_axis, constant_coefficients,
-                           load_grid_function, make_rough_coefficients,
-                           sample_function, solve, transport_weights)
+from kfplab.solver.coefficients import (constant_coefficients,
+                                        make_rough_coefficients)
+from kfplab.solver.grid import (Box, GridFunction, SafeRegionError,
+                                centered_axis, load_grid_function,
+                                sample_function)
+from kfplab.solver.march import (CFLViolationError, SolverDivergenceError,
+                                 solve, transport_weights)
 
 BOX = Box(0.0, 0.5, -2.0, 2.0, -2.0, 2.0)
 

@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spans  # noqa: E402
 
 from kfplab import cli, experiments, kernel  # noqa: E402
-from kfplab.estimates import lp_norm, source_l2  # noqa: E402
+from kfplab.estimates.norms import lp_norm, source_l2  # noqa: E402
 from kfplab.geometry import Cylinder, make_cylinder  # noqa: E402
 from kfplab.solver.coefficients import (CoefficientField,  # noqa: E402
                                         make_rough_coefficients)

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from kfplab.geometry import PhasePoint
-from kfplab.solver import (
-    Box,
+from kfplab.solver.coefficients import (constant_coefficients,
+                                        make_rough_coefficients)
+from kfplab.solver.grid import Box
+from kfplab.solver.march import solve
+from kfplab.solver.weak import (
     HingeProfile,
     TestBump,
-    constant_coefficients,
     default_hinges,
     default_test_basis,
     indicator_subsolution,
-    make_rough_coefficients,
-    solve,
     translated_kernel_solution,
     weak_basis,
     weak_residual,
