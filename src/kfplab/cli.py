@@ -5,7 +5,8 @@ ensemble, checks, and output directory.  `validate` reports every
 violation before any compute; `run` executes the experiment and writes
 a deterministic reports.json (byte-identical across reruns of the same
 config), a CSV summary, per-check plot data, and a separate
-metadata.json holding the timestamps.
+metadata.json holding the timestamps, the kernel path that ran
+(compiled or numpy) and numpy's version.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed or raised (or
 a seed failed under --strict, a member process died, or no check ran),
@@ -35,7 +36,8 @@ from .solver.grid import Box, InsufficientResolutionError
 # members solve and check through experiments.run_member, so solve and
 # the check_* names resolve in kfplab.experiments; this module keeps
 # solve because perfbench/spans.py wraps it here too
-from .solver.march import CFL_LIMIT, solve, solve_axes, solve_grid  # noqa: F401
+from .solver.march import (CFL_LIMIT, kernel_path, solve,  # noqa: F401
+                           solve_axes, solve_grid)
 from .solver.weak import (EmptyBumpError, basis_windows, weak_basis,
                           weak_residual)
 
@@ -646,6 +648,8 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
         "elapsed_seconds": time.time() - t0,
         "threads": int(config.threads),
         "exit_code": code,
+        "kernels": kernel_path(),
+        "numpy": np.__version__,
     })
     return code
 

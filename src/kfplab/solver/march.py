@@ -26,14 +26,15 @@ Thomas sweeps works on one contiguous velocity row.  The stored slices
 keep the (t, x, v) layout of GridFunction.
 
 The transport and the Thomas sweeps run as compiled kernels (march.c),
-built on the first solve of a process with the system C compiler and
-loaded through ctypes (_library, march_path).  The numpy functions
-_transport and _v_solver are their bitwise reference, and solve's path
-on a host where the kernels cannot be built or loaded.  The reference
-transport groups the rows by their integer shift k (monotone in v, so
-each group is a contiguous row range) and reads each group's four
-stencil columns as slices of a periodically padded copy of the state;
-the compiled one wraps the indices of each row instead.
+built with the weak residual's (weak.c) into one library by the system
+C compiler on first use in a process, and loaded through ctypes
+(_library, kernel_path).  The numpy functions _transport and _v_solver
+are their bitwise reference, and solve's path on a host where the
+kernels cannot be built or loaded.  The reference transport groups the
+rows by their integer shift k (monotone in v, so each group is a
+contiguous row range) and reads each group's four stencil columns as
+slices of a periodically padded copy of the state; the compiled one
+wraps the indices of each row instead.
 """
 
 from __future__ import annotations
@@ -53,13 +54,15 @@ from .grid import Box, GridFunction, centered_axis
 
 __all__ = ["CFL_LIMIT", "CFLViolationError", "SolverDivergenceError",
            "SolveAxes", "solve_axes", "solve_grid", "solve",
-           "transport_weights", "march_path", "fit_order"]
+           "transport_weights", "kernel_path", "fit_order"]
 
 # advective CFL allowance of solve, read at each call
 CFL_LIMIT = 4.0
 CHECK_EVERY = 25  # steps between solve's finiteness checks, and the last
 
-_SOURCE = Path(__file__).with_name("march.c")
+# the C sources of the one library of compiled kernels
+_SOURCES = (Path(__file__).with_name("march.c"),
+            Path(__file__).with_name("weak.c"))
 # No multiply-add may be fused, or the kernels stop being bitwise the
 # numpy reference; no -march, since a library cached in a shared home
 # may be loaded on another CPU.
@@ -240,10 +243,11 @@ def _v_solver(lower, denom, cp, ds):
 
 
 def _library(flags=CFLAGS):
-    """march.c, built with the C compiler cc on PATH and loaded.
+    """_SOURCES, built into one library with the C compiler cc on PATH
+    and loaded.
 
     The library is cached in $XDG_CACHE_HOME/kfplab, else
-    ~/.cache/kfplab, under the sha256 of the source, the flags and the
+    ~/.cache/kfplab, under the sha256 of the sources, the flags and the
     size and mtime of the compiler, so a cache hit starts no process.
     A build goes to a temporary file in the cache and is renamed into
     place, so processes building at once each load a whole library.
@@ -258,18 +262,20 @@ def _library(flags=CFLAGS):
     if cc is None:
         raise FileNotFoundError("no C compiler cc on PATH")
     compiler = os.stat(cc)
-    key = hashlib.sha256(_SOURCE.read_bytes())
+    key = hashlib.sha256()
+    for source in _SOURCES:
+        key.update(source.read_bytes())
     key.update(repr((flags, compiler.st_size,
                      compiler.st_mtime_ns)).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "kfplab"
-    path = cache / f"march-{key.hexdigest()[:32]}.so"
+    path = cache / f"kernels-{key.hexdigest()[:32]}.so"
     if not path.exists():
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
         os.close(fd)
         try:
-            subprocess.run([cc, *flags, "-o", tmp, str(_SOURCE)],
+            subprocess.run([cc, *flags, "-o", tmp, *map(str, _SOURCES)],
                            check=True, capture_output=True, timeout=120)
             os.replace(tmp, path)
         finally:
@@ -300,9 +306,10 @@ class _Kernel:
         return out
 
 
+@functools.cache
 def _compiled(lib):
     """(transport, v_solver) over a library of march.c, called as
-    _transport and _v_solver are."""
+    _transport and _v_solver are; bound once per library."""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.kfp_transport.argtypes = (i64, i64) + (ptr,) * 7
     lib.kfp_v_solve.argtypes = (i64, i64) + (ptr,) * 6
@@ -329,20 +336,27 @@ def _compiled(lib):
 
 
 @functools.cache
-def _march_kernels():
-    """solve's (transport, v_solver) factories: the compiled kernels, or
-    the numpy reference where they cannot be built or loaded."""
+def _kernel_library():
+    """The library of compiled kernels, built and loaded once per
+    process, or None where it cannot be built or loaded."""
     import subprocess
 
     try:
-        return _compiled(_library())
+        return _library()
     except (OSError, RuntimeError, subprocess.SubprocessError):
-        return _transport, _v_solver
+        return None
 
 
-def march_path() -> str:
-    """Which kernels solve marches with: "compiled" or "numpy"."""
-    return "numpy" if _march_kernels()[0] is _transport else "compiled"
+def kernel_path() -> str:
+    """Which kernels solve and weak_residual run: "compiled" or "numpy"."""
+    return "numpy" if _kernel_library() is None else "compiled"
+
+
+def _march_kernels():
+    """solve's (transport, v_solver) factories: the compiled kernels, or
+    the numpy reference where they cannot be built or loaded."""
+    lib = _kernel_library()
+    return (_transport, _v_solver) if lib is None else _compiled(lib)
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,

@@ -20,25 +20,34 @@ the source -S.
 What does not depend on beta or the direction is built once by
 weak_basis and shared by both directions: f's view on the bumps' read
 window, the coefficients once per coefficient time cell, and each
-bump's -T phi, grad_v phi and the two factors of phi.  weak_residual
-reads only that basis: it forms the rest per hinge in three
-window-sized buffers and per pair in two bump-sized ones.
+bump's 1-D axis profiles (BumpProfiles), from which phi, T phi and
+grad_v phi are formed.  weak_residual reads only that basis: it forms
+the rest per hinge in three window-sized buffers and per pair in a
+bump-sized one.  Its elementwise passes run as compiled kernels
+(weak.c, built into one library with the march's), which form each
+bump's phi, -T phi and grad_v phi per cell from its profiles; numpy's
+logaddexp, exp and sums run between them.  _hinge_sums, on full bump
+arrays formed once per call, is their bitwise reference and the path
+on a host where the library cannot be built or loaded.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from ..calibration import grid_tolerance
 from ..geometry import as_point
 from ..kernel import translated_kernel_values
+from . import march
 from .coefficients import CoefficientField, time_cell_runs
 from .grid import (GridFunction, InsufficientResolutionError,
                    sample_function, velocity_gradient, window_union)
 
-__all__ = ["TestBump", "HingeProfile", "default_test_basis",
+__all__ = ["TestBump", "BumpProfiles", "HingeProfile", "default_test_basis",
            "default_hinges", "EmptyBumpError", "basis_windows",
            "basis_read_window", "WeakBasis", "weak_basis", "weak_residual",
            "WeakResidualReport",
@@ -46,23 +55,44 @@ __all__ = ["TestBump", "HingeProfile", "default_test_basis",
 
 
 def _profile(s):
-    """C-infinity bump exp(1 - 1/(1 - s^2)) on (-1, 1), peak 1."""
+    """The C-infinity bump exp(1 - 1/(1 - s^2)) on (-1, 1), peak 1, and
+    its derivative in s, from one exp."""
     s = np.asarray(s, float)
-    out = np.zeros_like(s)
+    p, dp = np.zeros_like(s), np.zeros_like(s)
     inside = np.abs(s) < 1.0
     si = s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-    return out
+    e = np.exp(1.0 - 1.0 / (1.0 - si * si))
+    p[inside] = e
+    dp[inside] = e * (-2.0 * si) / (1.0 - si * si) ** 2
+    return p, dp
 
 
-def _profile_deriv(s):
-    s = np.asarray(s, float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = (np.exp(1.0 - 1.0 / (1.0 - si * si))
-                   * (-2.0 * si) / (1.0 - si * si) ** 2)
-    return out
+class BumpProfiles(NamedTuple):
+    """A TestBump's factors on a grid: each axis profile and its
+    derivative, those of t and x divided by their widths, that of v not
+    (grad_v divides by wv last).  On open (np.ix_) grids each is 1-D
+    along its own axis; the methods compose phi, T phi and grad_v phi,
+    in the operation order the compiled pair kernel (weak.c) follows."""
+
+    pt: np.ndarray
+    dpt: np.ndarray  # d/dt pt
+    px: np.ndarray
+    dpx: np.ndarray  # d/dx px
+    pv: np.ndarray
+    dpv: np.ndarray  # wv d/dv pv
+    wv: float
+
+    def value_factors(self):
+        """(pt px, pv), whose product is phi: a caller may form it in a
+        buffer of its own."""
+        return self.pt * self.px, self.pv
+
+    def transport(self, V):
+        """T phi = d/dt phi + v d/dx phi, analytic, at velocities V."""
+        return self.dpt * self.px * self.pv + V * self.pt * self.dpx * self.pv
+
+    def grad_v(self):
+        return self.pt * self.px * self.dpv / self.wv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,32 +105,25 @@ class TestBump:
     center: tuple
     widths: tuple
 
-    def _s(self, T, X, V):
+    def profiles(self, T, X, V) -> BumpProfiles:
+        """The one evaluation of the bump's axis profiles on a grid."""
         (tc, xc, vc) = self.center
         (wt, wx, wv) = self.widths
-        return (T - tc) / wt, (X - xc) / wx, (V - vc) / wv
-
-    def value_factors(self, T, X, V):
-        """(pt px, pv), whose product is value: a caller may form it in
-        a buffer of its own."""
-        st, sx, sv = self._s(T, X, V)
-        return _profile(st) * _profile(sx), _profile(sv)
+        (pt, dpt), (px, dpx), (pv, dpv) = (
+            _profile((T - tc) / wt), _profile((X - xc) / wx),
+            _profile((V - vc) / wv))
+        return BumpProfiles(pt, dpt / wt, px, dpx / wx, pv, dpv, wv)
 
     def value(self, T, X, V):
-        tx, pv = self.value_factors(T, X, V)
+        tx, pv = self.profiles(T, X, V).value_factors()
         return tx * pv
 
     def transport(self, T, X, V):
         """T phi = d/dt phi + v d/dx phi, analytic."""
-        st, sx, sv = self._s(T, X, V)
-        pt, px, pv = _profile(st), _profile(sx), _profile(sv)
-        dt = _profile_deriv(st) / self.widths[0]
-        dx = _profile_deriv(sx) / self.widths[1]
-        return dt * px * pv + V * pt * dx * pv
+        return self.profiles(T, X, V).transport(V)
 
     def grad_v(self, T, X, V):
-        st, sx, sv = self._s(T, X, V)
-        return _profile(st) * _profile(sx) * _profile_deriv(sv) / self.widths[2]
+        return self.profiles(T, X, V).grad_v()
 
     def support(self):
         (tc, xc, vc) = self.center
@@ -251,7 +274,7 @@ class WeakBasis:
     f: GridFunction
     values: np.ndarray  # f.values on basis_read_window, a view
     groups: list  # (t slice of the window, A, B, S) per time cell
-    bumps: list  # (window slice, -T phi, grad_v phi, (pt px, pv))
+    bumps: list  # (window slice, BumpProfiles, V) on the bump's window
 
 
 def weak_basis(f: GridFunction, coef: CoefficientField,
@@ -263,9 +286,10 @@ def weak_basis(f: GridFunction, coef: CoefficientField,
     windows (basis_read_window), through a view.  The field depends on
     t only through coef.time_cell, so A, B and S are sampled once per
     run of window slices in one time cell (time_cell_runs), as
-    (1, nx, nv) rows that broadcast over the run.  Each bump keeps, on
-    open grids of its own window, -T phi and grad_v phi at full size,
-    and the factors (pt px, pv) whose product is phi.
+    (1, nx, nv) rows that broadcast over the run.  Each bump keeps only
+    its slice of that window, its BumpProfiles on the open grid of its
+    own window (1-D along each axis) and that grid's velocities V: no
+    array of the bump's full size.
     """
     phis, windows = basis_windows(f, phis)
     union = window_union(windows)
@@ -279,8 +303,7 @@ def weak_basis(f: GridFunction, coef: CoefficientField,
     for phi, w in zip(phis, windows):
         sl = tuple(slice(s.start - a, s.stop - a) for s, a in zip(w, lo))
         T, X, V = np.ix_(f.times[w[0]], f.xs[w[1]], f.vs[w[2]])
-        bumps.append((sl, -phi.transport(T, X, V), phi.grad_v(T, X, V),
-                      phi.value_factors(T, X, V)))
+        bumps.append((sl, phi.profiles(T, X, V), V))
     return WeakBasis(f, f.values[union], groups, bumps)
 
 
@@ -298,12 +321,16 @@ def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
     gradient and the bump-independent products A grad_v beta(f) and
     S beta'(f) + B grad_v beta(f), the coefficients broadcast per time
     cell, are written on the basis window to three buffers that every
-    hinge of the call reuses.  Per pair, phi is formed from its
-    factors and the integrand summed in two bump-sized buffers.  The
-    integrand's products and term order are fixed (beta(f) times the
-    stored -T phi is the IEEE product -beta(f) T phi, and the mirror
-    takes -S beta'(f) as -(S beta'(f))), so the residuals are bitwise
-    those of a per-bump evaluation on the full grid.
+    hinge of the call reuses.  Per pair, the integrand is formed on the
+    bump's window in a bump-sized buffer and summed by np.sum.  The
+    elementwise passes run as the compiled kernels of weak.c, phi,
+    -T phi and grad_v phi formed per cell from the bump's profiles;
+    where the library cannot be built or loaded (march.kernel_path),
+    _hinge_sums runs them in numpy on the bumps' full arrays, formed
+    once per call.  Both fix the integrand's products and term order
+    (beta(f) times -T phi is the IEEE product -beta(f) T phi, and the
+    mirror takes -S beta'(f) as -(S beta'(f))), so the residuals are
+    bitwise those of a per-bump evaluation on the full grid.
     """
     if direction not in ("sub", "super"):
         raise ValueError("direction must be 'sub' or 'super'")
@@ -313,16 +340,14 @@ def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
     betas = default_hinges(*((-fmax, -fmin) if negate else (fmin, fmax)))
     tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
+    lib = march._kernel_library()
+    sums = _numpy_sums if lib is None else _compiled(lib)
+    hinge_sums = sums(basis, negate)
     measure = f.cell_measure
-    groups = [(g, A, B, -S if negate else S) for g, A, B, S in basis.groups]
-    fields = tuple(np.empty(basis.values.shape) for _ in range(3))
-    largest = max(ntphi.size for _, ntphi, _, _ in basis.bumps)
-    pair = (np.empty(largest), np.empty(largest))
     rows = []
     worst = None
     for beta in betas:
-        sums = _hinge_sums(beta, basis, negate, groups, fields, pair)
-        for k, total in enumerate(sums):
+        for k, total in enumerate(hinge_sums(beta)):
             r = measure * total
             rows.append({"beta": beta.describe(), "phi_index": k,
                          "residual": r})
@@ -340,9 +365,29 @@ def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
     )
 
 
-def _hinge_sums(beta, basis, negate, groups, fields, pair) -> list:
-    """The integral sums of one hinge against each bump of basis, in
-    the union-sized buffers fields and the bump-sized buffers pair."""
+def _signed_groups(basis, negate):
+    """basis.groups with S negated for the mirror direction."""
+    return [(g, A, B, -S if negate else S) for g, A, B, S in basis.groups]
+
+
+def _numpy_sums(basis, negate):
+    """The integral sums of a hinge against each bump of basis, as a
+    function of the hinge, by _hinge_sums: each bump's -T phi, grad_v phi
+    and factors of phi formed once, at full size, for every hinge."""
+    groups = _signed_groups(basis, negate)
+    bumps = [(sl, -p.transport(V), p.grad_v(), p.value_factors())
+             for sl, p, V in basis.bumps]
+    fields = tuple(np.empty(basis.values.shape) for _ in range(3))
+    largest = max(ntphi.size for _, ntphi, _, _ in bumps)
+    pair = (np.empty(largest), np.empty(largest))
+    return lambda beta: _hinge_sums(beta, basis, negate, groups, bumps,
+                                    fields, pair)
+
+
+def _hinge_sums(beta, basis, negate, groups, bumps, fields, pair) -> list:
+    """The integral sums of one hinge against each bump, in the
+    union-sized buffers fields and the bump-sized buffers pair: the
+    numpy reference of the compiled kernels."""
     bf, dbf = beta.value_and_deriv(basis.values, out=fields, negate=negate)
     gbf = velocity_gradient(bf, basis.f.dv, out=fields[2])
     # in place per time cell: S beta'(f) + B grad_v beta(f) in dbf's
@@ -352,7 +397,7 @@ def _hinge_sums(beta, basis, negate, groups, fields, pair) -> list:
         w += B * gbf[g]
         np.multiply(gbf[g], A, out=gbf[g])
     sums = []
-    for sl, ntphi, gphi, (tx, pv) in basis.bumps:
+    for sl, ntphi, gphi, (tx, pv) in bumps:
         a, b = (buf[:ntphi.size].reshape(ntphi.shape) for buf in pair)
         np.multiply(bf[sl], ntphi, out=a)
         a += np.multiply(gbf[sl], gphi, out=b)
@@ -360,6 +405,71 @@ def _hinge_sums(beta, basis, negate, groups, fields, pair) -> list:
         b *= dbf[sl]
         a -= b
         sums.append(float(np.sum(a)))
+    return sums
+
+
+def _compiled(lib):
+    """The counterpart of _numpy_sums over a library of weak.c: the
+    elementwise passes of _hinge_sums in its kernels, numpy's logaddexp
+    and exp between them, and np.sum over each pair's buffer."""
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.kfp_hinge_z.argtypes = (i64,) * 6 + (ptr, i64, dbl, dbl, ptr, ptr)
+    lib.kfp_hinge_value.argtypes = (i64, dbl, ptr, ptr, ptr)
+    lib.kfp_hinge_fields.argtypes = (i64, i64, i64, dbl) + (ptr,) * 6
+    lib.kfp_pair.argtypes = (i64,) * 5 + (ptr,) * 7 + (dbl,) + (ptr,) * 4
+    for fn in (lib.kfp_hinge_z, lib.kfp_hinge_value, lib.kfp_hinge_fields,
+               lib.kfp_pair):
+        fn.restype = None
+
+    def sums(basis, negate):
+        nt, nx, nv = shape = basis.values.shape
+        if nv < 2:
+            raise ValueError("the basis window needs 2 cells in v")
+        values = basis.values
+        if any(s % 8 for s in values.strides):  # not whole elements apart
+            values = np.ascontiguousarray(values)
+        strides = [s // 8 for s in values.strides]
+        # every array a kernel reads, C-contiguous, kept alive with the
+        # closure; A, B and S of each time-cell run at the window's size
+        groups = [(g.start, g.stop,
+                   *(np.ascontiguousarray(np.broadcast_to(a, (1, nx, nv)))
+                     for a in (A, B, S)))
+                  for g, A, B, S in _signed_groups(basis, negate)]
+        bumps = []
+        for sl, p, V in basis.bumps:
+            size = tuple(s.stop - s.start for s in sl)
+            offset = 8 * ((sl[0].start * nx + sl[1].start) * nv
+                          + sl[2].start)
+            axes = [np.ascontiguousarray(a).ravel()
+                    for a in (p.pt, p.dpt, p.px, p.dpx, p.pv, p.dpv, V)]
+            bumps.append((size, offset, axes, float(p.wv)))
+        bf, z, l = (np.empty(shape) for _ in range(3))
+        pair = np.empty(max(np.prod(size) for size, *_ in bumps))
+        step = 8 * nx * nv  # bytes per slice of a field
+
+        def hinge_sums(beta):
+            pbf, pz, pl = bf.ctypes.data, z.ctypes.data, l.ctypes.data
+            lib.kfp_hinge_z(*shape, *strides, values.ctypes.data, negate,
+                            beta.threshold, beta.width, pz, pl)
+            np.logaddexp(0.0, l, out=l)
+            lib.kfp_hinge_value(z.size, beta.width, pz, pl, pbf)
+            np.exp(z, out=z)  # beta'(f)
+            for a, b, A, B, S in groups:
+                lib.kfp_hinge_fields(b - a, nx, nv, basis.f.dv,
+                                     A.ctypes.data, B.ctypes.data,
+                                     S.ctypes.data, pbf + a * step,
+                                     pz + a * step, pl + a * step)
+            out = []
+            for size, offset, axes, wv in bumps:
+                lib.kfp_pair(*size, nx * nv, nv,
+                             *(a.ctypes.data for a in axes), wv,
+                             pbf + offset, pl + offset, pz + offset,
+                             pair.ctypes.data)
+                out.append(float(np.sum(pair[:np.prod(size)].reshape(size))))
+            return out
+
+        return hinge_sums
+
     return sums
 
 

@@ -989,6 +989,9 @@ def test_ensemble_demo_end_to_end(tmp_path):
     assert (out1 / "constants_by_seed.csv").exists()
     meta = json.loads((out1 / "metadata.json").read_text())
     assert "created_at" in meta and "elapsed_seconds" in meta
+    # the kernel path that ran, and the numpy it ran on
+    assert meta["kernels"] in ("compiled", "numpy")
+    assert meta["numpy"] == np.__version__
 
     reports = json.loads((out1 / "reports.json").read_text())
     assert "created_at" not in json.dumps(reports)

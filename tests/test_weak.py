@@ -10,7 +10,9 @@ from kfplab.geometry import PhasePoint
 from kfplab.solver.coefficients import (constant_coefficients,
                                         make_rough_coefficients)
 from kfplab.solver.grid import Box
-from kfplab.solver.march import solve
+from kfplab.experiments import STANDARD_CONFIG
+from kfplab.solver import march
+from kfplab.solver.march import solve, solve_grid
 from kfplab.solver.weak import (
     HingeProfile,
     TestBump,
@@ -304,6 +306,26 @@ def test_weak_residual_copies_no_full_grid():
     assert peak < f.values.nbytes, (peak, f.values.nbytes)
 
 
+def test_weak_basis_keeps_no_bump_sized_array():
+    # on the standard verify grid, each bump keeps 1-D arrays along its
+    # window's axes: pt and its derivative, px and its derivative, pv,
+    # its derivative and V, so at most 2 nt + 2 nx + 3 nv floats
+    grid, pads = STANDARD_CONFIG["grid"], STANDARD_CONFIG["pads"]
+    f = solve_grid(Box(**STANDARD_CONFIG["box"]), grid["nx"], grid["nv"],
+                   grid["nt"], pads["x"], pads["v"])
+    basis = weak_basis(f, constant_coefficients(1.0, 0.0, 0.0))
+    nt, nx, nv = f.values.shape
+    per_bump = 8 * (2 * nt + 2 * nx + 3 * nv)
+    kept = sum(a.nbytes for bump in basis.bumps for item in bump
+               for a in (item if isinstance(item, tuple) else (item,))
+               if isinstance(a, np.ndarray))
+    assert kept <= len(basis.bumps) * per_bump
+    # one full array per bump would break that bound many times over
+    cells = sum(np.prod([s.stop - s.start for s in sl])
+                for sl, *_ in basis.bumps)
+    assert 8 * cells > 100 * len(basis.bumps) * per_bump
+
+
 # ------------------------------------------------- per-bump reference
 
 
@@ -377,7 +399,7 @@ class _SmoothField:
         return {"kind": "smooth"}
 
 
-@pytest.mark.parametrize("coef, pad_v, kw", [
+REFERENCE_CASES = pytest.mark.parametrize("coef, pad_v, kw", [
     pytest.param(ROUGH, 0.5, {}, id="default-basis-with-pads"),
     pytest.param(ROUGH, 0.0, {}, id="window-clipped-at-both-v-walls"),
     pytest.param(ROUGH, 0.5,
@@ -394,7 +416,23 @@ class _SmoothField:
                  0.5, {}, id="zero-source"),
     pytest.param(_SmoothField(), 0.5, {}, id="per-slice-time-cell"),
 ])
+
+
+@REFERENCE_CASES
 def test_weak_residual_bitwise_equals_per_bump_reference(coef, pad_v, kw):
+    _check_against_per_bump_reference(coef, pad_v, kw)
+
+
+@REFERENCE_CASES
+def test_numpy_weak_residual_bitwise_equals_per_bump_reference(
+        coef, pad_v, kw, monkeypatch):
+    # solve and weak_residual as on a host without the compiled library
+    monkeypatch.setattr(march, "_kernel_library", lambda: None)
+    assert march.kernel_path() == "numpy"
+    _check_against_per_bump_reference(coef, pad_v, kw)
+
+
+def _check_against_per_bump_reference(coef, pad_v, kw):
     # each direction on a basis of its own, and both on one shared basis
     f = _rough_solve(coef, pad_v)
     shared = weak_basis(f, coef, kw.get("phis"))
