@@ -10,7 +10,7 @@ metadata.json holding the timestamps, the kernel path that ran
 
 Exit codes: 0 all enabled checks passed, 1 a check failed or raised (or
 a seed failed under --strict, a member process died, or no check ran),
-2 the config did not validate.
+2 the config, the seeds or the output path did not validate.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -78,6 +79,10 @@ def parse_seeds(text: str) -> list:
         lo, hi = int(a), int(b)
         if hi < lo:
             raise ValueError(f"empty seed range {text!r}")
+        # a list slot and an int object per seed, built only if it fits
+        if (hi - lo + 1) * (8 + sys.getsizeof(hi)) > _physical_memory():
+            raise ValueError(f"seed range {text!r} is too long to list in "
+                             f"physical memory")
         return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -635,7 +640,10 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
 
     out = Path(out_dir if out_dir is not None
                else (config.out or "kfplab-out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _reject([_violation("out", f"cannot be a directory: {exc}")])
 
     t0 = time.time()
     code, payload, rows, plots = _RUNNERS[config.kind](config, out)

@@ -27,14 +27,14 @@ keep the (t, x, v) layout of GridFunction.
 
 The transport and the Thomas sweeps run as compiled kernels (march.c),
 built with the weak residual's (weak.c) into one library by the system
-C compiler on first use in a process, and loaded through ctypes
-(_library, kernel_path).  The numpy functions _transport and _v_solver
-are their bitwise reference, and solve's path on a host where the
-kernels cannot be built or loaded.  The reference transport groups the
-rows by their integer shift k (monotone in v, so each group is a
-contiguous row range) and reads each group's four stencil columns as
-slices of a periodically padded copy of the state; the compiled one
-wraps the indices of each row instead.
+C compiler on first use in a process, loaded through ctypes and bound
+to _SIGNATURES (_library); solve reads the one switch _kernel_library.
+The numpy functions _transport and _v_solver are their bitwise
+reference, and solve's path where the library cannot be built, loaded
+or bound.  The reference transport groups the rows by their integer
+shift k (monotone in v, so each group is a contiguous row range) and
+reads each group's four stencil columns as slices of a periodically
+padded copy of the state; the compiled one wraps each row's indices.
 """
 
 from __future__ import annotations
@@ -63,6 +63,16 @@ CHECK_EVERY = 25  # steps between solve's finiteness checks, and the last
 # the C sources of the one library of compiled kernels
 _SOURCES = (Path(__file__).with_name("march.c"),
             Path(__file__).with_name("weak.c"))
+# the argument types of every (void) kernel of _SOURCES, bound by _library
+_I64, _DBL, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {
+    "kfp_transport": (_I64, _I64) + (_PTR,) * 7,
+    "kfp_v_solve": (_I64, _I64) + (_PTR,) * 6,
+    "kfp_hinge_z": (_I64,) * 6 + (_PTR, _I64, _DBL, _DBL, _PTR, _PTR),
+    "kfp_hinge_value": (_I64, _DBL, _PTR, _PTR, _PTR),
+    "kfp_hinge_fields": (_I64, _I64, _I64, _DBL) + (_PTR,) * 6,
+    "kfp_pair": (_I64,) * 5 + (_PTR,) * 7 + (_DBL,) + (_PTR,) * 4,
+}
 # No multiply-add may be fused, or the kernels stop being bitwise the
 # numpy reference; no -march, since a library cached in a shared home
 # may be loaded on another CPU.
@@ -243,8 +253,8 @@ def _v_solver(lower, denom, cp, ds):
 
 
 def _library(flags=CFLAGS):
-    """_SOURCES, built into one library with the C compiler cc on PATH
-    and loaded.
+    """_SOURCES, built into one library with the C compiler cc on PATH,
+    loaded, and every kernel bound to its _SIGNATURES entry.
 
     The library is cached in $XDG_CACHE_HOME/kfplab, else
     ~/.cache/kfplab, under the sha256 of the sources, the flags and the
@@ -252,8 +262,8 @@ def _library(flags=CFLAGS):
     A build goes to a temporary file in the cache and is renamed into
     place, so processes building at once each load a whole library.
     Raises OSError (no compiler, an unwritable cache, a library that
-    does not load), subprocess.SubprocessError (a failed build) or
-    RuntimeError (no home directory).
+    does not load), subprocess.SubprocessError (a failed build),
+    RuntimeError (no home directory) or AttributeError (a missing kernel).
     """
     import hashlib
     import subprocess
@@ -280,7 +290,11 @@ def _library(flags=CFLAGS):
             os.replace(tmp, path)
         finally:
             Path(tmp).unlink(missing_ok=True)
-    return ctypes.CDLL(str(path))
+    lib = ctypes.CDLL(str(path))
+    for name, argtypes in _SIGNATURES.items():
+        kernel = getattr(lib, name)
+        kernel.argtypes, kernel.restype = argtypes, None
+    return lib
 
 
 class _Kernel:
@@ -306,14 +320,9 @@ class _Kernel:
         return out
 
 
-@functools.cache
 def _compiled(lib):
     """(transport, v_solver) over a library of march.c, called as
-    _transport and _v_solver are; bound once per library."""
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.kfp_transport.argtypes = (i64, i64) + (ptr,) * 7
-    lib.kfp_v_solve.argtypes = (i64, i64) + (ptr,) * 6
-    lib.kfp_transport.restype = lib.kfp_v_solve.restype = None
+    _transport and _v_solver are."""
 
     def c_array(a, shape, dtype=np.float64):
         return np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype),
@@ -337,26 +346,20 @@ def _compiled(lib):
 
 @functools.cache
 def _kernel_library():
-    """The library of compiled kernels, built and loaded once per
-    process, or None where it cannot be built or loaded."""
+    """The bound library of compiled kernels, built and loaded once per
+    process, or None where it cannot be: the one switch solve and
+    weak_residual read between the kernels and the numpy reference."""
     import subprocess
 
     try:
         return _library()
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError):
         return None
 
 
 def kernel_path() -> str:
     """Which kernels solve and weak_residual run: "compiled" or "numpy"."""
     return "numpy" if _kernel_library() is None else "compiled"
-
-
-def _march_kernels():
-    """solve's (transport, v_solver) factories: the compiled kernels, or
-    the numpy reference where they cannot be built or loaded."""
-    lib = _kernel_library()
-    return (_transport, _v_solver) if lib is None else _compiled(lib)
 
 
 def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
@@ -388,7 +391,9 @@ def solve(f0, coef: CoefficientField, box: Box, nx, nv, nt, *, pad_x=1.0,
     # the march keeps the state velocity-major, (nv, nx)
     f = np.ascontiguousarray(np.broadcast_to(f, (nx, nv)).T)
 
-    make_transport, v_solver = _march_kernels()
+    lib = _kernel_library()
+    make_transport, v_solver = ((_transport, _v_solver) if lib is None
+                                else _compiled(lib))
     transport = make_transport(*transport_weights(vs, 0.5 * dt, dx), nx)
     t_mids = box.t0 + (np.arange(nt) + 0.5) * dt
 

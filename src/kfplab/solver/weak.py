@@ -24,16 +24,15 @@ bump's 1-D axis profiles (BumpProfiles), from which phi, T phi and
 grad_v phi are formed.  weak_residual reads only that basis: it forms
 the rest per hinge in three window-sized buffers and per pair in a
 bump-sized one.  Its elementwise passes run as compiled kernels
-(weak.c, built into one library with the march's), which form each
-bump's phi, -T phi and grad_v phi per cell from its profiles; numpy's
-logaddexp, exp and sums run between them.  _hinge_sums, on full bump
-arrays formed once per call, is their bitwise reference and the path
-on a host where the library cannot be built or loaded.
+(weak.c, in the march's library), which form each bump's phi, -T phi
+and grad_v phi per cell from its profiles; numpy's logaddexp, exp and
+sums run between them.  _hinge_sums, on full bump arrays formed once
+per call, is their bitwise reference and the path where
+march._kernel_library, the switch solve reads too, gives no library.
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 from typing import NamedTuple
 
@@ -177,15 +176,18 @@ class HingeProfile:
         return {"threshold": self.threshold, "width": self.width}
 
 
-def default_test_basis(region, n=(2, 3, 3)):
+BASIS_CENTERS = (2, 3, 3)  # default_test_basis' bumps per axis t, x, v
+
+
+def default_test_basis(region):
     """Bumps tiling a box region ((t0,t1),(x0,x1),(v0,v1)).
 
-    Centers sit on an n-point lattice per axis and widths equal the
-    center spacing, so every support stays strictly inside the region
-    while neighbouring supports overlap.
+    Centers sit on a lattice of BASIS_CENTERS points per axis and widths
+    equal the center spacing, so every support stays strictly inside
+    the region while neighbouring supports overlap.
     """
     (t0, t1), (x0, x1), (v0, v1) = region
-    nt, nx, nv = n
+    nt, nx, nv = BASIS_CENTERS
     bumps = []
 
     def centers(lo, hi, m):
@@ -237,10 +239,10 @@ def basis_windows(f: GridFunction, phis=None):
     return phis, windows
 
 
-def basis_read_window(f: GridFunction, phis=None) -> tuple:
-    """The cells of f weak_residual reads for basis_windows(f, phis)'s
+def basis_read_window(f: GridFunction) -> tuple:
+    """The cells of f weak_residual reads for basis_windows(f)'s default
     bumps: the read_window of their supports."""
-    return window_union(basis_windows(f, phis)[1])
+    return window_union(basis_windows(f)[1])
 
 
 def default_hinges(f_min, f_max):
@@ -323,11 +325,9 @@ def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
     cell, are written on the basis window to three buffers that every
     hinge of the call reuses.  Per pair, the integrand is formed on the
     bump's window in a bump-sized buffer and summed by np.sum.  The
-    elementwise passes run as the compiled kernels of weak.c, phi,
-    -T phi and grad_v phi formed per cell from the bump's profiles;
-    where the library cannot be built or loaded (march.kernel_path),
-    _hinge_sums runs them in numpy on the bumps' full arrays, formed
-    once per call.  Both fix the integrand's products and term order
+    elementwise passes run in weak.c's kernels (_compiled_sums), or
+    where march._kernel_library gives no library in numpy
+    (_numpy_sums).  Both fix the integrand's products and term order
     (beta(f) times -T phi is the IEEE product -beta(f) T phi, and the
     mirror takes -S beta'(f) as -(S beta'(f))), so the residuals are
     bitwise those of a per-bump evaluation on the full grid.
@@ -341,8 +341,8 @@ def weak_residual(basis: WeakBasis, direction="sub") -> WeakResidualReport:
     tolerance = grid_tolerance(f.dt, f.dx, f.dv)
 
     lib = march._kernel_library()
-    sums = _numpy_sums if lib is None else _compiled(lib)
-    hinge_sums = sums(basis, negate)
+    hinge_sums = (_numpy_sums(basis, negate) if lib is None
+                  else _compiled_sums(lib, basis, negate))
     measure = f.cell_measure
     rows = []
     worst = None
@@ -408,69 +408,55 @@ def _hinge_sums(beta, basis, negate, groups, bumps, fields, pair) -> list:
     return sums
 
 
-def _compiled(lib):
+def _compiled_sums(lib, basis, negate):
     """The counterpart of _numpy_sums over a library of weak.c: the
     elementwise passes of _hinge_sums in its kernels, numpy's logaddexp
     and exp between them, and np.sum over each pair's buffer."""
-    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.kfp_hinge_z.argtypes = (i64,) * 6 + (ptr, i64, dbl, dbl, ptr, ptr)
-    lib.kfp_hinge_value.argtypes = (i64, dbl, ptr, ptr, ptr)
-    lib.kfp_hinge_fields.argtypes = (i64, i64, i64, dbl) + (ptr,) * 6
-    lib.kfp_pair.argtypes = (i64,) * 5 + (ptr,) * 7 + (dbl,) + (ptr,) * 4
-    for fn in (lib.kfp_hinge_z, lib.kfp_hinge_value, lib.kfp_hinge_fields,
-               lib.kfp_pair):
-        fn.restype = None
+    nt, nx, nv = shape = basis.values.shape
+    if nv < 2:
+        raise ValueError("the basis window needs 2 cells in v")
+    values = basis.values
+    if any(s % 8 for s in values.strides):  # not whole elements apart
+        values = np.ascontiguousarray(values)
+    strides = [s // 8 for s in values.strides]
+    # every array a kernel reads, C-contiguous, kept alive with the
+    # closure; A, B and S of each time-cell run at the window's size
+    groups = [(g.start, g.stop,
+               *(np.ascontiguousarray(np.broadcast_to(a, (1, nx, nv)))
+                 for a in (A, B, S)))
+              for g, A, B, S in _signed_groups(basis, negate)]
+    bumps = []
+    for sl, p, V in basis.bumps:
+        size = tuple(s.stop - s.start for s in sl)
+        offset = 8 * ((sl[0].start * nx + sl[1].start) * nv + sl[2].start)
+        axes = [np.ascontiguousarray(a).ravel()
+                for a in (p.pt, p.dpt, p.px, p.dpx, p.pv, p.dpv, V)]
+        bumps.append((size, offset, axes, float(p.wv)))
+    bf, z, l = (np.empty(shape) for _ in range(3))
+    pair = np.empty(max(np.prod(size) for size, *_ in bumps))
+    step = 8 * nx * nv  # bytes per slice of a field
 
-    def sums(basis, negate):
-        nt, nx, nv = shape = basis.values.shape
-        if nv < 2:
-            raise ValueError("the basis window needs 2 cells in v")
-        values = basis.values
-        if any(s % 8 for s in values.strides):  # not whole elements apart
-            values = np.ascontiguousarray(values)
-        strides = [s // 8 for s in values.strides]
-        # every array a kernel reads, C-contiguous, kept alive with the
-        # closure; A, B and S of each time-cell run at the window's size
-        groups = [(g.start, g.stop,
-                   *(np.ascontiguousarray(np.broadcast_to(a, (1, nx, nv)))
-                     for a in (A, B, S)))
-                  for g, A, B, S in _signed_groups(basis, negate)]
-        bumps = []
-        for sl, p, V in basis.bumps:
-            size = tuple(s.stop - s.start for s in sl)
-            offset = 8 * ((sl[0].start * nx + sl[1].start) * nv
-                          + sl[2].start)
-            axes = [np.ascontiguousarray(a).ravel()
-                    for a in (p.pt, p.dpt, p.px, p.dpx, p.pv, p.dpv, V)]
-            bumps.append((size, offset, axes, float(p.wv)))
-        bf, z, l = (np.empty(shape) for _ in range(3))
-        pair = np.empty(max(np.prod(size) for size, *_ in bumps))
-        step = 8 * nx * nv  # bytes per slice of a field
+    def hinge_sums(beta):
+        pbf, pz, pl = bf.ctypes.data, z.ctypes.data, l.ctypes.data
+        lib.kfp_hinge_z(*shape, *strides, values.ctypes.data, negate,
+                        beta.threshold, beta.width, pz, pl)
+        np.logaddexp(0.0, l, out=l)
+        lib.kfp_hinge_value(z.size, beta.width, pz, pl, pbf)
+        np.exp(z, out=z)  # beta'(f)
+        for a, b, A, B, S in groups:
+            lib.kfp_hinge_fields(b - a, nx, nv, basis.f.dv, A.ctypes.data,
+                                 B.ctypes.data, S.ctypes.data,
+                                 pbf + a * step, pz + a * step,
+                                 pl + a * step)
+        out = []
+        for size, offset, axes, wv in bumps:
+            lib.kfp_pair(*size, nx * nv, nv, *(a.ctypes.data for a in axes),
+                         wv, pbf + offset, pl + offset, pz + offset,
+                         pair.ctypes.data)
+            out.append(float(np.sum(pair[:np.prod(size)].reshape(size))))
+        return out
 
-        def hinge_sums(beta):
-            pbf, pz, pl = bf.ctypes.data, z.ctypes.data, l.ctypes.data
-            lib.kfp_hinge_z(*shape, *strides, values.ctypes.data, negate,
-                            beta.threshold, beta.width, pz, pl)
-            np.logaddexp(0.0, l, out=l)
-            lib.kfp_hinge_value(z.size, beta.width, pz, pl, pbf)
-            np.exp(z, out=z)  # beta'(f)
-            for a, b, A, B, S in groups:
-                lib.kfp_hinge_fields(b - a, nx, nv, basis.f.dv,
-                                     A.ctypes.data, B.ctypes.data,
-                                     S.ctypes.data, pbf + a * step,
-                                     pz + a * step, pl + a * step)
-            out = []
-            for size, offset, axes, wv in bumps:
-                lib.kfp_pair(*size, nx * nv, nv,
-                             *(a.ctypes.data for a in axes), wv,
-                             pbf + offset, pl + offset, pz + offset,
-                             pair.ctypes.data)
-                out.append(float(np.sum(pair[:np.prod(size)].reshape(size))))
-            return out
-
-        return hinge_sums
-
-    return sums
+    return hinge_sums
 
 
 def indicator_subsolution(c, a, times, xs, vs) -> GridFunction:

@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,37 @@ def test_parse_seeds_single():
 def test_parse_seeds_empty_range_rejected():
     with pytest.raises(ValueError):
         parse_seeds("7..3")
+
+
+def test_a_seed_range_too_long_to_list_exits_2(tmp_path, capsys):
+    # 2^70 seeds: range's length overflows a C ssize_t
+    out = tmp_path / "out"
+    code = cli.main(["ensemble", "--config", str(EXAMPLE), "--out", str(out),
+                     "--seeds", f"1..{2 ** 70}"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == ["seeds"]
+    assert not out.exists()
+
+
+def test_a_seed_range_past_the_address_space_exits_2(tmp_path):
+    # 10^11 seeds fit a range but not a list; the limit keeps a list
+    # that is built anyway from taking the machine's memory
+    script = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        from kfplab import cli
+        sys.exit(cli.main(["ensemble", "--config", {str(EXAMPLE)!r},
+                           "--out", {str(tmp_path / "out")!r},
+                           "--seeds", "1..100000000000"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": str(REPO / "src")},
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    error = json.loads(proc.stdout)
+    assert [v["field"] for v in error["violations"]] == ["seeds"]
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1084,44 @@ def test_unreadable_config_exits_2(tmp_path):
     proc = run_cli(["ensemble", "--config", str(tmp_path / "missing.json")])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "config"
+
+
+def _main_with_out(source, out, tmp_path, monkeypatch):
+    """cli.main on the constants kind, out given by source: the --out
+    flag, KFPLAB_OUT or the config's out."""
+    monkeypatch.delenv("KFPLAB_OUT", raising=False)
+    argv = ["constants"]
+    if source == "flag":
+        argv += ["--out", str(out)]
+    elif source == "env":
+        monkeypatch.setenv("KFPLAB_OUT", str(out))
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "constants", "out": str(out)}))
+        argv += ["--config", str(path)]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_an_out_path_that_is_a_file_exits_2(source, tmp_path, monkeypatch,
+                                            capsys):
+    out = tmp_path / "file"
+    out.write_text("kept\n")
+    assert _main_with_out(source, out, tmp_path, monkeypatch) == 2
+    # one machine-readable error, printed before the runner ran
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == ["out"]
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_an_out_path_below_a_file_exits_2(source, tmp_path, monkeypatch,
+                                          capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert _main_with_out(source, out, tmp_path, monkeypatch) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert [v["field"] for v in error["violations"]] == ["out"]
 
 
 def test_kernel_check_kind(tmp_path):

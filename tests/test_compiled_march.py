@@ -6,11 +6,13 @@ comparisons run in a subprocess with a time limit, so a kernel that
 loops forever fails the test instead of hanging the suite.
 """
 
+import ctypes
 import fnmatch
 import functools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -114,14 +116,13 @@ COMPARE = textwrap.dedent("""
         (grid(7, 12, 10, values=np.broadcast_to(
             rng.normal(size=(7, 12, 1)), (7, 12, 10))), Field(), None),
     ]
-    compiled = weak._compiled(lib)
     weak_differ = 0
     for f, field, phis in cases:
         basis = weak.weak_basis(f, field, phis)
         betas = weak.default_hinges(*f.extrema)[::4]
         for negate in (False, True):
             sums = [np.array([hinge(beta) for beta in betas])
-                    for hinge in (compiled(basis, negate),
+                    for hinge in (weak._compiled_sums(lib, basis, negate),
                                   weak._numpy_sums(basis, negate))]
             weak_differ += not same(*sums)
     print(differ, weak_differ)
@@ -187,6 +188,40 @@ def test_every_kernel_source_is_package_data():
         assert any(fnmatch.fnmatch(name, glob) for glob in globs), name
 
 
+# the ctypes type of a C parameter of a kernel: every pointer is passed
+# as an address
+_C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def _prototypes():
+    """{name: parameter types} of every kernel of march._SOURCES, read
+    from its `void kfp_*(...)` definition."""
+    prototypes = {}
+    for source in march._SOURCES:
+        for name, params in re.findall(r"\bvoid\s+(kfp_\w+)\s*\(([^)]*)\)",
+                                       source.read_text()):
+            # a value parameter's type is the word before its name
+            prototypes[name] = tuple(
+                ctypes.c_void_p if "*" in param else
+                _C_TYPES[param.split()[-2]] for param in params.split(","))
+    return prototypes
+
+
+def test_every_kernel_signature_is_declared_as_the_source_defines_it():
+    prototypes = _prototypes()
+    assert sorted(prototypes) == sorted(march._SIGNATURES)
+    for name, types in prototypes.items():
+        assert march._SIGNATURES[name] == types, name
+
+
+@needs_cc
+def test_the_loaded_library_is_bound():
+    lib = march._kernel_library()
+    for name, argtypes in march._SIGNATURES.items():
+        kernel = getattr(lib, name)
+        assert (kernel.argtypes, kernel.restype) == (argtypes, None), name
+
+
 def _small_verify_reports():
     """Both directions' weak_residual reports, as JSON, on a small
     solved member."""
@@ -201,7 +236,7 @@ def _small_verify_reports():
 
 
 @pytest.mark.parametrize("case", ["no-compiler", "unwritable-cache",
-                                  "failed-build"])
+                                  "failed-build", "missing-kernel"])
 def test_solve_falls_back_to_numpy_silently(case, tmp_path, monkeypatch,
                                             capfd):
     compiled = _small_verify_reports()
@@ -211,8 +246,13 @@ def test_solve_falls_back_to_numpy_silently(case, tmp_path, monkeypatch,
         (tmp_path / "kfplab").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     else:
+        # a source that is not C, or one that builds a library lacking
+        # a kernel _SIGNATURES declares
         source = tmp_path / "weak.c"
-        source.write_text("this is not C\n")
+        weak_c = march._SOURCES[-1].read_text()
+        assert "void kfp_pair(" in weak_c
+        source.write_text("this is not C\n" if case == "failed-build"
+                          else weak_c.replace("kfp_pair(", "kfp_pairs("))
         monkeypatch.setattr(march, "_SOURCES", (*march._SOURCES[:-1], source))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(march, "_kernel_library",

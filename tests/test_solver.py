@@ -104,8 +104,7 @@ def test_divergence_detection_reports_step():
 def _numpy_march(monkeypatch):
     """solve marches with the numpy reference kernels, as on a host
     where the compiled ones cannot be built."""
-    monkeypatch.setattr(march, "_march_kernels",
-                        lambda: (march._transport, march._v_solver))
+    monkeypatch.setattr(march, "_kernel_library", lambda: None)
 
 
 # the overflowing march warns on the numpy path

@@ -164,7 +164,7 @@ def test_bump_transport_matches_finite_differences():
 
 def test_default_basis_tiles_strictly_inside():
     region = ((-1.0, 0.0), (-2.0, 2.0), (-3.0, 3.0))
-    bumps = default_test_basis(region, n=(2, 3, 3))
+    bumps = default_test_basis(region)
     assert len(bumps) == 18
     for phi in bumps:
         (ta, tb), (xa, xb), (va, vb) = phi.support()
