@@ -5,8 +5,8 @@ ensemble, checks, and output directory.  `validate` reports every
 violation before any compute; `run` executes the experiment and writes
 a deterministic reports.json (byte-identical across reruns of the same
 config), a CSV summary, per-check plot data, and a separate
-metadata.json holding the timestamps, the kernel path that ran
-(compiled or numpy) and numpy's version.
+metadata.json holding the timestamps, the member workers and the
+kernel path (compiled or numpy) that ran, and numpy's version.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed or raised (or
 a seed failed under --strict, a member process died, or no check ran),
@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -82,7 +83,7 @@ def parse_seeds(text: str) -> list:
         # a list slot and an int object per seed, built only if it fits
         if (hi - lo + 1) * (8 + sys.getsizeof(hi)) > _physical_memory():
             raise ValueError(f"seed range {text!r} is too long to list in "
-                             f"physical memory")
+                             f"the memory this process may hold")
         return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -199,8 +200,12 @@ def _validate_checks(config: ExperimentConfig, safe, grid, out: list):
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory, the bound on a config's grid."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Bytes this process may hold, the bound on a config's grid and seed
+    range: physical memory, or the soft address-space limit (RLIMIT_AS)
+    where that is lower."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return memory if limit == resource.RLIM_INFINITY else min(memory, limit)
 
 
 def _validate_compute(config: ExperimentConfig, values: dict, out: list):
@@ -262,7 +267,7 @@ def _validate_compute(config: ExperimentConfig, values: dict, out: list):
             out.append(_violation(
                 max(("grid.nt", "grid.nx", "grid.nv"), key=get),
                 f"grid too large to build: (nt + 1) nx nv = {cells} float64 "
-                f"cells exceed the {memory} bytes of physical memory"))
+                f"cells exceed the {memory} bytes this process may hold"))
             nt = nx = nv = None  # build no axis
     safe = grid = None
     if box is not None and None not in (pad_x, pad_v):
@@ -655,6 +660,9 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_seconds": time.time() - t0,
         "threads": int(config.threads),
+        "workers": (experiments.member_workers(
+            int(config.threads), len(_seed_list(config)))
+            if config.kind == "ensemble" else 1),
         "exit_code": code,
         "kernels": kernel_path(),
         "numpy": np.__version__,
@@ -675,9 +683,9 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="per-seed solver failures fail the run")
     parser.add_argument("--threads", type=int,
-                        help="member workers: this process and forked "
-                        "ones; 1 runs every member here "
-                        "(overrides KFPLAB_THREADS)")
+                        help="ceiling on the member workers, this process "
+                        "and forked ones, at most one per usable core; 1 "
+                        "runs every member here (overrides KFPLAB_THREADS)")
     args = parser.parse_args(argv)
 
     data = {}

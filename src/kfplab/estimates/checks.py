@@ -7,7 +7,8 @@ pass verdicts compare the empirical ratio against a calibrated bound
 (see kfplab.calibration), and each such checker reads its statement's
 bound there; the intermediate-value, measure-to-pointwise and
 oscillation-decay statements carry their constant in the inequality
-itself and pass bound 1.
+itself and pass bound 1, and check_ivl builds its constants from its
+fractions and the source sup.
 
 Checkers validate the cheap structural hypotheses themselves (sign
 conditions, sup bounds).  That the input is a weak sub/super-solution

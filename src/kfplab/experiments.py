@@ -7,10 +7,12 @@ identical floating-point output.  The families:
   * standard ensemble: rough-coefficient solves for the calibrated
     interior estimates (energy, integrability and regularity gains,
     sup bounds), plus refinement and enlarged-box variants, each paired
-    with the ensemble's member of its seed.  The standard instance is
-    one config, STANDARD_CONFIG, and its members run through
-    run_member, the member path the CLI shares, on one worker per
-    available core (run_members);
+    with the ensemble's member of its seed, whose base constants are
+    read from the ensemble, so each standard member is solved once.
+    The standard instance is one config, STANDARD_CONFIG, and its
+    members run through run_member, the member path the CLI shares,
+    which calls check_<name> by name for each check and stores only
+    the cells the checks read;
   * poincare instance: an exact kernel translate whose mass sweeps
     across the unit cylinder;
   * mixing instance: a solver-generated field cold and hot on
@@ -22,10 +24,18 @@ identical floating-point output.  The families:
     translation and dilation;
   * oscillation study: decay exponents fitted across one zoom level;
   * solver oracle: constant-coefficient solve against the kernel
-    convolution;
-  * transport ladder: mesh-refinement order of the streaming part;
+    convolution, the solve storing only its cylinder's window;
+  * transport ladder: mesh-refinement order of the streaming part, its
+    solves storing only the datum and the final slice;
   * kernel suite: normalization, PDE residual with a negative control,
     and a representation-bound instance.
+
+The studies' members run through run_members, on at most
+STUDY_WORKERS workers and at most one per usable core
+(member_workers): the calling process and processes forked from it.
+A pool process that dies costs every pooled job not yet finished an
+error record beginning MEMBER_PROCESS_DIED, and a study raises naming
+the seed.
 
 Grid spacings are chosen so every cylinder-mask boundary falls strictly
 between cell centers (margins of a tenth of a cell or better): mask
@@ -61,7 +71,6 @@ from .estimates.checks import (  # noqa: F401
     check_weak_harnack,
     check_weak_poincare,
 )
-from .estimates.constants import explicit_constants
 from .estimates.norms import inf_on, lp_norm, sup_on
 from .geometry import (
     compose,
@@ -96,6 +105,7 @@ __all__ = [
     "BOUNDARY_SEEDS",
     "STANDARD_CONFIG",
     "run_member",
+    "member_workers",
     "run_members",
     "run_standard_ensemble",
     "run_refinement_pairs",
@@ -115,7 +125,6 @@ __all__ = [
     "OSC_SEEDS",
     "run_oscillation_member",
     "run_oscillation_study",
-    "pinned_constants_tuple",
     "run_solver_oracle",
     "run_solver_oracle_study",
     "run_transport_convergence",
@@ -192,13 +201,13 @@ ENSEMBLE_SEEDS = tuple(range(1, 21))
 REFINEMENT_SEEDS = (1, 2, 3, 4, 5)
 BOUNDARY_SEEDS = (1, 7, 13)
 BOUNDARY_SCALE = 1.5
-# The studies' members run at most this many at once.  Each worker adds
-# its member's memory: the five refine-2 members of the refinement
-# pairs, the largest, peak at a summed Pss of 167, 268-308, 366-421 and
-# 549-566 MiB at 1 to 4 workers; oscillation members at 94, 160, 219
-# and 291 MiB; standard members at 50, 73, 88 and 113 MiB.  The cap also
-# holds where a CPU quota, which the core count does not see, leaves
-# fewer cores.
+# The studies' members run at most this many at once, and at most one
+# per usable core (member_workers).  Each worker adds its member's
+# memory: the five refine-2 members of the refinement pairs, the
+# largest, peak at a summed Pss of 167, 268-308, 366-421 and 549-566 MiB
+# at 1 to 4 workers; oscillation members at 94, 160, 219 and 291 MiB;
+# standard members at 50, 73, 88 and 113 MiB.  The cap also holds where
+# a CPU quota, which the core count does not see, leaves fewer cores.
 STUDY_WORKERS = 4
 
 
@@ -281,16 +290,32 @@ def _member_record(job) -> dict:
 MEMBER_PROCESS_DIED = "the member process died"
 
 
+def member_workers(workers: int, jobs: int) -> int:
+    """How many workers run_members runs a number jobs of jobs on when
+    asked for workers: the smallest of workers, jobs and the cores this
+    process may run on (os.cpu_count() where the platform does not say
+    which cores those are, the rule of Python 3.13's
+    os.process_cpu_count), since more workers than cores cannot run
+    faster; 1 where the platform cannot fork.  So workers is a ceiling,
+    and members, being deterministic, give the same records at any
+    value of it."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    return min(workers, jobs, cores)
+
+
 def run_members(jobs, workers: int) -> list:
     """run_member's records of the (config, seed) jobs in job order, each
-    without its solution, spread over n = min(workers, len(jobs))
-    workers.  This process is one of them: it runs every n-th job,
-    starting with the first, while a pool of n - 1 processes forked from
-    it runs the others, so n = 1 runs every job here and builds no pool.
-    Forked workers start with this process's imported modules, and any
-    attribute a caller set on them, already in place.  No other thread
-    of the caller may run while the pool forks; where the platform
-    cannot fork, every job runs here.
+    without its solution, spread over n = member_workers(workers,
+    len(jobs)) workers: workers is a ceiling of at most one worker per
+    core this process may run on.  This process is one of them: it runs
+    every n-th job, starting with the first, while a pool of n - 1
+    processes forked from it runs the others, so n = 1 runs every job
+    here and builds no pool.  Forked workers start with this process's
+    imported modules, and any attribute a caller set on them, already in
+    place.  No other thread of the caller may run while the pool forks.
 
     A pool process that dies breaks the pool: every pooled job not yet
     finished gets the record {"seed", "status": "error", "error"}, its
@@ -299,7 +324,7 @@ def run_members(jobs, workers: int) -> list:
     (memory, say) would kill this one.
     """
     jobs = list(jobs)
-    n = min(workers, len(jobs)) if hasattr(os, "fork") else 1
+    n = member_workers(workers, len(jobs))
     if n <= 1:
         return [_member_record(job) for job in jobs]
     # imported here, since they add about 20 ms to the start of every
@@ -338,13 +363,10 @@ def _checked(instance, record) -> dict:
 
 
 def _checked_members(instance, config, seeds) -> list:
-    """_checked of each seed's member of config, the members spread over
-    one worker per core this process may run on, at most STUDY_WORKERS;
-    one where the platform does not say which cores those are."""
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity") else 1)
+    """_checked of each seed's member of config, the members run through
+    run_members on at most STUDY_WORKERS workers."""
     records = run_members([(config, seed) for seed in seeds],
-                          min(cores, STUDY_WORKERS))
+                          STUDY_WORKERS)
     return [_checked(instance, record) for record in records]
 
 
@@ -816,13 +838,6 @@ def run_oscillation_member(seed) -> dict:
 def run_oscillation_study() -> list:
     return [_oscillation_member(member) for member in _checked_members(
         "oscillation", _oscillation_config(), OSC_SEEDS)]
-
-
-def pinned_constants_tuple(digits=12) -> str:
-    """The (r0, eps, theta, nu, mu, alpha) tuple of the source-free
-    constants pipeline at delta1 = delta2 = 1/2, printed to the given
-    significant digits from the high-precision evaluation."""
-    return explicit_constants(0.5, 0.5, 0.0).as_tuple_str(digits)
 
 
 # ------------------------------------------------------------------

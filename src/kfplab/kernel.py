@@ -260,7 +260,7 @@ def convolve_representation(source, eval_points):
                 continue
             out[i] = _slice_quadrature(tau, xs, vs, values[0], xe[i], ve[i],
                                        dx, dv)
-        return out if out.ndim else float(out)
+        return out
 
     dt_src = float(times[1] - times[0])
     tau_cut = max((24.0 * dx * dx) ** (1.0 / 3.0), 2.0 * dv * dv, 1e-9)
@@ -302,4 +302,4 @@ def convolve_representation(source, eval_points):
                                                      x, v, dx, dv)
             lo = hi
         out[i] = total
-    return out if out.ndim else float(out)
+    return out

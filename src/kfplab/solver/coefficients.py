@@ -6,6 +6,11 @@ counter-based integer hash of (seed, channel, cell index), so a field
 is a pure function of position: evaluation order, box size, and grid
 resolution cannot change it.  The diffusion coefficient A stays in
 [lam, Lam], the drift B in [-Lam, Lam], the source S in [-s_amp, s_amp].
+
+A field depends on t only through its time cell (a field whose values
+change with every t returns t itself), and time_cell_runs gives the
+runs of consecutive times in one time cell: the one rule by which the
+march, weak_basis and CylinderCells.source sample a field once per run.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ centers of uniform cells, and each stored time slice represents the
 half-open time cell (t - dt_store, t] ending at the slice time.  That
 convention matches the half-open time windows of the measurement
 cylinders, so an aligned cylinder is tiled exactly by grid cells.
+
+A GridFunction may store only an (x, v) window of its grid and still
+report the whole grid's spacings, box, safe box and value extrema.
+window_union, the union of cell windows with v widened by one cell per
+side, is the one place that margin is written; GridFunction.read_window
+applies it to the windows of some regions.
 """
 
 from __future__ import annotations

@@ -25,10 +25,16 @@ C-order arrays, so each step of the forward elimination and of both
 Thomas sweeps works on one contiguous velocity row.  The stored slices
 keep the (t, x, v) layout of GridFunction.
 
+solve takes the datum as a callable f0(x, v) and reads CFL_LIMIT at
+each call; solve_grid is the grid solve would return, built before
+solving, which validation and the member path share.
+
 The transport and the Thomas sweeps run as compiled kernels (march.c),
-built with the weak residual's (weak.c) into one library by the system
-C compiler on first use in a process, loaded through ctypes and bound
-to _SIGNATURES (_library); solve reads the one switch _kernel_library.
+built with the weak residual's (weak.c) into one cached library by the
+system C compiler on first use, loaded through ctypes and bound to
+_SIGNATURES, the one declaration of every kernel's C signature
+(_library); solve reads the one switch _kernel_library, and
+kernel_path says which kernels run.
 The numpy functions _transport and _v_solver are their bitwise
 reference, and solve's path where the library cannot be built, loaded
 or bound.  The reference transport groups the rows by their integer

@@ -17,6 +17,13 @@ grid-scaled tolerance.  Super-solutions are verified through the
 mirror identity: f is a super-solution iff -f is a sub-solution for
 the source -S.
 
+Each hinge's value and derivative share one softplus (logaddexp) term,
+and weak_residual's default hinges come from f's extrema, its tolerance
+from grid_tolerance.  basis_read_window(f) is the window of f the
+default bumps read, which kfplab verify stores.  The traveling
+indicator (indicator_subsolution) holds its v-independent values as a
+read-only broadcast view.
+
 What does not depend on beta or the direction is built once by
 weak_basis and shared by both directions: f's view on the bumps' read
 window, the coefficients once per coefficient time cell, and each

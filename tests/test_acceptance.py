@@ -16,6 +16,7 @@ import pytest
 
 from kfplab import experiments
 from kfplab.calibration import load_calibration, worst_constants
+from kfplab.estimates.constants import explicit_constants
 from kfplab.geometry import (
     PhasePoint,
     compose,
@@ -244,7 +245,7 @@ def test_criterion_10_holder_decay(oscillation_study):
         assert report.extras["alpha_hat"] > 0.0, member["seed"]
         assert report.hypotheses_met
         assert report.passed is True, (member["seed"], report.extras)
-    assert experiments.pinned_constants_tuple(12) == PINNED_TUPLE
+    assert explicit_constants(0.5, 0.5, 0.0).as_tuple_str(12) == PINNED_TUPLE
 
 
 def test_criterion_11_boundary_noncontamination(ensemble):

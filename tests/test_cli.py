@@ -84,24 +84,51 @@ def test_a_seed_range_too_long_to_list_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_a_seed_range_past_the_address_space_exits_2(tmp_path):
-    # 10^11 seeds fit a range but not a list; the limit keeps a list
-    # that is built anyway from taking the machine's memory
+def _fields_rejected_under_address_limit(limit, argv):
+    """The fields cli.main(argv) names on exit 2 in a subprocess that
+    first sets its address-space limit (RLIMIT_AS) to limit bytes; the
+    limit keeps what is built anyway from taking the machine's memory."""
     script = textwrap.dedent(f"""
         import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
         from kfplab import cli
-        sys.exit(cli.main(["ensemble", "--config", {str(EXAMPLE)!r},
-                           "--out", {str(tmp_path / "out")!r},
-                           "--seeds", "1..100000000000"]))
+        sys.exit(cli.main({argv!r}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ,
                                           "PYTHONPATH": str(REPO / "src")},
                           timeout=120)
     assert proc.returncode == 2, proc.stderr
-    error = json.loads(proc.stdout)
-    assert [v["field"] for v in error["violations"]] == ["seeds"]
+    return [v["field"] for v in json.loads(proc.stdout)["violations"]]
+
+
+def test_a_seed_range_past_the_address_space_exits_2(tmp_path):
+    # 10^11 seeds fit a range but not a list
+    assert _fields_rejected_under_address_limit(4 << 30, [
+        "ensemble", "--config", str(EXAMPLE), "--out", str(tmp_path / "out"),
+        "--seeds", "1..100000000000"]) == ["seeds"]
+
+
+def test_a_seed_range_past_the_address_limit_below_the_memory_exits_2(
+        tmp_path):
+    # 5 * 10^7 seeds list in about 1.8 GB: within physical memory on most
+    # hosts, past a 1 GiB address-space limit
+    assert _fields_rejected_under_address_limit(1 << 30, [
+        "ensemble", "--config", str(EXAMPLE), "--out", str(tmp_path / "out"),
+        "--seeds", "0..50000000"]) == ["seeds"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_past_the_address_limit_below_the_memory_exits_2(tmp_path):
+    # (nt + 1) nx nv float64 cells of 1001 x 512 x 512 take 1.96 GiB
+    data = dict(example_dict(), kind="solve", checks=[])
+    data["grid"] = {"nt": 1000, "nx": 512, "nv": 512}
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(data))
+    assert _fields_rejected_under_address_limit(1 << 30, [
+        "solve", "--config", str(path), "--out",
+        str(tmp_path / "out")]) == ["grid.nt"]
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +253,7 @@ def test_unrunnable_grid_exits_2_without_solving(kind, data, field, words,
 @pytest.mark.parametrize("kind, grid, field", [
     ("verify", {"nx": 2 ** 62}, "grid.nx"),
     ("verify", {"nt": 2 ** 62}, "grid.nt"),
-    # past the physical memory; with that bound lifted the axes build
+    # past the memory bound; with that bound lifted the axes build
     # and Q_1/2's cell mask, 390 TiB, is refused (see the test below)
     ("ensemble", {"nt": 2 ** 18, "nx": 2 ** 20, "nv": 2 ** 20}, "grid.nx"),
 ], ids=["verify-nx", "verify-nt", "ensemble-mask"])
@@ -277,7 +304,7 @@ def test_a_grid_past_the_physical_memory_exits_2_naming_it(
     assert [v["field"] for v in error["violations"]] == [field]
     assert error["violations"][0]["reason"] == (
         f"grid too large to build: (nt + 1) nx nv = {need // 8} float64 "
-        f"cells exceed the {need - 1} bytes of physical memory")
+        f"cells exceed the {need - 1} bytes this process may hold")
 
 
 def test_a_mask_too_large_to_build_exits_2_within_the_memory(
@@ -294,7 +321,7 @@ def test_a_mask_too_large_to_build_exits_2_within_the_memory(
     assert [v["field"] for v in error["violations"]] == ["grid.nx"]
     reason = error["violations"][0]["reason"]
     assert reason.startswith("grid too large to build: ")
-    assert "physical memory" not in reason
+    assert "bytes this process may hold" not in reason
 
 
 def test_validation_counts_cells_on_the_axes_solve_stores():
@@ -582,8 +609,9 @@ def _fail_solves(monkeypatch, fail_seeds):
 
 
 def test_strict_flag_controls_seed_failure_policy(tmp_path, monkeypatch):
-    # at threads 2 seed 2 runs in a forked process, which inherits the
-    # patch; its error record crosses the pool unchanged
+    # at threads 2 on two cores seed 2 runs in a forked process, which
+    # inherits the patch; its error record crosses the pool unchanged
+    _usable_cores(monkeypatch, 2)
     _fail_solves(monkeypatch, {2})
     for threads in (1, 2):
         data = example_dict()
@@ -636,8 +664,7 @@ def test_pooled_study_raises_the_in_process_error(sabotage, error,
     # inherits the patches, runs seed 2; the first failed member in job
     # order raises
     monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2, 3))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _usable_cores(monkeypatch, 2)
     sabotage(monkeypatch, {2, 3})
     with pytest.raises(RuntimeError, match=f"^standard member 2: "
                        f"{re.escape(error)}$"):
@@ -724,6 +751,7 @@ def test_raising_check_keeps_the_seeds_other_reports(tmp_path,
         raise RuntimeError("synthetic checker failure")
 
     monkeypatch.setattr(experiments, "check_sobolev_gain", boom)
+    _usable_cores(monkeypatch, 2)
     for threads in (1, 2):  # in-process, then in a forked process
         data = example_dict()
         data["coefficients"]["seeds"] = [1]
@@ -784,6 +812,14 @@ def test_verify_resolves_weak_residual_through_cli(tmp_path, monkeypatch):
 # member processes
 
 
+def _usable_cores(monkeypatch, n):
+    """os.sched_getaffinity reports n cores, so member_workers caps the
+    workers at n on any host; a forked process still runs wherever the
+    host puts it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def _recording_pool(monkeypatch, pools):
     """ProcessPoolExecutor becomes a stand-in that starts no process: it
     runs its jobs here and records, per pool, the size asked for and the
@@ -811,9 +847,11 @@ def _recording_pool(monkeypatch, pools):
 
 def test_member_pool_never_outnumbers_the_members(tmp_path, monkeypatch):
     # this process is one of the workers, so the pool holds one process
-    # fewer than there are workers and runs the jobs this one skips
+    # fewer than there are workers and runs the jobs this one skips; 64
+    # cores leave the members as the only cap
     pools = []
     _recording_pool(monkeypatch, pools)
+    _usable_cores(monkeypatch, 64)
     data = example_dict()
     data["coefficients"]["seeds"] = [2, 1]
     data["threads"] = 10**6
@@ -832,6 +870,44 @@ def test_member_pool_never_outnumbers_the_members(tmp_path, monkeypatch):
     assert pools[2:] == [{"size": 2, "seeds": [2, 3]}]
 
 
+def test_threads_past_the_cores_run_one_worker_per_core(tmp_path,
+                                                         monkeypatch):
+    # threads is a ceiling: on two cores a million threads give this
+    # process and one forked process, and metadata.json says so
+    pools = []
+    _recording_pool(monkeypatch, pools)
+    _usable_cores(monkeypatch, 2)
+    data = example_dict()
+    data["coefficients"]["seeds"] = [1, 2, 3, 4, 5]
+    data["threads"] = 10**6
+    assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    assert pools == [{"size": 1, "seeds": [2, 4]}]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert (meta["threads"], meta["workers"]) == (10**6, 2)
+
+    jobs = [(cli._member_config(ExperimentConfig.from_dict(data)), seed)
+            for seed in (1, 2, 3, 4, 5)]
+    assert [r["seed"] for r in experiments.run_members(jobs, 10**6)] == [
+        1, 2, 3, 4, 5]
+    assert pools[1:] == [{"size": 1, "seeds": [2, 4]}]
+
+
+def test_member_workers_is_the_smallest_ceiling(monkeypatch):
+    _usable_cores(monkeypatch, 3)
+    assert [experiments.member_workers(w, j) for w, j in (
+        (1, 5), (2, 5), (10**6, 5), (10**6, 2), (4, 1))] == [1, 2, 3, 2, 1]
+    # no affinity call: os.cpu_count(), or 1 where that says nothing
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert experiments.member_workers(10**6, 10) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments.member_workers(10**6, 10) == 1
+    # no fork: every member runs in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.delattr(os, "fork")
+    assert experiments.member_workers(10**6, 10) == 1
+
+
 def test_one_worker_builds_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("built a process pool")
@@ -841,14 +917,15 @@ def test_one_worker_builds_no_pool(tmp_path, monkeypatch):
     data["threads"] = 1
     assert cli.run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
 
-    # a platform that cannot fork, or does not say which cores this
-    # process may use, runs every member here
+    # a platform that cannot fork, or has one core where it does not say
+    # which cores this process may use, runs every member here
     jobs = [(cli._member_config(ExperimentConfig.from_dict(data)), seed)
             for seed in (1, 2)]
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork")
         assert [r["seed"] for r in experiments.run_members(jobs, 2)] == [1, 2]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2))
     assert [m["seed"] for m in experiments.run_standard_ensemble()] == [1, 2]
 
@@ -936,7 +1013,10 @@ _POOLED_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", list(_POOLED_CONFIGS))
-def test_member_processes_write_the_in_process_bytes(name, tmp_path):
+def test_member_processes_write_the_in_process_bytes(name, tmp_path,
+                                                     monkeypatch):
+    # three cores, so threads 3 forks two processes on any host
+    _usable_cores(monkeypatch, 3)
     data = example_dict()
     data.update(_POOLED_CONFIGS[name])
     assert validate(ExperimentConfig.from_dict(data)) == []
@@ -965,8 +1045,9 @@ def _member_record_dying_on_seed_2(job):
 
 def test_a_dead_member_process_costs_only_its_own_seed(tmp_path,
                                                        monkeypatch, capfd):
-    # a real fork: at threads 2 this process runs seeds 1 and 3 and a
-    # forked one runs seed 2, and dies
+    # a real fork: at threads 2 on two cores this process runs seeds 1
+    # and 3 and a forked one runs seed 2, and dies
+    _usable_cores(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_member_record",
                         _member_record_dying_on_seed_2)
     data = example_dict()
@@ -997,8 +1078,6 @@ def test_a_dead_member_process_costs_only_its_own_seed(tmp_path,
 
     # a study names the seed
     monkeypatch.setattr(experiments, "ENSEMBLE_SEEDS", (1, 2))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     with pytest.raises(RuntimeError, match=f"^standard member 2: "
                        f"{experiments.MEMBER_PROCESS_DIED}: "):
         experiments.run_standard_ensemble()
@@ -1056,7 +1135,9 @@ def test_env_overrides_out_and_threads(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "reports.json").exists()
     meta = json.loads((out / "metadata.json").read_text())
+    # the workers that ran: three seeds, at most one per usable core
     assert meta["threads"] == 3
+    assert meta["workers"] == experiments.member_workers(3, 3)
 
 
 def test_invalid_config_exits_2_with_machine_readable_error(tmp_path):
@@ -1192,6 +1273,9 @@ def test_solve_kind_writes_container(tmp_path):
     assert proc.returncode == 0, proc.stderr
     reports = json.loads((out / "reports.json").read_text())
     assert reports["finite"] is True
+    # one member, so one worker whatever threads asks for
+    meta = json.loads((out / "metadata.json").read_text())
+    assert (meta["threads"], meta["workers"]) == (2, 1)
     container = out / reports["container"]
     assert container.exists()
 
